@@ -5,13 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import checks as checks_mod
 from . import kernel as kmod
 from .domains import (
+    GroupFamily,
     build_element,
     classify_element,
     domain_count,
@@ -215,8 +215,7 @@ def _grid_points(args, rank: int, signature) -> list:
     return pts
 
 
-def _closed_form(group_name: str, domain_label: str, point: RadialPoint, tp) -> complex | None:
-    fam = parse_group(group_name)
+def _closed_form(fam: GroupFamily, domain_label: str, point: RadialPoint, tp) -> complex | None:
     if fam.rank != 1:
         return None
     try:
@@ -288,17 +287,13 @@ def cmd_kernel(args) -> int:
                 complex(rec["pathsum_re"], rec["pathsum_im"])
                 - complex(rec["spectral_re"], rec["spectral_im"])
             )
-        closed = _closed_form(args.group, domain.label if domain else "", point, tp)
+        closed = _closed_form(fam, domain.label if domain else "", point, tp)
         if closed is not None:
             rec["closed_re"] = float(closed.real)
             rec["closed_im"] = float(closed.imag)
         return rec
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(evaluate, points))
-    else:
-        records = [evaluate(p) for p in points]
+    records = [evaluate(p) for p in points]
     payload = {
         "group": fam.name,
         "domain": domain.label if domain else "compact",
@@ -456,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=["pathsum", "spectral", "both"], default="pathsum")
     p.add_argument("--tol", type=float, default=1e-14)
     p.add_argument("--level-cutoff", dest="level_cutoff", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_kernel)
 

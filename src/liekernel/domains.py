@@ -665,7 +665,7 @@ def _unit_class(eigenvalues: np.ndarray) -> np.ndarray:
 _matcher_cache: dict = {}
 
 
-def _matcher(sys: _System, dom: EvolutionDomain, branch: int = 1) -> dict:
+def _matcher(sys: _System, dom: EvolutionDomain) -> dict:
     key = (dom.family, dom.signature)
     cached = _matcher_cache.get(key)
     if cached is not None:
@@ -684,7 +684,7 @@ def _matcher(sys: _System, dom: EvolutionDomain, branch: int = 1) -> dict:
         sub_rows, a_sub_inv = [], None
     offsets = [
         2.0 * np.pi * np.array(offs)
-        for offs in itertools.product(range(-branch, branch + 1), repeat=len(sub_rows))
+        for offs in itertools.product((-1, 0, 1), repeat=len(sub_rows))
     ]
     pinv_wi = np.linalg.pinv(-w_i) if imag_axes else None
     data = {

@@ -10,7 +10,6 @@ from the lower half plane.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .lattice import RadialPoint, WindingLattice, domain_sublattice, enumerate_points, winding_lattice
+from .lattice import _ellipsoid_points
 from .rootsys import RootSystem
 from .volumes import coset_volume, group_volume
 from .weyl import WeylGroup, generate_weyl_group, weyl_function
@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 _WALL_TOL = 1e-12
+# largest spectral table, in levels x Weyl images; each entry costs rank
+# float64 orbit coordinates plus a complex phase per evaluation
+_ORBIT_CAP = 3 * 10**7
 
 
 class TimeMode(enum.Enum):
@@ -233,39 +236,16 @@ def _spectral_levels(rs: RootSystem, t_like: float, tol: float, level_cutoff: in
     """Dominant weights retained by the spectral truncation rule.
 
     Retains every l whose Boltzmann-like weight exp(-lambda_l * t_like) is
-    within tol * 1e-6 of the largest (the margin absorbs dimension growth).
+    within tol * 1e-6 of the largest (the margin absorbs dimension growth),
+    i.e. every l >= 0 with |l + rho|^2 <= rho^2 + lam * lambda_cut, in
+    lexicographic order.  ``level_cutoff`` keeps the cube 0 <= l_i <= cutoff
+    instead.
     """
     if level_cutoff is not None:
-        lmax = level_cutoff
-    else:
-        lam_cut = math.log(1.0 / (tol * 1e-6)) / t_like
-        # per-axis bound: lambda grows at least quadratically along each label
-        lmax = 0
-        for axis in range(rs.rank):
-            lo, hi = 0, 4
-            while _casimir_at(rs, axis, hi) < lam_cut:
-                hi *= 2
-                if hi > 10**6:
-                    raise ResourceError("spectral cutoff needs > 1e6 levels; use the path sum")
-            lmax = max(lmax, hi)
-    labels = []
-    lam_cut = math.log(1.0 / (tol * 1e-6)) / t_like if level_cutoff is None else None
-    for l in itertools.product(range(lmax + 1), repeat=rs.rank):
-        lam_l = _casimir_vec(rs, np.array(l))
-        if lam_cut is None or lam_l <= lam_cut:
-            labels.append(np.array(l))
+        return np.indices((level_cutoff + 1,) * rs.rank).reshape(rs.rank, -1).T
+    lam_cut = math.log(1.0 / (tol * 1e-6)) / t_like
+    labels, _ = _ellipsoid_points(rs.weights, rs.rho, 1.0, rs.rho @ rs.rho + rs.lam * lam_cut, lower=0)
     return labels
-
-
-def _casimir_vec(rs: RootSystem, l: np.ndarray) -> float:
-    nvec = (l + 1) @ rs.weights
-    return float((nvec @ nvec - rs.rho @ rs.rho) / rs.lam)
-
-
-def _casimir_at(rs: RootSystem, axis: int, value: int) -> float:
-    l = np.zeros(rs.rank, dtype=int)
-    l[axis] = value
-    return _casimir_vec(rs, l)
 
 
 _spectral_cache: dict = {}
@@ -279,7 +259,12 @@ def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int 
         return cached
     group = generate_weyl_group(rs)
     labels = _spectral_levels(rs, t_like, tol, level_cutoff)
-    nvecs = (np.array(labels) + 1) @ rs.weights
+    if len(labels) * group.order > _ORBIT_CAP:
+        raise ResourceError(
+            f"spectral table needs {len(labels)} levels x {group.order} Weyl images "
+            f"(> {_ORBIT_CAP} orbit entries); use the path sum"
+        )
+    nvecs = (labels + 1) @ rs.weights
     lam_l = (np.einsum("li,li->l", nvecs, nvecs) - rs.rho @ rs.rho) / rs.lam
     dims = np.prod(nvecs @ rs.positive_roots.T, axis=1) / np.prod(rs.positive_roots @ rs.rho)
     orbits = np.einsum("kij,lj->lki", group.matrices, nvecs)  # (L, |W|, r)

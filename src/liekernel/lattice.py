@@ -195,6 +195,53 @@ def domain_sublattice(lat: WindingLattice, domain) -> WindingLattice:
     return sub
 
 
+def _ellipsoid_points(gens, x0, scale: float, radius2: float, lower: int | None = None):
+    """Integer c with |x0 + scale * c @ gens|^2 <= radius2 (Fincke-Pohst).
+
+    With gram = L L^T and y = c - c_min (c_min the real minimizer, perp the
+    residual off the span) the squared norm is |perp|^2 + |L^T y|^2, and
+    (L^T y)_i involves only y_i..y_last.  Coordinates are fixed from the last
+    one down within the budget the fixed ones leave, one vectorized layer at
+    a time, each checked against the point cap before it is allocated.
+    ``lower`` bounds every coefficient from below.  Returns ``(coeffs, d2)``
+    with ``coeffs`` in lexicographic order.
+    """
+    basis = scale * gens
+    dim = len(basis)
+    gram = basis @ basis.T
+    chol = np.linalg.cholesky(gram)
+    c_min = np.linalg.solve(gram, -(basis @ x0))
+    perp = x0 + c_min @ basis
+    coeffs = np.zeros((1, 0), dtype=int)
+    rest = np.array([radius2 - perp @ perp])
+    for i in range(dim - 1, -1, -1):
+        center = c_min[i] - (coeffs - c_min[i + 1 :]) @ chol[i + 1 :, i] / chol[i, i]
+        # the margin keeps rounding from dropping a boundary point; the norm
+        # test at the end is the exact one
+        reach = np.sqrt(np.maximum(rest, 0.0)) / chol[i, i] + 1e-9
+        lo = np.ceil(center - reach).astype(int)
+        hi = np.floor(center + reach).astype(int)
+        if lower is not None:
+            lo = np.maximum(lo, lower)
+        counts = np.maximum(hi - lo + 1, 0)
+        total = int(counts.sum())
+        if total > _POINT_CAP:
+            raise ResourceError(
+                f"lattice cutoff needs ~{total} candidate points (> {_POINT_CAP}); "
+                "increase tol or shorten the time step"
+            )
+        parent = np.repeat(np.arange(len(counts)), counts)
+        ci = np.arange(total) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        rest = rest[parent] - (chol[i, i] * (ci - center[parent])) ** 2
+        coeffs = np.column_stack([ci, coeffs[parent]])
+    pts = coeffs @ gens
+    d2 = ((x0 + scale * pts) ** 2).sum(axis=1)
+    keep = d2 <= radius2
+    coeffs, d2 = coeffs[keep], d2[keep]
+    order = np.lexsort(coeffs.T[::-1])
+    return coeffs[order], d2[order]
+
+
 def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: float = 1.0) -> np.ndarray:
     """Lattice points whose Gaussian path weight survives a relative cutoff.
 
@@ -212,34 +259,16 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     x0 = _real_vector(phi, rank)
 
     gens = lat.generators
-    gram = gens @ gens.T
-    center = np.linalg.solve(gram, gens @ (-x0 / (2.0 * np.pi)))
-    c_star = np.round(center).astype(int)
-    d2_min = _dist2(x0, c_star, gens)
-    # the rounded center is not always the true closest point; scan neighbors
-    for delta in np.ndindex(*(3,) * lat.dim):
-        cand = c_star + np.array(delta) - 1
-        d2_min = min(d2_min, _dist2(x0, cand, gens))
-
-    radius2 = d2_min + 4.0 * t_like * np.log(1.0 / tol) / lam
-    inv_gram = np.linalg.inv(gram)
-    spans = np.sqrt(np.maximum(np.diag(inv_gram), 0.0)) * np.sqrt(max(radius2, 0.0)) / (2.0 * np.pi)
-    lows = np.floor(center - spans - 1).astype(int)
-    highs = np.ceil(center + spans + 1).astype(int)
-    count = np.prod(highs - lows + 1.0)
-    if count > _POINT_CAP:
-        raise ResourceError(
-            f"lattice cutoff needs ~{int(count)} candidate points (> {_POINT_CAP}); "
-            "increase tol or shorten the time step"
-        )
-
-    axes = [np.arange(lo, hi + 1) for lo, hi in zip(lows, highs)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coeffs = np.stack([m.ravel() for m in mesh], axis=-1)
-    pts = coeffs @ gens
-    d2 = ((x0 + 2.0 * np.pi * pts) ** 2).sum(axis=1)
+    center = np.linalg.solve(gens @ gens.T, gens @ (-x0 / (2.0 * np.pi)))
+    nearest = x0 + 2.0 * np.pi * (np.round(center) @ gens)
+    window = 4.0 * t_like * np.log(1.0 / tol) / lam
+    # the rounded center bounds the closest distance from above, so the
+    # search radius covers the window around the true closest point
+    reach = nearest @ nearest + window
+    coeffs, d2 = _ellipsoid_points(gens, x0, 2.0 * np.pi, reach + 1e-12 * max(1.0, reach))
+    radius2 = d2.min() + window
     keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
-    pts = pts[keep]
+    pts = coeffs[keep] @ gens
     d2 = d2[keep]
     order = np.lexsort(tuple(np.round(pts[:, j], 9) for j in range(rank - 1, -1, -1)) + (np.round(d2, 9),))
     return pts[order]
@@ -253,11 +282,6 @@ def _real_vector(phi, rank: int) -> np.ndarray:
     if vec.shape != (rank,):
         raise ArgumentError(f"phi must have length {rank}, got shape {vec.shape}")
     return vec.astype(float)
-
-
-def _dist2(x0, coeffs, gens) -> float:
-    v = x0 + 2.0 * np.pi * (np.asarray(coeffs, dtype=float) @ gens)
-    return float(v @ v)
 
 
 def image_set(
@@ -306,7 +330,7 @@ def canonicalize(
     """
     if phi.is_compact:
         return _canonicalize_compact(rs, lat, phi)
-    return _canonicalize_mixed(rs, group, lat, phi)
+    return reduce_lexmax(group, lat, phi)
 
 
 def _canonicalize_compact(rs: RootSystem, lat: WindingLattice, phi: RadialPoint):
@@ -384,7 +408,3 @@ def reduce_lexmax(group: WeylGroup, lat: WindingLattice, phi: RadialPoint):
     # m is applied before sigma: canonical = sigma(phi + 2 pi m)
     mcoeffs = _coeffs_of(lat, elem.matrix.T @ (full @ lat.generators))
     return RadialPoint(tuple(y), phi.signature), elem, mcoeffs
-
-
-def _canonicalize_mixed(rs: RootSystem, group: WeylGroup, lat: WindingLattice, phi: RadialPoint):
-    return reduce_lexmax(group, lat, phi)

@@ -90,13 +90,6 @@ def test_kernel_spectral_route_rejected_off_compact(capsys):
     assert "spectral" in err
 
 
-def test_kernel_workers_match_serial(capsys):
-    args = ["kernel", "SU2", "--heat", "0.4", "--grid", "0.3:2.0:8"]
-    _, serial, _ = run(capsys, *args)
-    _, parallel, _ = run(capsys, *args, "--workers", "4")
-    assert serial == parallel
-
-
 def test_determinism_byte_identical(capsys):
     args = ["kernel", "SU3", "--heat", "0.5", "--route", "both", "--point", "0.8,0.5"]
     _, first, _ = run(capsys, *args)

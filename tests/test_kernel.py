@@ -10,6 +10,7 @@ from liekernel import (
     KernelRequest,
     PoleError,
     RadialPoint,
+    ResourceError,
     SingularPointError,
     TimeParameter,
     UnsupportedOperationError,
@@ -32,6 +33,7 @@ from liekernel import (
     winding_lattice,
 )
 from liekernel.domains import enumerate_domains
+from liekernel.kernel import _spectral_levels
 
 RNG = np.random.default_rng(92)
 
@@ -212,6 +214,58 @@ def test_trivial_truncation_single_term():
     )
     vg = 32.0 * np.sqrt(2.0) * np.pi**2
     assert abs(compact_spectral(req).value - 1.0 / vg) < 1e-12
+
+
+def _levels_by_box(rs, t_like, tol):
+    """Every dominant l with lambda_l <= cut, from a box scan in lexicographic order.
+
+    lambda_l >= |l_i w_i|^2 / lam because fundamental weights pair
+    non-negatively, which bounds each label.
+    """
+    cut = np.log(1.0 / (tol * 1e-6)) / t_like
+    highs = np.floor(np.sqrt(rs.lam * cut) / np.linalg.norm(rs.weights, axis=1)).astype(int)
+    labels = np.indices(highs + 1).reshape(rs.rank, -1).T
+    nvecs = (labels + 1) @ rs.weights
+    lam_l = (np.einsum("li,li->l", nvecs, nvecs) - rs.rho @ rs.rho) / rs.lam
+    return labels[lam_l <= cut]
+
+
+# heat times of the benchmark's compact grid per rank, A4 at tau = 1, and the
+# t-like scale 10 of damped real time t = 1, epsilon = 0.1
+@pytest.mark.parametrize(
+    "family,rank,times",
+    [
+        ("A", 1, (0.25, 1.0, 10.0)),
+        ("A", 2, (0.25, 1.0, 10.0)),
+        ("A", 3, (1.0, 2.0, 10.0)),
+        ("A", 4, (1.0, 2.0, 8.0, 10.0)),
+        ("B", 2, (0.25, 1.0, 10.0)),
+        ("B", 3, (1.0, 2.0, 10.0)),
+        ("C", 2, (0.25, 1.0, 10.0)),
+        ("C", 3, (1.0, 2.0, 10.0)),
+        ("D", 3, (1.0, 2.0, 10.0)),
+        ("D", 4, (2.0, 8.0, 10.0)),
+    ],
+)
+def test_spectral_levels_match_box_scan(family, rank, times):
+    rs = build_root_system(family, rank)
+    for t_like in times:
+        got = _spectral_levels(rs, t_like, 1e-14, None)
+        assert np.array_equal(got, _levels_by_box(rs, t_like, 1e-14))
+
+
+def test_spectral_levels_level_cutoff_cube():
+    got = _spectral_levels(A2, 1.0, 1e-14, 2)
+    assert got.tolist() == [[a, b] for a in range(3) for b in range(3)]
+
+
+def test_spectral_table_too_large_is_refused():
+    rs = build_root_system("A", 4)
+    req = KernelRequest(
+        rs=rs, phi=RadialPoint.real([0.3, 0.5, 0.7, 0.2]), time=TimeParameter.heat(0.1)
+    )
+    with pytest.raises(ResourceError, match="path sum"):
+        compact_spectral(req)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,62 @@ def test_enumerate_points_sorted_by_distance():
     assert (np.diff(np.round(d2, 9)) >= 0).all()
 
 
+CATALOGUE_GROUPS = [
+    "SU(1,1)", "SU(2,1)", "SL(3,R)", "SO(4,1)", "SO(3,2)", "SU(3,1)",
+    "SU(2,2)", "SO(3,3)", "SO(5,1)", "USp(4,2)", "Sp(6,R)",
+]
+COMPACT_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2),
+                   ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
+
+
+def _window_lattices():
+    from liekernel.domains import enumerate_domains, parse_group, root_system_of
+
+    out = []
+    for family, rank in COMPACT_SYSTEMS:
+        rs = build_root_system(family, rank)
+        out.append(pytest.param(rs, winding_lattice(rs), id=f"{family}{rank}"))
+    for name in CATALOGUE_GROUPS:
+        fam = parse_group(name)
+        rs = root_system_of(fam)
+        for dom in enumerate_domains(fam):
+            sub = domain_sublattice(winding_lattice(rs), dom)
+            if sub.dim:
+                out.append(pytest.param(rs, sub, id=f"{name} {dom.label}"))
+    return out
+
+
+def _points_by_box(lat, x0, t_like, tol, lam):
+    """Reference window: scan a box that holds every point within reach."""
+    gens = lat.generators
+    gram = gens @ gens.T
+    center = np.linalg.solve(gram, gens @ (-x0 / (2.0 * np.pi)))
+    nearest = x0 + 2.0 * np.pi * (np.round(center) @ gens)
+    window = 4.0 * t_like * np.log(1.0 / tol) / lam
+    spans = np.sqrt(np.diag(np.linalg.inv(gram)) * (nearest @ nearest + window)) / (2.0 * np.pi)
+    axes = [np.arange(lo, hi + 1) for lo, hi in
+            zip(np.floor(center - spans - 1).astype(int), np.ceil(center + spans + 1).astype(int))]
+    coeffs = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    pts = coeffs @ gens
+    d2 = ((x0 + 2.0 * np.pi * pts) ** 2).sum(axis=1)
+    radius2 = d2.min() + window
+    keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
+    pts, d2 = pts[keep], d2[keep]
+    rank = gens.shape[1]
+    order = np.lexsort(tuple(np.round(pts[:, j], 9) for j in range(rank - 1, -1, -1)) + (np.round(d2, 9),))
+    return pts[order]
+
+
+@pytest.mark.parametrize("rs,lat", _window_lattices())
+def test_enumerate_points_matches_box_scan(rs, lat):
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        x0 = rng.uniform(-40.0, 40.0, rs.rank)
+        for t_like in (0.25, 2.0, 10.0):
+            got = enumerate_points(lat, x0, t_like, 1e-14, lam=rs.lam)
+            assert np.array_equal(got, _points_by_box(lat, x0, t_like, 1e-14, rs.lam)), (x0, t_like)
+
+
 def test_enumerate_points_resource_cap():
     rs = build_root_system("A", 2)
     lat = winding_lattice(rs)
