@@ -20,6 +20,7 @@ from .domains import (
     predicted_eigenvalues,
     root_system_of,
 )
+from .domains import _pairing_residual
 from .errors import ArgumentError, ConfigurationError, LieKernelError
 from .lattice import RadialPoint, domain_sublattice, winding_lattice
 from .rootsys import build_root_system, cartan_matrix, rescale
@@ -374,18 +375,13 @@ def cmd_domains(args) -> int:
     dom, point = classify_element(fam, mat)
     eig = np.linalg.eigvals(np.asarray(mat, dtype=complex))
     pred = predicted_eigenvalues(fam, point)
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(pred[:, None] - eig[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    residual = float(cost[rows, cols].max())
     payload = {
         "group": fam.name,
         "domain": dom.label,
         "signature": "".join(dom.signature),
         "radial": [float(v) for v in point.values],
         "eigenvalues": [[float(z.real), float(z.imag)] for z in eig],
-        "residual": residual,
+        "residual": _pairing_residual(pred, eig),
     }
     flat = {k: payload[k] for k in ("group", "domain", "signature", "residual")}
     flat["radial"] = payload["radial"]
@@ -409,7 +405,8 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The top-level parser and the parser of each command, by name."""
     parser = argparse.ArgumentParser(
         prog="liekernel",
         description="Evolution kernels and root-system machinery on classical group manifolds",
@@ -471,32 +468,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list check names and exit")
     common(p)
     p.set_defaults(func=cmd_check)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(parser, argv):
-    args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            defaults = json.load(fh)
-        explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in explicit:
-                setattr(args, attr, value)
-    return args
+def _apply_config(parser, command, path, argv):
+    """Parse ``argv`` again with the config file's values as ``command``'s defaults.
+
+    Flags on the command line win.  An unreadable file, a top-level value
+    that is not an object, or a key naming no option of the command is a
+    ``ConfigurationError``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object, not {type(raw).__name__}")
+    values = {key.replace("-", "_"): value for key, value in raw.items()}
+    options = {a.dest for a in command._actions if a.option_strings} - {"help"}
+    unknown = sorted(set(values) - options)
+    if unknown:
+        raise ConfigurationError(
+            f"config file {path}: no option {', '.join(unknown)} in '{command.prog}'"
+        )
+    command.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parser.parse_args(argv)
+        if args.config:
+            args = _apply_config(parser, commands[args.command], args.config, argv)
         if getattr(args, "matrix", None) is None and getattr(args, "action", "") == "classify":
             raise ArgumentError("classify needs a matrix JSON file")
         return args.func(args)
+    except SystemExit as exc:  # argparse rejected a flag or a config value
+        return 2 if exc.code not in (0, None) else 0
     except (ArgumentError, ConfigurationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,8 +20,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, qr
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     ArgumentError,
@@ -30,7 +28,16 @@ from .errors import (
     InternalError,
     NotInGroupError,
 )
-from .lattice import IMAGINARY, REAL, RadialPoint
+from .lattice import (
+    IMAGINARY,
+    REAL,
+    RadialPoint,
+    _hermite_normal_form,
+    _inverse,
+    _lcm_denominators,
+    _rationalize,
+    _transpose,
+)
 from .rootsys import RootSystem, build_root_system
 from .weyl import generate_weyl_group
 
@@ -359,40 +366,25 @@ def _dual_integral_basis(weights: np.ndarray) -> np.ndarray:
     rational; the scaled problem is solved exactly over the integers and the
     basis is unscaled at the end.
     """
-    import sympy
-    from fractions import Fraction
-    from sympy.matrices.normalforms import hermite_normal_form
-
-    nw, r = weights.shape
+    r = weights.shape[1]
     scales = np.ones(r)
     for j in range(r):
         nz = np.abs(weights[:, j])
         nz = nz[nz > 1e-12]
         if len(nz):
             scales[j] = nz.min()
-    scaled = weights / scales
-    fracs = []
-    for row in scaled:
-        out = []
-        for x in row:
-            f = Fraction(float(x)).limit_denominator(10**6)
-            if abs(float(f) - x) > 1e-9:
-                raise InternalError(f"weight component {x} is not rational after column scaling")
-            out.append(f)
-        fracs.append(out)
-    mat = sympy.Matrix(fracs)
-    denom = sympy.lcm([sympy.fraction(sympy.Rational(x))[1] for x in mat])
-    mint = sympy.Matrix(mat * denom).applyfunc(sympy.Integer)
-    basis_cols = hermite_normal_form(mint.T)
-    if basis_cols.shape[1] != r:
+    fracs = [[_rationalize(x) for x in row] for row in weights / scales]
+    denom = _lcm_denominators(f for row in fracs for f in row)
+    basis_cols = _hermite_normal_form(_transpose([[int(f * denom) for f in row] for row in fracs]))
+    if len(basis_cols[0]) != r:
         raise InternalError("defining weights do not span the root space")
-    row_basis = basis_cols.T  # rows span the integer row lattice of mint
-    dual_cols = denom * row_basis.inv()  # columns generate the dual lattice
+    # rows of basis_cols^T span the integer row lattice of the scaled weights,
+    # so the columns of denom * (basis_cols^T)^-1 generate the dual lattice
+    dual_cols = [[denom * x for x in row] for row in _inverse(_transpose(basis_cols))]
     # canonical integer HNF form of the (possibly rational) dual basis
-    dd = sympy.lcm([sympy.fraction(sympy.Rational(x))[1] for x in dual_cols])
-    dual_int = sympy.Matrix(dual_cols * dd).applyfunc(sympy.Integer)
-    canon = hermite_normal_form(dual_int)
-    gens_scaled = np.array(canon.T.tolist(), dtype=float) / float(dd)
+    dd = _lcm_denominators(x for row in dual_cols for x in row)
+    canon = _hermite_normal_form([[int(x * dd) for x in row] for row in dual_cols])
+    gens_scaled = np.array(_transpose(canon), dtype=float) / float(dd)
     return gens_scaled / scales[None, :]
 
 
@@ -666,6 +658,8 @@ _matcher_cache: dict = {}
 
 
 def _matcher(sys: _System, dom: EvolutionDomain) -> dict:
+    from scipy.linalg import qr
+
     key = (dom.family, dom.signature)
     cached = _matcher_cache.get(key)
     if cached is not None:
@@ -792,9 +786,16 @@ def classify_element(family: GroupFamily, matrix) -> tuple:
 
 def _eigen_multiset_close(sys: _System, point: RadialPoint, eig: np.ndarray, tol: float = 1e-8) -> bool:
     pred = np.exp(1j * (sys.weights @ point.complex_vector()))
+    return _pairing_residual(pred, eig) <= tol * max(1.0, float(np.abs(eig).max()))
+
+
+def _pairing_residual(pred: np.ndarray, eig: np.ndarray) -> float:
+    """Largest |pred - eig| under the one-to-one pairing of least total distance."""
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(pred[:, None] - eig[None, :])
     rows, cols = linear_sum_assignment(cost)
-    return bool(cost[rows, cols].max() <= tol * max(1.0, float(np.abs(eig).max())))
+    return float(cost[rows, cols].max())
 
 
 def predicted_eigenvalues(family: GroupFamily, point: RadialPoint) -> np.ndarray:
@@ -1000,6 +1001,8 @@ def _so_quartet_task(n, c1, c2):
     angle, u = c1.real, c1.imag
 
     def mixed(axes):
+        from scipy.linalg import expm
+
         x = np.zeros((n, n))
         p1, p2, m1, m2 = axes
         x[p1, p2], x[p2, p1] = -angle, angle
@@ -1037,6 +1040,8 @@ def _allocate_so(family: GroupFamily, tasks) -> np.ndarray:
 
 
 def _build_usp(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.ndarray:
+    from scipy.linalg import expm
+
     nslots = family.p + family.q
     g = np.eye(2 * nslots, dtype=complex)
     plus = list(range(family.p))

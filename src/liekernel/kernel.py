@@ -14,10 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
 from .errors import (
     ArgumentError,
@@ -420,6 +416,7 @@ def su2_resolvent_poles(lam_max: float) -> list:
     Scans sin(2 pi k(lam)) for sign changes and polishes with brentq; no
     knowledge of the (n^2-1)/8 pattern enters.
     """
+    from scipy.optimize import brentq
 
     def h(lam):
         return math.sin(2.0 * np.pi * math.sqrt(0.25 + 2.0 * lam))
@@ -501,6 +498,10 @@ def radial_convolve(rs: RootSystem, f_samples, g_samples, gauss_order: int = 48)
     spline interpolated.  Only rank 1 ships; the composed radial coordinate
     has no closed two-argument form we implement beyond it.
     """
+    from scipy.integrate import simpson
+    from scipy.interpolate import CubicSpline
+    from scipy.special import roots_legendre
+
     if rs.rank != 1:
         raise UnsupportedOperationError("radial_convolve is implemented for rank 1 only")
     f_samples = np.asarray(f_samples)
@@ -524,18 +525,14 @@ def radial_convolve(rs: RootSystem, f_samples, g_samples, gauss_order: int = 48)
         arg = cx * cos_half[:, None] + sx * sin_half[:, None] * nodes[None, :]
         c = 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
         inner = (spline(c) * wts[None, :]).sum(axis=1) * (vgt / 2.0)
-        out[i] = _simpson(f_samples * measure * inner, grid)
+        out[i] = simpson(f_samples * measure * inner, x=grid)
     return out
-
-
-def _simpson(y, x):
-    from scipy.integrate import simpson
-
-    return simpson(y, x=x)
 
 
 def integrate_central_su2(rs: RootSystem, func) -> float:
     """Integral of a central function against the invariant measure (rank 1)."""
+    from scipy.integrate import quad
+
     if rs.rank != 1:
         raise UnsupportedOperationError("implemented for rank 1 only")
     vgt = coset_volume(rs)

@@ -8,12 +8,11 @@ vanishes along the imaginary coordinate directions survives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
-from sympy.matrices.normalforms import hermite_normal_form
 
 from .errors import ArgumentError, InternalError, ResourceError
 from .rootsys import RootSystem
@@ -137,8 +136,116 @@ def winding_lattice(rs: RootSystem) -> WindingLattice:
 def _rationalize(x: float) -> Fraction:
     frac = Fraction(x).limit_denominator(10**6)
     if abs(float(frac) - x) > 1e-9:
-        raise InternalError(f"winding-generator component {x} is not rational after row scaling")
+        raise InternalError(f"lattice component {x} is not rational after scaling")
     return frac
+
+
+# ---------------------------------------------------------------------------
+# exact integer core: matrices are lists of rows of ints or Fractions
+# ---------------------------------------------------------------------------
+
+
+def _transpose(mat) -> list:
+    return [list(col) for col in zip(*mat)]
+
+
+def _lcm_denominators(entries) -> int:
+    return math.lcm(*(x.denominator for x in entries))
+
+
+def _gcdex(a: int, b: int) -> tuple:
+    """(u, v, d) with u a + v b = d = gcd(a, b) >= 0, and v = 0 when a divides b."""
+    if a and b % a == 0:
+        return (1 if a > 0 else -1), 0, abs(a)
+    r0, r1, u0, u1, v0, v1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, u0, u1, v0, v1 = r1, r0 - q * r1, u1, u0 - q * u1, v1, v0 - q * v1
+    return (-u0, -v0, -r0) if r0 < 0 else (u0, v0, r0)
+
+
+def _hermite_normal_form(mat) -> list:
+    """Column Hermite normal form of an integer matrix (Cohen, Algorithm 2.4.5).
+
+    Pivots sit in the rightmost columns, rows are cleared from the bottom up,
+    each pivot is positive and each entry right of a pivot lies in
+    ``[0, pivot)``.  Only the columns that received a pivot are returned, so
+    the result is the unique basis of the column lattice.
+    """
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a[0]) if a else 0
+    k = n
+    for i in range(len(a) - 1, -1, -1):
+        if k == 0:
+            break
+        k -= 1
+        for j in range(k - 1, -1, -1):
+            if a[i][j]:
+                u, v, d = _gcdex(a[i][k], a[i][j])
+                r, s = a[i][k] // d, a[i][j] // d
+                for row in a:
+                    row[k], row[j] = u * row[k] + v * row[j], r * row[j] - s * row[k]
+        if a[i][k] < 0:
+            for row in a:
+                row[k] = -row[k]
+        b = a[i][k]
+        if b == 0:
+            k += 1
+            continue
+        for j in range(k + 1, n):
+            q = a[i][j] // b
+            for row in a:
+                row[j] -= q * row[k]
+    return [row[k:] for row in a]
+
+
+def _rref(mat) -> tuple:
+    """Reduced row echelon form over the rationals, with its pivot columns."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i, row in enumerate(a):
+            if i != r and row[c]:
+                f = row[c]
+                a[i] = [x - f * y for x, y in zip(row, a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _nullspace(mat) -> list:
+    """Integer nullspace basis: one vector per free column of the RREF.
+
+    Each vector carries 1 at its free column and minus that column of the
+    RREF at the pivots, scaled to primitive integers.  This is the rational
+    basis itself, not the saturated kernel lattice.
+    """
+    red, pivots = _rref(mat)
+    n = len(red[0])
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(int(c == free)) for c in range(n)]
+        for row, c in zip(red, pivots):
+            vec[c] = -row[free]
+        mult = _lcm_denominators(vec)
+        ints = [int(x * mult) for x in vec]
+        g = math.gcd(*ints)
+        basis.append([x // g for x in ints])
+    return basis
+
+
+def _inverse(mat) -> list:
+    """Exact rational inverse of a square matrix."""
+    n = len(mat)
+    red, pivots = _rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)])
+    if pivots[:n] != list(range(n)):
+        raise InternalError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 _sublattice_cache: dict = {}
@@ -172,22 +279,14 @@ def domain_sublattice(lat: WindingLattice, domain) -> WindingLattice:
         nonzero = [abs(x) for x in row if abs(x) > 1e-12]
         scale = min(nonzero) if nonzero else 1.0
         rows.append([_rationalize(x / scale) for x in row])
-    constraint = sympy.Matrix(rows)
-    null = constraint.nullspace()
-    if not null:
+    basis = _nullspace(rows)
+    if not basis:
         sub = WindingLattice(
             generators=np.zeros((0, lat.rank)), coeffs=np.zeros((0, lat.coeffs.shape[1]), dtype=int)
         )
         _sublattice_cache[cache_key] = sub
         return sub
-    basis = []
-    for vec in null:
-        mult = sympy.lcm([sympy.fraction(x)[1] for x in vec])
-        ints = [sympy.Integer(x * mult) for x in vec]
-        g = sympy.gcd(ints)
-        basis.append([x // g for x in ints])
-    hnf = hermite_normal_form(sympy.Matrix(basis).T).T
-    rel = np.array(hnf.tolist(), dtype=int)
+    rel = np.array(_transpose(_hermite_normal_form(_transpose(basis))), dtype=int)
     generators = rel.astype(float) @ lat.generators
     coeffs = rel @ lat.coeffs
     sub = WindingLattice(generators=generators, coeffs=coeffs)

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +161,25 @@ def test_config_file_defaults(capsys, tmp_path):
     assert len(json.loads(out)["records"]) == 7
 
 
+@pytest.mark.parametrize(
+    "content,command",
+    [
+        (None, ("kernel", "SU2")),  # missing file
+        ("{not json", ("kernel", "SU2")),
+        ("[0.5, 2]", ("kernel", "SU2")),
+        ('{"heat": 0.5, "workers": 4}', ("kernel", "SU2")),
+        ('{"heat": 0.5}', ("roots", "A2")),  # an option of another command
+    ],
+)
+def test_config_file_errors(capsys, tmp_path, content, command):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    code, out, err = run(capsys, "--config", str(cfg), *command)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(cfg) in err
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "roots.json"
     code, out, _ = run(capsys, "roots", "A1", "-o", str(target))
@@ -178,3 +200,38 @@ def test_table_matches_golden_bytes(group, fname, capsys):
     assert code == 0
     golden = (GOLDEN_DIR / fname).read_text(encoding="utf-8")
     assert out == golden
+
+
+LEAN_COMMANDS = [
+    ["roots", "A2"],
+    ["kernel", "SU3", "--heat", "0.5", "--route", "both", "--grid", "0.2:2.2:20", "--point", "0,0.5"],
+    ["kernel", "SU21", "--domain", "D1", "--t", "1.0", "--grid", "0.2:1.5:10", "--point", "0.3,0.7"],
+    ["table", "Sp6R"],
+]
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from liekernel.cli import main
+
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
+
+loaded = {"import liekernel.cli": heavy()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded[" ".join(argv)] = heavy() if code == 0 else f"exit code {code}"
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_loads_no_scipy_or_sympy():
+    """scipy is imported only where it is used, and sympy not at all."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(LEAN_COMMANDS)],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    loaded = json.loads(proc.stdout)
+    assert loaded == {name: [] for name in loaded} and len(loaded) == len(LEAN_COMMANDS) + 1
