@@ -90,7 +90,23 @@ def _check_dimensions():
     for l, d in zip(([0, 0], [1, 0], [1, 1], [3, 0]), vals):
         lim = character(rs, l, np.zeros(2), limit=True)
         worst = max(worst, abs(lim - d))
-    return ok and worst < 1e-6, worst, "dimension formula vs character limit on A2"
+    return ok and worst < 1e-12, worst, "dimension formula vs character limit on A2"
+
+
+def _check_identity_value():
+    tau = 2.0
+    worst = 0.0
+    for fam, rank in _SYSTEMS:
+        rs = build_root_system(fam, rank)
+        lam_l, dims, _, _ = kmod._spectral_data(rs, tau, 1e-20, None)
+        want = float((dims**2 * np.exp(-lam_l * tau)).sum()) / group_volume(rs)
+        req = kmod.KernelRequest(
+            rs=rs, phi=RadialPoint.real(np.zeros(rank)), time=kmod.TimeParameter.heat(tau),
+            tol=1e-20, wall_limit=True,
+        )
+        for route in (kmod.compact_pathsum, kmod.compact_spectral):
+            worst = max(worst, abs(route(req).value - want) / want)
+    return worst < 1e-12, worst, "both routes at the identity == V_G^-1 sum_l d_l^2 exp(-lambda_l tau)"
 
 
 def _check_volume_factorization():
@@ -241,6 +257,7 @@ CHECKS = {
     "weyl-function-parity": _check_weyl_function_parity,
     "intertwiner-order": _check_intertwiner_order,
     "dimensions-vs-character-limit": _check_dimensions,
+    "identity-value": _check_identity_value,
     "volume-factorization": _check_volume_factorization,
     "volume-quadrature": _check_volume_quadrature,
     "sublattice-purity": _check_sublattice_purity,

@@ -21,11 +21,11 @@ from .domains import (
     root_system_of,
 )
 from .domains import _pairing_residual
-from .errors import ArgumentError, ConfigurationError, LieKernelError
+from .errors import ArgumentError, ConfigurationError, LieKernelError, SingularPointError
 from .lattice import RadialPoint, domain_sublattice, winding_lattice
 from .rootsys import build_root_system, cartan_matrix, rescale
 from .volumes import volume_report
-from .weyl import generate_weyl_group
+from .weyl import generate_weyl_group, wall_denominator
 
 __all__ = ["main", "render_json", "render_csv"]
 
@@ -223,8 +223,9 @@ def _closed_form(fam: GroupFamily, domain_label: str, point: RadialPoint, tp) ->
         if not fam.is_compact and domain_label == "D0":
             value = kmod.su11_kernel_d0(point.values[0], tp)
         else:
-            if abs(np.sin(point.values[0] / 2.0)) < 1e-12:
-                return None  # wall point: the closed series is 0/0 there
+            # the wall rule refuses a wall point: the closed series is 0/0 there
+            rs = root_system_of(fam)
+            wall_denominator(rs, np.asarray(point.values), limit=False)
             value = kmod.su2_pathsum_series(point.values[0], tp)
     except LieKernelError:
         return None
@@ -275,7 +276,7 @@ def cmd_kernel(args) -> int:
                 else:
                     req = kmod.KernelRequest(rs=rs, phi=point, time=tp, tol=args.tol, domain=domain)
                     kv = kmod.noncompact_pathsum(req)
-            except kmod.SingularPointError:
+            except SingularPointError:
                 rec[f"{route}_skipped"] = "wall point"
                 continue
             rec[f"{route}_re"] = float(kv.value.real)
@@ -475,8 +476,8 @@ def _apply_config(parser, command, path, argv):
     """Parse ``argv`` again with the config file's values as ``command``'s defaults.
 
     Flags on the command line win.  An unreadable file, a top-level value
-    that is not an object, or a key naming no option of the command is a
-    ``ConfigurationError``.
+    that is not an object, a key naming no option of the command, or a value
+    its option would refuse on the command line is a ``ConfigurationError``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -486,14 +487,32 @@ def _apply_config(parser, command, path, argv):
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object, not {type(raw).__name__}")
     values = {key.replace("-", "_"): value for key, value in raw.items()}
-    options = {a.dest for a in command._actions if a.option_strings} - {"help"}
-    unknown = sorted(set(values) - options)
+    options = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
+    unknown = sorted(set(values) - set(options))
     if unknown:
         raise ConfigurationError(
             f"config file {path}: no option {', '.join(unknown)} in '{command.prog}'"
         )
-    command.set_defaults(**values)
+    command.set_defaults(**{key: _config_value(options[key], value, f"config file {path}: '{key}'")
+                            for key, value in values.items()})
     return parser.parse_args(argv)
+
+
+def _config_value(action, value, where: str):
+    """A config value converted and checked as its option's flag argument would be."""
+    if action.nargs == 0:  # a switch such as --matrices
+        if isinstance(value, bool):
+            return value
+        raise ConfigurationError(f"{where} takes true or false, not {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigurationError(f"{where} takes a string or a number, not {value!r}")
+    try:
+        converted = (action.type or str)(str(value))
+    except ValueError:
+        raise ConfigurationError(f"{where}: {value!r} is not a valid {action.type.__name__}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ConfigurationError(f"{where}: {value!r} is not one of {', '.join(action.choices)}")
+    return converted
 
 
 def main(argv=None) -> int:

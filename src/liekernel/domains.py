@@ -39,7 +39,7 @@ from .lattice import (
     _transpose,
 )
 from .rootsys import RootSystem, build_root_system
-from .weyl import generate_weyl_group
+from .weyl import _close_group, generate_weyl_group
 
 __all__ = [
     "GroupKind",
@@ -302,34 +302,9 @@ def _system_d6() -> _System:
     # plane, so its stabilizer extends W(A3) by one axis flip (order 48)
     group = generate_weyl_group(rs)
     flip = np.diag([1.0, -1.0, 1.0])
-    eigen_group = _close_matrix_group([e.matrix for e in group] + [flip])
+    gens = [e.matrix for e in group] + [flip]
+    eigen_group = _close_group(gens, gens, "the SO(6) eigenvalue stabilizer")
     return _System(rs, weights, slots, True, eigen_group)
-
-
-def _close_matrix_group(mats) -> list:
-    """Finite closure of orthogonal generators, as WeylElement-likes."""
-    from .weyl import WeylElement, WeylGroup
-
-    seen = {}
-    frontier = list(mats)
-    for m in frontier:
-        seen.setdefault(tuple(np.round(m, 9).ravel()), m)
-    frontier = list(seen.values())
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in mats:
-                c = b @ a
-                key = tuple(np.round(c, 9).ravel())
-                if key not in seen:
-                    if len(seen) > 10**4:
-                        raise InternalError("eigenvalue stabilizer closure diverged")
-                    seen[key] = c
-                    fresh.append(c)
-        frontier = fresh
-    elems = [WeylElement(matrix=m, parity=int(round(np.linalg.det(m)))) for m in seen.values()]
-    elems.sort(key=lambda e: tuple(np.round(e.matrix, 9).ravel()), reverse=True)
-    return WeylGroup(elems)
 
 
 def _system(family: GroupFamily) -> _System:

@@ -21,14 +21,13 @@ from .errors import (
     ConvergenceError,
     PoleError,
     ResourceError,
-    SingularPointError,
     UnsupportedOperationError,
 )
-from .lattice import RadialPoint, WindingLattice, domain_sublattice, enumerate_points, winding_lattice
+from .lattice import REAL, RadialPoint, WindingLattice, domain_sublattice, enumerate_points, winding_lattice
 from .lattice import _ellipsoid_points
 from .rootsys import RootSystem
 from .volumes import coset_volume, group_volume
-from .weyl import WeylGroup, generate_weyl_group, weyl_function
+from .weyl import generate_weyl_group, orbit_quotient, wall_denominator
 
 __all__ = [
     "TimeMode",
@@ -49,7 +48,6 @@ __all__ = [
     "integrate_central_su2",
 ]
 
-_WALL_TOL = 1e-12
 # largest spectral table, in levels x Weyl images; each entry costs rank
 # float64 orbit coordinates plus a complex phase per evaluation
 _ORBIT_CAP = 3 * 10**7
@@ -165,38 +163,40 @@ def _prefactor(n: int, t: complex) -> complex:
     return np.exp(-(n / 2.0) * np.log(4j * np.pi * t))
 
 
-def _pathsum_terms(rs: RootSystem, cv: np.ndarray, points: np.ndarray, t: complex) -> complex:
-    """Sum of van Vleck terms over the given winding points."""
-    denom = np.prod(2.0 * np.sin(rs.positive_roots @ cv / 2.0))
+def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: complex,
+                   wall_limit: bool) -> complex:
+    """Sum of van Vleck terms over the given winding points.
+
+    On a wall, the s^k coefficient of prod_beta beta.(x_m + s d)
+    exp(i lam |x_m + s d|^2 / 4t), x_m = phi + 2 pi m, over that of the
+    denominator: the wall rule along d, rho's part on the real axes.
+    """
+    cv = phi.complex_vector()
+    direction = np.where(np.array(phi.signature) == REAL, rs.rho, 0.0)
+    roots, w = wall_denominator(rs, cv, wall_limit, direction)
+    k = len(roots)
     shifted = cv[None, :] + 2.0 * np.pi * points
-    nums = np.prod(shifted @ rs.positive_roots.T, axis=1)
+    factors = shifted @ rs.positive_roots.T
+    if k:
+        # prod_beta (u_beta + s v_beta) to order s^k, one row per point
+        poly = np.zeros((len(points), k + 1), dtype=complex)
+        poly[:, 0] = 1.0
+        for u, v in zip(factors.T, rs.positive_roots @ direction):
+            poly[:, 1:] = poly[:, 1:] * u[:, None] + poly[:, :-1] * v
+            poly[:, 0] *= u
+        c = 1j * rs.lam / (4.0 * t)
+        a, b = 2.0 * c * (shifted @ direction), c * (direction @ direction)
+        # exp(a s + b s^2) has coefficients g_{n+1} = (a g_n + 2 b g_{n-1}) / (n + 1)
+        gauss = [np.ones(len(points)), a]
+        for n in range(1, k):
+            gauss.append((a * gauss[n] + 2.0 * b * gauss[n - 1]) / (n + 1))
+        nums = sum(poly[:, j] * gauss[k - j] for j in range(k + 1))
+    else:
+        nums = np.prod(factors, axis=1)
+    denom = 2.0**rs.p * w
     action = np.einsum("ki,ki->k", shifted, shifted)
     phases = np.exp(1j * rs.lam * action / (4.0 * t) + 1j * (rs.rho @ rs.rho) / rs.lam * t)
     return complex((nums / denom) @ phases)
-
-
-def _wall_guard(rs: RootSystem, phi_real: np.ndarray, wall_limit: bool):
-    w = weyl_function(rs, phi_real)
-    if abs(w) > _WALL_TOL:
-        return False
-    if not wall_limit:
-        half = rs.positive_roots @ phi_real / 2.0
-        worst = int(np.argmin(np.abs(np.sin(half))))
-        raise SingularPointError(
-            f"phi lies on a Weyl wall (|w|={abs(w):.2e}); vanishing factor from positive root "
-            f"#{worst} = {rs.positive_roots[worst]}; set wall_limit=True for the extrapolated value"
-        )
-    return True
-
-
-def _wall_extrapolate(evaluate, phi_values: np.ndarray, direction: np.ndarray) -> complex:
-    """Symmetric epsilon-offset + one Richardson step in eps^2."""
-    results = []
-    for eps in (2e-5, 1e-5):
-        pair = (evaluate(phi_values + eps * direction) + evaluate(phi_values - eps * direction)) / 2.0
-        results.append(pair)
-    f1, f2 = results  # eps and eps/2
-    return complex(f2 + (f2 - f1) / 3.0)
 
 
 def compact_pathsum(req: KernelRequest) -> KernelValue:
@@ -206,17 +206,8 @@ def compact_pathsum(req: KernelRequest) -> KernelValue:
     rs = req.rs
     t = req.time.effective
     lat = _full_lattice(rs)
-    pref = _prefactor(rs.n, t)
-    x = np.asarray(req.phi.values, dtype=float)
-
-    def evaluate(values: np.ndarray) -> complex:
-        points = enumerate_points(lat, RadialPoint.real(values), req.time.decay_scale(), req.tol, lam=rs.lam)
-        return pref * _pathsum_terms(rs, values.astype(complex), points, t)
-
-    if _wall_guard(rs, x, req.wall_limit):
-        value = _wall_extrapolate(evaluate, x, rs.rho)
-    else:
-        value = evaluate(x)
+    points = enumerate_points(lat, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
+    value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t, req.wall_limit)
 
     if req.time.conditionally_convergent:
         return KernelValue(
@@ -288,16 +279,9 @@ def compact_spectral(req: KernelRequest) -> KernelValue:
         rs, req.time.decay_scale(), req.tol, req.level_cutoff
     )
 
-    def evaluate(values: np.ndarray) -> complex:
-        w = weyl_function(rs, values)
-        numer = np.exp(1j * (orbits @ values)) @ parities  # (L,)
-        chi = numer / ((2j) ** rs.p * w)
-        return complex((dims * chi * np.exp(-1j * lam_l * t)).sum() / vg)
-
-    if _wall_guard(rs, x, req.wall_limit):
-        value = _wall_extrapolate(evaluate, x, rs.rho)
-    else:
-        value = evaluate(x)
+    terms, denom = orbit_quotient(rs, orbits, x, req.wall_limit)
+    chi = (terms @ parities) / denom  # (L,)
+    value = complex((dims * chi * np.exp(-1j * lam_l * t)).sum() / vg)
     return KernelValue(value, ConvergenceTag.CONVERGENT)
 
 
@@ -308,53 +292,11 @@ def noncompact_pathsum(req: KernelRequest) -> KernelValue:
     rs = req.rs
     t = req.time.effective
     sub = domain_sublattice(_full_lattice(rs), req.domain)
-    pref = _prefactor(rs.n, t)
-    cv = req.phi.complex_vector()
-
-    phi_r = req.phi.phi_vector()
-    if _wall_guard_restricted(rs, req):
-        # offset the real coordinates along a direction inside the real span
-        direction = _real_span_direction(rs, req.phi)
-
-        def evaluate(values):
-            pt = RadialPoint(tuple(values), req.phi.signature)
-            points = enumerate_points(sub, pt, req.time.decay_scale(), req.tol, lam=rs.lam)
-            return pref * _pathsum_terms(rs, pt.complex_vector(), points, t)
-
-        value = _wall_extrapolate(evaluate, np.asarray(req.phi.values), direction)
-    else:
-        points = enumerate_points(sub, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
-        value = pref * _pathsum_terms(rs, cv, points, t)
+    points = enumerate_points(sub, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
+    value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t, req.wall_limit)
 
     tag, warning = _noncompact_tag(rs, req, t)
     return KernelValue(value, tag, warning)
-
-
-def _real_span_direction(rs: RootSystem, phi: RadialPoint) -> np.ndarray:
-    direction = np.zeros(rs.rank)
-    for j in phi.real_axes:
-        direction[j] = rs.rho[j] if abs(rs.rho[j]) > 1e-9 else 1.0
-    if not phi.real_axes:
-        direction[:] = 0.0
-    return direction
-
-
-def _wall_guard_restricted(rs: RootSystem, req: KernelRequest) -> bool:
-    """Wall handling for mixed points: only exact zeros of w count.
-
-    With imaginary coordinates present, w is complex and vanishes only when
-    some alpha.(phi,i theta) hits 2 pi Z on a root orthogonal to the open
-    directions; |w| below tolerance is then a genuine singular evaluation.
-    """
-    w = weyl_function(rs, req.phi.complex_vector())
-    if abs(w) > _WALL_TOL:
-        return False
-    if not req.wall_limit:
-        raise SingularPointError(
-            f"radial point sits on a wall of the restricted problem (|w|={abs(w):.2e}); "
-            "set wall_limit=True for the extrapolated value"
-        )
-    return True
 
 
 def _noncompact_tag(rs: RootSystem, req: KernelRequest, t: complex):

@@ -72,17 +72,16 @@ def reflection_matrix(root: np.ndarray) -> np.ndarray:
 _group_cache: dict[tuple, WeylGroup] = {}
 
 
-def generate_weyl_group(rs: RootSystem) -> WeylGroup:
-    """Closure of the simple-root reflections, deduplicated on a rounded grid."""
-    key = rs.cache_key()
-    cached = _group_cache.get(key)
-    if cached is not None:
-        return cached
+def _close_group(gens, start, name: str) -> WeylGroup:
+    """Closure of ``start`` under left multiplication by ``gens``.
 
-    gens = [reflection_matrix(g) for g in rs.simple_roots]
-    identity = np.eye(rs.rank)
-    seen = {tuple(np.round(identity, _MERGE_DECIMALS).ravel()): identity}
-    frontier = [identity]
+    Breadth first, deduplicated on a rounded grid, elements sorted by that
+    key in reverse; every determinant must be +-1.
+    """
+    seen = {}
+    for m in start:
+        seen.setdefault(tuple(np.round(m, _MERGE_DECIMALS).ravel()), m)
+    frontier = list(seen.values())
     while frontier:
         fresh = []
         for m in frontier:
@@ -92,8 +91,8 @@ def generate_weyl_group(rs: RootSystem) -> WeylGroup:
                 if k not in seen:
                     if len(seen) >= _CLOSURE_CAP:
                         raise InternalError(
-                            f"Weyl closure for {rs.name} exceeded {_CLOSURE_CAP} elements; "
-                            "root system looks malformed"
+                            f"closure of {name} exceeded {_CLOSURE_CAP} elements; "
+                            "generators look malformed"
                         )
                     seen[k] = cand
                     fresh.append(cand)
@@ -104,10 +103,20 @@ def generate_weyl_group(rs: RootSystem) -> WeylGroup:
         det = np.linalg.det(m)
         parity = int(round(det))
         if abs(det - parity) > 1e-9 or parity not in (-1, 1):
-            raise InternalError("Weyl element determinant is not +-1")
+            raise InternalError(f"element of {name} has determinant {det}, not +-1")
         elements.append(WeylElement(matrix=m, parity=parity))
     elements.sort(key=lambda e: tuple(np.round(e.matrix, _MERGE_DECIMALS).ravel()), reverse=True)
-    group = WeylGroup(elements)
+    return WeylGroup(elements)
+
+
+def generate_weyl_group(rs: RootSystem) -> WeylGroup:
+    """Closure of the simple-root reflections, deduplicated on a rounded grid."""
+    key = rs.cache_key()
+    cached = _group_cache.get(key)
+    if cached is not None:
+        return cached
+    gens = [reflection_matrix(g) for g in rs.simple_roots]
+    group = _close_group(gens, [np.eye(rs.rank)], f"the Weyl group of {rs.name}")
     _group_cache[key] = group
     return group
 
@@ -191,49 +200,78 @@ def character_numerator(rs: RootSystem, l, group: WeylGroup | None = None) -> Ex
 def character(rs: RootSystem, l, phi, group: WeylGroup | None = None, limit: bool = False) -> complex:
     """Weyl character chi_l(phi).
 
-    At Weyl walls the quotient is 0/0; pass ``limit=True`` to evaluate by
-    offsetting along rho and extrapolating, which at phi=0 returns the
+    At Weyl walls the quotient is 0/0; pass ``limit=True`` for its exact
+    value there (see ``orbit_quotient``), which at phi=0 is the
     representation dimension.
     """
     group = group or generate_weyl_group(rs)
     num = character_numerator(rs, l, group)
     phi = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
+    terms, denom = orbit_quotient(rs, num.freqs, phi, limit)
+    return complex(num.coeffs @ terms) / denom
 
-    def direct(point):
-        w = weyl_function(rs, point)
-        return num.evaluate(point) / ((2j) ** rs.p * w)
 
-    w0 = weyl_function(rs, phi)
-    if abs(w0) > _WALL_TOL:
-        return direct(phi)
+def wall_denominator(rs: RootSystem, phi, limit: bool, direction=None) -> tuple:
+    """The wall rule: the positive roots on a wall at phi, where
+    |sin(alpha.phi/2)| <= 1e-12 (complex-safe), and the leading Taylor
+    coefficient of w there (w(phi) itself off every wall).
+
+    On a wall a quotient by w is 0/0; its limit is the ratio of the same
+    coefficient of numerator and w.  With a ``direction`` d that is the
+    s^k coefficient at phi + s d, k the number of wall roots; without one,
+    the image under prod_beta (beta.grad) over the wall roots.  A wall is
+    refused (``SingularPointError``) without ``limit``, and so is a wall
+    root orthogonal to d, along which there is no limit.
+    """
+    half = rs.positive_roots @ phi / 2.0
+    sines = np.sin(half)
+    wall = np.abs(sines) <= _WALL_TOL
+    roots = rs.positive_roots[wall]
+    if not len(roots):
+        return roots, complex(np.prod(sines))
     if not limit:
-        half = rs.positive_roots @ phi / 2.0
-        worst = int(np.argmin(np.abs(np.sin(half))))
         raise SingularPointError(
             f"phi lies on a Weyl wall: sin(alpha.phi/2) vanishes for positive root "
-            f"#{worst} = {rs.positive_roots[worst]}; request limit mode for wall values"
+            f"{roots[0]}; request the limit (limit=True, wall_limit=True) for wall values"
         )
-    return _offset_limit(direct, phi, rs.rho)
+    if direction is None:
+        slopes, scale = np.full(len(roots), 0.5), _permanent(roots @ roots.T)
+    else:
+        slopes, scale = roots @ direction / 2.0, 1.0
+        if (np.abs(slopes) <= _WALL_TOL).any():
+            raise SingularPointError(
+                f"phi lies on the wall of positive root {roots[np.argmin(np.abs(slopes))]}, "
+                f"which is orthogonal to the limit direction {direction}: no limit there"
+            )
+    # each wall factor sin(beta.phi/2) contributes its first derivative
+    sines = sines.astype(complex)
+    sines[wall] = slopes * np.cos(half[wall])
+    return roots, scale * complex(np.prod(sines))
 
 
-def _offset_limit(f, point, direction, eps0: float = 0.05, levels: int = 4) -> complex:
-    """phi -> point limit of f along +-eps*direction, Richardson in eps^2.
+def _permanent(g: np.ndarray) -> float:
+    """Permanent of a square matrix by Ryser's formula."""
+    k = len(g)
+    subsets = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1
+    return float((-1) ** k * ((-1.0) ** subsets.sum(axis=1) @ np.prod(subsets @ g.T, axis=1)))
 
-    Symmetric averaging removes odd orders, so Neville extrapolation on the
-    eps^2 grid converges fast while keeping eps large enough that the 0/0
-    cancellation stays well above float noise.
+
+def orbit_quotient(rs: RootSystem, freqs: np.ndarray, phi, limit: bool) -> tuple:
+    """Terms exp(i v.phi) of a signed orbit sum over ``freqs`` (last axis r)
+    and its denominator (2i)^p w(phi), by the wall rule without a direction.
+
+    On a wall each term gains prod_beta i beta.v.  The reflections in the
+    wall roots fix exp(i v.phi) and flip the sign of that product, so the
+    signed terms of one coset are equal and add up instead of cancelling,
+    as the powers of v.d along one direction would.
     """
-    eps = eps0 / 2.0 ** np.arange(levels)
-    vals = np.array(
-        [(f(point + e * direction) + f(point - e * direction)) / 2.0 for e in eps],
-        dtype=complex,
-    )
-    x = eps**2
-    for level in range(1, levels):
-        vals[: levels - level] = vals[1 : levels - level + 1] + (
-            vals[1 : levels - level + 1] - vals[: levels - level]
-        ) * x[1 : levels - level + 1] / (x[: levels - level] - x[1 : levels - level + 1])
-    return complex(vals[0])
+    roots, w = wall_denominator(rs, phi, limit)
+    # one flat product and an exp in place: large spectral tables spend their time here
+    terms = 1j * (freqs.reshape(-1, freqs.shape[-1]) @ phi)
+    terms = np.exp(terms, out=terms).reshape(freqs.shape[:-1])
+    for beta in roots:
+        terms = terms * (1j * (freqs @ beta))
+    return terms, (2j) ** rs.p * w
 
 
 def dimension(rs: RootSystem, l, group: WeylGroup | None = None) -> int:

@@ -142,6 +142,15 @@ def test_check_list_and_filter(capsys):
     assert code == 0 and data["passed"]
 
 
+def test_check_whole_suite_passes(capsys):
+    code, out, _ = run(capsys, "check")
+    data = json.loads(out)
+    assert code == 0 and data["passed"]
+    assert [r["name"] for r in data["checks"]] == list(cli.checks_mod.CHECKS)
+    failed = [r["name"] for r in data["checks"] if not r["passed"]]
+    assert not failed
+
+
 def test_csv_output(capsys):
     code, out, _ = run(capsys, "kernel", "SU2", "--heat", "0.5", "--grid", "0.4:1.6:4", "--format", "csv")
     assert code == 0
@@ -159,6 +168,16 @@ def test_config_file_defaults(capsys, tmp_path):
     # explicit flags win over config values
     code, out, _ = run(capsys, "--config", str(cfg), "kernel", "SU2", "--grid", "0.3:2.0:7")
     assert len(json.loads(out)["records"]) == 7
+    # values go through the option's type and choices; flags still win
+    cfg.write_text(json.dumps({"heat": "0.5", "grid": "0.3:2.0:4", "route": "both", "axis": 0,
+                               "format": "csv"}))
+    code, out, _ = run(capsys, "--config", str(cfg), "kernel", "SU2", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and len(data["records"]) == 4 and "spectral_re" in data["records"][0]
+    assert data["time_value"] == 0.5
+    cfg.write_text(json.dumps({"matrices": True}))
+    code, out, _ = run(capsys, "--config", str(cfg), "weyl", "A1")
+    assert code == 0 and "matrices" in json.loads(out)
 
 
 @pytest.mark.parametrize(
@@ -169,6 +188,12 @@ def test_config_file_defaults(capsys, tmp_path):
         ("[0.5, 2]", ("kernel", "SU2")),
         ('{"heat": 0.5, "workers": 4}', ("kernel", "SU2")),
         ('{"heat": 0.5}', ("roots", "A2")),  # an option of another command
+        ('{"format": "xml"}', ("roots", "A2")),  # not one of the choices
+        ('{"heat": 0.5, "route": "foo"}', ("kernel", "SU2")),
+        ('{"heat": [1]}', ("kernel", "SU2")),  # not convertible by the option's type
+        ('{"heat": "soon"}', ("kernel", "SU2")),
+        ('{"heat": 0.5, "axis": 1.5}', ("kernel", "SU2")),
+        ('{"matrices": "yes"}', ("weyl", "A2")),  # a switch takes true or false
     ],
 )
 def test_config_file_errors(capsys, tmp_path, content, command):
@@ -178,6 +203,8 @@ def test_config_file_errors(capsys, tmp_path, content, command):
     code, out, err = run(capsys, "--config", str(cfg), *command)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(cfg) in err
+    if content and content.startswith("{") and content != "{not json":
+        assert list(json.loads(content))[-1] in err  # the bad key is named
 
 
 def test_output_file(capsys, tmp_path):
