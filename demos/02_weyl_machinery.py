@@ -37,7 +37,7 @@ print()
 print("character values at phi =", phi)
 for l in ([1, 0], [1, 1]):
     print(f"  chi_{l}(phi) = {character(rs, l, phi):.10f}")
-print("  chi_[1,1](0) by the offset limit:", character(rs, [1, 1], np.zeros(2), limit=True))
+print("  chi_[1,1](0) by the exact wall limit:", character(rs, [1, 1], np.zeros(2), limit=True))
 
 print()
 print("signed symmetrization of exp(i rho.phi) rebuilds the Weyl denominator:")

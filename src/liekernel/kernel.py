@@ -27,7 +27,7 @@ from .lattice import REAL, RadialPoint, WindingLattice, domain_sublattice, enume
 from .lattice import _ellipsoid_points
 from .rootsys import RootSystem
 from .volumes import coset_volume, group_volume
-from .weyl import generate_weyl_group, orbit_quotient, wall_denominator
+from .weyl import generate_weyl_group, orbit_quotient, wall_denominator, weight_orbit
 
 __all__ = [
     "TimeMode",
@@ -48,9 +48,14 @@ __all__ = [
     "integrate_central_su2",
 ]
 
-# largest spectral table, in levels x Weyl images; each entry costs rank
-# float64 orbit coordinates plus a complex phase per evaluation
+# largest spectral table, in levels x Weyl images; each entry holds rank
+# integer orbit coordinates (int16 where they fit).  It also bounds the
+# entries that the spectral cache keeps resident.
 _ORBIT_CAP = 3 * 10**7
+
+# orbit entries per block of levels in compact_spectral: the temporaries of
+# one block stay cache-sized
+_BLOCK = 2**15
 
 
 class TimeMode(enum.Enum):
@@ -239,27 +244,60 @@ _spectral_cache: dict = {}
 
 
 def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int | None):
-    """Vectorized representation data for the retained dominant weights."""
+    """Representation data for the retained dominant weights l.
+
+    Returns (lambda_l, d_l, orbit, d_l / V_G).  ``orbit`` is (coords,
+    parities, reach): the weight coordinates of each Weyl orbit of l + rho,
+    shape (r, L, |W|), the parities of the Weyl images, and a bound on the
+    coordinates' moduli.  The cache keeps at most ``_ORBIT_CAP`` orbit
+    entries and drops the oldest tables to make room.
+    """
     key = (rs.cache_key(), round(float(t_like), 12), tol, level_cutoff)
     cached = _spectral_cache.get(key)
     if cached is not None:
         return cached
     group = generate_weyl_group(rs)
     labels = _spectral_levels(rs, t_like, tol, level_cutoff)
-    if len(labels) * group.order > _ORBIT_CAP:
+    size = len(labels) * group.order
+    if size > _ORBIT_CAP:
         raise ResourceError(
             f"spectral table needs {len(labels)} levels x {group.order} Weyl images "
             f"(> {_ORBIT_CAP} orbit entries); use the path sum"
         )
+    # drop the oldest tables until this one fits under the cap
+    resident = [orbit[0][0].size for _, _, orbit, _ in _spectral_cache.values()]
+    while resident and size + sum(resident) > _ORBIT_CAP:
+        del _spectral_cache[next(iter(_spectral_cache))]
+        resident.pop(0)
     nvecs = (labels + 1) @ rs.weights
     lam_l = (np.einsum("li,li->l", nvecs, nvecs) - rs.rho @ rs.rho) / rs.lam
     dims = np.prod(nvecs @ rs.positive_roots.T, axis=1) / np.prod(rs.positive_roots @ rs.rho)
-    orbits = np.einsum("kij,lj->lki", group.matrices, nvecs)  # (L, |W|, r)
-    data = (lam_l, dims, orbits, group.parities.astype(complex))
-    if len(_spectral_cache) > 64:
-        _spectral_cache.clear()
+    # |coordinate j of w(l + rho)| <= sum_i (l_i + 1) max_w |W_w[i, j]|
+    reach = int(((labels + 1) @ np.abs(group.weight_matrices).max(axis=0)).max())
+    dtype = next(d for d in (np.int16, np.int32, np.int64) if reach <= np.iinfo(d).max)
+    coords = np.empty((rs.rank, len(labels), group.order), dtype=dtype)
+    step = max(1, _BLOCK // group.order)
+    for start in range(0, len(labels), step):
+        coords[:, start : start + step] = weight_orbit(group, labels[start : start + step] + 1)
+    data = (lam_l, dims, (coords, group.parities.astype(complex), reach), dims / group_volume(rs))
     _spectral_cache[key] = data
     return data
+
+
+def _level_sums(rs: RootSystem, orbit, phi, limit: bool) -> tuple:
+    """Signed orbit sum of every level at phi, and the Weyl denominator.
+
+    Walks the levels in blocks of about ``_BLOCK`` orbit entries.  Each
+    level's signed sum is formed before any level weight multiplies it:
+    d_l exp(-lambda_l t) on the cancelling terms would lose digits.
+    """
+    coords, parities, reach = orbit
+    terms, denom = orbit_quotient(rs, phi, limit, reach)
+    step = max(1, _BLOCK // len(parities))
+    sums = np.empty(coords.shape[1], dtype=complex)
+    for start in range(0, len(sums), step):
+        sums[start : start + step] = terms(coords[:, start : start + step]) @ parities
+    return sums, denom
 
 
 def compact_spectral(req: KernelRequest) -> KernelValue:
@@ -273,15 +311,10 @@ def compact_spectral(req: KernelRequest) -> KernelValue:
         )
     rs = req.rs
     t = req.time.effective
-    vg = group_volume(rs)
     x = np.asarray(req.phi.values, dtype=float)
-    lam_l, dims, orbits, parities = _spectral_data(
-        rs, req.time.decay_scale(), req.tol, req.level_cutoff
-    )
-
-    terms, denom = orbit_quotient(rs, orbits, x, req.wall_limit)
-    chi = (terms @ parities) / denom  # (L,)
-    value = complex((dims * chi * np.exp(-1j * lam_l * t)).sum() / vg)
+    lam_l, _, orbit, weights = _spectral_data(rs, req.time.decay_scale(), req.tol, req.level_cutoff)
+    sums, denom = _level_sums(rs, orbit, x, req.wall_limit)
+    value = complex((weights * np.exp(-1j * lam_l * t)) @ sums / denom)
     return KernelValue(value, ConvergenceTag.CONVERGENT)
 
 

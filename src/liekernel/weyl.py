@@ -17,6 +17,7 @@ __all__ = [
     "generate_weyl_group",
     "weyl_function",
     "character",
+    "weight_orbit",
     "dimension",
     "casimir_eigenvalue",
     "apply_intertwiner",
@@ -43,12 +44,23 @@ class WeylElement:
 
 
 class WeylGroup:
-    """Finite reflection group; elements listed once, identity first."""
+    """Finite reflection group; elements listed once, identity first.
 
-    def __init__(self, elements: list[WeylElement]):
+    Given the fundamental weights (rows), it also carries every element in
+    their basis: weight coordinates c map to c @ weight_matrices[k].  These
+    matrices are integral, as the group preserves the weight lattice.
+    """
+
+    def __init__(self, elements: list[WeylElement], weights: np.ndarray | None = None):
         self.elements = elements
         self.matrices = np.stack([e.matrix for e in elements])
         self.parities = np.array([e.parity for e in elements])
+        self.weight_matrices = None
+        if weights is not None:
+            basis = weights @ self.matrices.transpose(0, 2, 1) @ np.linalg.inv(weights)
+            self.weight_matrices = np.rint(basis).astype(np.int64)
+            if np.abs(basis - self.weight_matrices).max() > 1e-9:
+                raise InternalError("Weyl group is not integral in the basis of fundamental weights")
 
     @property
     def order(self) -> int:
@@ -72,11 +84,12 @@ def reflection_matrix(root: np.ndarray) -> np.ndarray:
 _group_cache: dict[tuple, WeylGroup] = {}
 
 
-def _close_group(gens, start, name: str) -> WeylGroup:
+def _close_group(gens, start, name: str, weights: np.ndarray | None = None) -> WeylGroup:
     """Closure of ``start`` under left multiplication by ``gens``.
 
     Breadth first, deduplicated on a rounded grid, elements sorted by that
-    key in reverse; every determinant must be +-1.
+    key in reverse; every determinant must be +-1.  ``weights`` as in
+    ``WeylGroup``.
     """
     seen = {}
     for m in start:
@@ -106,7 +119,7 @@ def _close_group(gens, start, name: str) -> WeylGroup:
             raise InternalError(f"element of {name} has determinant {det}, not +-1")
         elements.append(WeylElement(matrix=m, parity=parity))
     elements.sort(key=lambda e: tuple(np.round(e.matrix, _MERGE_DECIMALS).ravel()), reverse=True)
-    return WeylGroup(elements)
+    return WeylGroup(elements, weights)
 
 
 def generate_weyl_group(rs: RootSystem) -> WeylGroup:
@@ -116,7 +129,7 @@ def generate_weyl_group(rs: RootSystem) -> WeylGroup:
     if cached is not None:
         return cached
     gens = [reflection_matrix(g) for g in rs.simple_roots]
-    group = _close_group(gens, [np.eye(rs.rank)], f"the Weyl group of {rs.name}")
+    group = _close_group(gens, [np.eye(rs.rank)], f"the Weyl group of {rs.name}", rs.weights)
     _group_cache[key] = group
     return group
 
@@ -197,6 +210,14 @@ def character_numerator(rs: RootSystem, l, group: WeylGroup | None = None) -> Ex
     return ExpSum(group.parities.astype(complex), freqs).merged()
 
 
+def weight_orbit(group: WeylGroup, coords) -> np.ndarray:
+    """Weyl orbits of integer weight coordinates ``coords``, (r,) or (L, r),
+    in weight coordinates, axis first: shape (r, |W|) or (r, L, |W|)."""
+    # float products of these small integers are exact, and run on BLAS
+    axes = group.weight_matrices.transpose(2, 1, 0).astype(float)
+    return (np.asarray(coords, dtype=float) @ axes).astype(np.int64)
+
+
 def character(rs: RootSystem, l, phi, group: WeylGroup | None = None, limit: bool = False) -> complex:
     """Weyl character chi_l(phi).
 
@@ -205,10 +226,11 @@ def character(rs: RootSystem, l, phi, group: WeylGroup | None = None, limit: boo
     representation dimension.
     """
     group = group or generate_weyl_group(rs)
-    num = character_numerator(rs, l, group)
+    # the orbit of the strictly dominant l + rho is free: |W| distinct terms
+    coords = weight_orbit(group, _check_dominant(l, rs.rank) + 1)
     phi = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
-    terms, denom = orbit_quotient(rs, num.freqs, phi, limit)
-    return complex(num.coeffs @ terms) / denom
+    terms, denom = orbit_quotient(rs, phi, limit, int(np.abs(coords).max()))
+    return complex(terms(coords) @ group.parities) / denom
 
 
 def wall_denominator(rs: RootSystem, phi, limit: bool, direction=None) -> tuple:
@@ -256,21 +278,36 @@ def _permanent(g: np.ndarray) -> float:
     return float((-1) ** k * ((-1.0) ** subsets.sum(axis=1) @ np.prod(subsets @ g.T, axis=1)))
 
 
-def orbit_quotient(rs: RootSystem, freqs: np.ndarray, phi, limit: bool) -> tuple:
-    """Terms exp(i v.phi) of a signed orbit sum over ``freqs`` (last axis r)
-    and its denominator (2i)^p w(phi), by the wall rule without a direction.
+def orbit_quotient(rs: RootSystem, phi, limit: bool, reach: int) -> tuple:
+    """Signed orbit sums at phi: a term map and the denominator
+    (2i)^p w(phi), by the wall rule without a direction.
 
-    On a wall each term gains prod_beta i beta.v.  The reflections in the
-    wall roots fix exp(i v.phi) and flip the sign of that product, so the
-    signed terms of one coset are equal and add up instead of cancelling,
-    as the powers of v.d along one direction would.
+    ``terms(coords)`` maps integer weight coordinates (r, ...), each of
+    modulus at most ``reach``, to exp(i v.phi) with v = coords @ weights.
+    As exp(i v.phi) = prod_j z_j^{c_j}, z_j = exp(i omega_j.phi), each term
+    is the product of r lookups into per-axis tables of powers of z_j, so
+    no term takes its own exp.  phi may be complex.
+
+    On a wall each term gains prod_beta i beta.v, with beta.v = coords @
+    (weights @ beta).  The reflections in the wall roots fix exp(i v.phi)
+    and flip the sign of that product, so the signed terms of one coset are
+    equal and add up instead of cancelling, as the powers of v.d along one
+    direction would.
     """
     roots, w = wall_denominator(rs, phi, limit)
-    # one flat product and an exp in place: large spectral tables spend their time here
-    terms = 1j * (freqs.reshape(-1, freqs.shape[-1]) @ phi)
-    terms = np.exp(terms, out=terms).reshape(freqs.shape[:-1])
-    for beta in roots:
-        terms = terms * (1j * (freqs @ beta))
+    # powers 0..reach, then -reach..-1: a negative coordinate indexes from the end
+    powers = np.r_[0 : reach + 1, -reach:0]
+    tables = np.exp(1j * np.multiply.outer(rs.weights @ phi, powers))
+    walls = 1j * (rs.weights @ roots.T).T
+
+    def terms(coords):
+        out = tables[0].take(coords[0])
+        for table, c in zip(tables[1:], coords[1:]):
+            out *= table.take(c)
+        for wall in walls:
+            out *= np.tensordot(wall, coords, 1)
+        return out
+
     return terms, (2j) ** rs.p * w
 
 

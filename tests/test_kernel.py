@@ -32,8 +32,9 @@ from liekernel import (
     su11_resolvent_d0,
     winding_lattice,
 )
+from liekernel import kernel
 from liekernel.domains import enumerate_domains
-from liekernel.kernel import _spectral_levels
+from liekernel.kernel import _level_sums, _spectral_data, _spectral_levels
 
 RNG = np.random.default_rng(92)
 
@@ -266,6 +267,71 @@ def test_spectral_table_too_large_is_refused():
     )
     with pytest.raises(ResourceError, match="path sum"):
         compact_spectral(req)
+
+
+def _direct_level_sums(rs, labels, phi):
+    """sum_w parity(w) exp(i w(l + rho).phi) per level, one exp per term."""
+    group = generate_weyl_group(rs)
+    freqs = np.einsum("kij,lj->lki", group.matrices, (labels + 1) @ rs.weights)
+    return np.exp(1j * (freqs @ phi)) @ group.parities
+
+
+# tau per system; the D4 and A4 tables at tau = 2 span several blocks
+LEVEL_SUM_TABLES = [("A", 1, 0.25), ("A", 2, 0.25), ("B", 2, 0.25), ("C", 2, 0.25), ("A", 3, 1.0),
+                    ("B", 3, 1.0), ("C", 3, 1.0), ("D", 3, 1.0), ("A", 4, 2.0), ("D", 4, 2.0)]
+
+
+@pytest.mark.parametrize("family,rank,tau", LEVEL_SUM_TABLES)
+def test_level_sums_from_power_tables_match_direct_exponentials(family, rank, tau):
+    rs = build_root_system(family, rank)
+    order = generate_weyl_group(rs).order
+    labels = _spectral_levels(rs, tau, 1e-14, None)
+    orbit = _spectral_data(rs, tau, 1e-14, None)[2]
+    if (family, rank) == ("D", 4):
+        assert orbit[0][0].size > 8 * kernel._BLOCK
+    rng = np.random.default_rng(rank * 31 + ord(family))
+    for _ in range(3):
+        phi = rng.uniform(-3.0, 3.0, rank)
+        sums, denom = _level_sums(rs, orbit, phi, False)
+        assert np.abs(sums - _direct_level_sums(rs, labels, phi)).max() <= 1e-13 * order
+        assert abs(denom - (2j) ** rs.p * np.prod(np.sin(rs.positive_roots @ phi / 2.0))) <= 1e-13
+
+
+def test_orbit_coordinates_beyond_int16_do_not_wrap():
+    orbit = _spectral_data(A1, 1.0, 1e-14, 40000)[2]
+    coords, _, reach = orbit
+    assert reach > np.iinfo(np.int16).max and coords.dtype.itemsize > 2
+    assert np.abs(coords).max() == 40001
+    phi = np.array([0.37])
+    sums, _ = _level_sums(A1, orbit, phi, False)
+    labels = _spectral_levels(A1, 1.0, 1e-14, 40000)
+    # phases reach 4e4 rad, where each exponent carries ~1e-11 of rounding
+    assert np.abs(sums - _direct_level_sums(A1, labels, phi)).max() <= 1e-10
+
+
+def test_spectral_cache_keeps_orbit_entries_under_cap(monkeypatch):
+    monkeypatch.setattr(kernel, "_spectral_cache", {})
+    sizes = {tau: len(_spectral_levels(A2, tau, 1e-14, None)) * 6 for tau in (0.25, 0.5, 1.0)}
+    cap = sizes[0.25] + sizes[0.5]
+    monkeypatch.setattr(kernel, "_ORBIT_CAP", cap)
+
+    def resident():
+        taus = [key[1] for key in kernel._spectral_cache]
+        entries = sum(orbit[0][0].size for _, _, orbit, _ in kernel._spectral_cache.values())
+        assert entries <= cap
+        return taus
+
+    for tau in (0.25, 0.5):
+        _spectral_data(A2, tau, 1e-14, None)
+    assert resident() == [0.25, 0.5]
+    third = _spectral_data(A2, 1.0, 1e-14, None)
+    assert resident() == [0.5, 1.0]  # the oldest table made room
+    assert _spectral_data(A2, 1.0, 1e-14, None) is third
+    _spectral_data(A2, 0.25, 1e-14, None)
+    assert resident() == [1.0, 0.25]
+    with pytest.raises(ResourceError):
+        _spectral_data(A2, 0.1, 1e-14, None)
+    assert resident() == [1.0, 0.25]
 
 
 # ---------------------------------------------------------------------------

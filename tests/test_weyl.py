@@ -13,7 +13,7 @@ from liekernel import (
     symmetrize,
     weyl_function,
 )
-from liekernel.weyl import character_numerator, weyl_order_from_intertwiner
+from liekernel.weyl import character_numerator, weight_orbit, weyl_order_from_intertwiner
 
 RNG = np.random.default_rng(20240817)
 
@@ -226,3 +226,28 @@ def test_character_numerator_frequencies_are_weyl_orbit():
     group = generate_weyl_group(rs)
     num = character_numerator(rs, [2, 1])
     assert len(num) == group.order
+
+
+TEN_SYSTEMS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 3), ("A", 4), ("D", 4)]
+
+
+@pytest.mark.parametrize("family,rank", TEN_SYSTEMS)
+def test_weight_basis_matrices_act_on_weight_coordinates(family, rank):
+    rs = build_root_system(family, rank)
+    group = generate_weyl_group(rs)
+    coords = RNG.integers(-5, 6, rank)
+    orbit = weight_orbit(group, coords)
+    assert orbit.shape == (rank, group.order) and orbit.dtype == np.int64
+    assert np.abs(orbit.T @ rs.weights - group.matrices @ (coords @ rs.weights)).max() < 1e-12
+
+
+@pytest.mark.parametrize("family,rank", TEN_SYSTEMS)
+def test_character_at_complex_points_matches_expsum(family, rank):
+    """Power tables at complex phi against the merged ExpSum of the numerator."""
+    rs = build_root_system(family, rank)
+    group = generate_weyl_group(rs)
+    for _ in range(4):
+        l = RNG.integers(0, 4, rank)
+        phi = RNG.uniform(-3.0, 3.0, rank) + 1j * RNG.uniform(-0.3, 0.3, rank)
+        want = character_numerator(rs, l, group).evaluate(phi) / ((2j) ** rs.p * weyl_function(rs, phi))
+        assert abs(character(rs, l, phi, group) - want) <= 1e-11 * abs(want)
