@@ -1,24 +1,21 @@
 """Weyl groups, characters, dimensions, and the intertwining operator.
 
-The exponential-sum calculus drives everything: the Weyl denominator
-identity, the character formula, and the operator D whose action on the
-Weyl function counts the group order.
+Signed Weyl-orbit sums of exponentials drive everything: the Weyl
+denominator identity, the character formula, and the operator D whose
+action on the Weyl function counts the group order.
 """
 
 import numpy as np
 
 from liekernel import (
-    ExpSum,
-    apply_intertwiner,
     build_root_system,
     casimir_eigenvalue,
     character,
     dimension,
     generate_weyl_group,
-    symmetrize,
     weyl_function,
 )
-from liekernel.weyl import weyl_order_from_intertwiner
+from liekernel.weyl import weight_orbit, weyl_order_from_intertwiner
 
 for family, rank in [("A", 1), ("A", 2), ("B", 2), ("A", 3), ("C", 3)]:
     rs = build_root_system(family, rank)
@@ -40,16 +37,17 @@ for l in ([1, 0], [1, 1]):
 print("  chi_[1,1](0) by the exact wall limit:", character(rs, [1, 1], np.zeros(2), limit=True))
 
 print()
-print("signed symmetrization of exp(i rho.phi) rebuilds the Weyl denominator:")
+print("the signed Weyl orbit of exp(i rho.phi) rebuilds the Weyl denominator:")
 group = generate_weyl_group(rs)
-denom = symmetrize(group, ExpSum.single(1.0, rs.rho), signed=True)
-val = denom.evaluate(phi)
+val = np.exp(1j * (group.matrices @ rs.rho) @ phi) @ group.parities
 want = (2j) ** rs.p * weyl_function(rs, phi)
 print(f"  sum = {val:.10f}   (2i)^p w(phi) = {want:.10f}")
 
 print()
-print("D flips symmetry classes; on the Weyl function it extracts N(W):")
-w_sum = ExpSum(denom.coeffs / (2j) ** rs.p, denom.freqs)
-dw = apply_intertwiner(rs, w_sum)
+print("D multiplies exp(i v.phi) by prod_alpha i alpha.v; on the Weyl function it extracts N(W):")
+# rho is the sum of the fundamental weights, so its weight coordinates are all ones
+orbit = weight_orbit(group, np.ones(rs.rank, dtype=int))
+print("  orbit of rho in weight coordinates:", [tuple(int(c) for c in v) for v in orbit.T])
+dw = np.prod(1j * ((rs.positive_roots @ rs.weights.T) @ orbit), axis=0) @ group.parities / (2j) ** rs.p
 scale = 2.0**rs.p / float(np.prod(rs.positive_roots @ rs.rho))
-print("  (2^p / prod alpha.rho) Dw|_0 =", (scale * dw.evaluate(np.zeros(2))).real)
+print("  (2^p / prod alpha.rho) Dw|_0 =", (scale * dw).real)

@@ -23,15 +23,12 @@ from .errors import (
 )
 from .rootsys import RootSystem, build_root_system, cartan_matrix, rescale
 from .weyl import (
-    ExpSum,
     WeylElement,
     WeylGroup,
-    apply_intertwiner,
     casimir_eigenvalue,
     character,
     dimension,
     generate_weyl_group,
-    symmetrize,
     weyl_function,
 )
 from .volumes import VolumeReport, coset_volume, group_volume, torus_volume, volume_report
@@ -43,7 +40,6 @@ from .lattice import (
     canonicalize,
     domain_sublattice,
     enumerate_points,
-    image_set,
     winding_lattice,
 )
 from .kernel import (

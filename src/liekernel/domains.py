@@ -15,6 +15,7 @@ identification).  Domain counts are available for every (p, q).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -220,9 +221,6 @@ class _System:
     eigen_group: object = None  # stabilizer of the weight multiset, if larger than W
 
 
-_system_cache: dict = {}
-
-
 def _apair_diff_axes(rs: RootSystem) -> list:
     """Axis index carried by gamma_{2k-1} for each A-family weight pair."""
     axes = []
@@ -307,27 +305,21 @@ def _system_d6() -> _System:
     return _System(rs, weights, slots, True, eigen_group)
 
 
+@functools.cache
 def _system(family: GroupFamily) -> _System:
-    key = family
-    if key in _system_cache:
-        return _system_cache[key]
     k = family.kind
     if k in (GroupKind.SU, GroupKind.SL):
-        sys = _system_a(family.matrix_dim)
-    elif k is GroupKind.SO and (family.p + family.q) % 2:
-        sys = _system_b(family.rank)
-    elif k is GroupKind.SO:
+        return _system_a(family.matrix_dim)
+    if k is GroupKind.SO and (family.p + family.q) % 2:
+        return _system_b(family.rank)
+    if k is GroupKind.SO:
         if family.p + family.q == 6:
-            sys = _system_d6()
-        else:
-            rs = build_root_system("D", family.rank)
-            weights = np.vstack([np.eye(family.rank), -np.eye(family.rank)])
-            slots = tuple(("pair", j, family.rank + j, j) for j in range(family.rank))
-            sys = _System(rs, weights, slots, False)
-    else:
-        sys = _system_c(family.rank)
-    _system_cache[key] = sys
-    return sys
+            return _system_d6()
+        rs = build_root_system("D", family.rank)
+        weights = np.vstack([np.eye(family.rank), -np.eye(family.rank)])
+        slots = tuple(("pair", j, family.rank + j, j) for j in range(family.rank))
+        return _System(rs, weights, slots, False)
+    return _system_c(family.rank)
 
 
 def root_system_of(family: GroupFamily) -> RootSystem:
@@ -363,9 +355,7 @@ def _dual_integral_basis(weights: np.ndarray) -> np.ndarray:
     return gens_scaled / scales[None, :]
 
 
-_rep_lattice_cache: dict = {}
-
-
+@functools.cache
 def classification_lattice(family: GroupFamily):
     """Periodicity lattice of the defining representation's eigenvalue map.
 
@@ -376,13 +366,8 @@ def classification_lattice(family: GroupFamily):
     """
     from .lattice import WindingLattice
 
-    if family not in _rep_lattice_cache:
-        sys = _system(family)
-        gens = _dual_integral_basis(sys.weights)
-        _rep_lattice_cache[family] = WindingLattice(
-            generators=gens, coeffs=np.eye(len(gens), dtype=int)
-        )
-    return _rep_lattice_cache[family]
+    gens = _dual_integral_basis(_system(family).weights)
+    return WindingLattice(generators=gens, coeffs=np.eye(len(gens), dtype=int))
 
 
 def canonical_radial(family: GroupFamily, point: RadialPoint) -> RadialPoint:
@@ -629,17 +614,11 @@ def _unit_class(eigenvalues: np.ndarray) -> np.ndarray:
     return mods <= _UNIT_TOL
 
 
-_matcher_cache: dict = {}
-
-
-def _matcher(sys: _System, dom: EvolutionDomain) -> dict:
+@functools.cache
+def _matcher(dom: EvolutionDomain) -> dict:
     from scipy.linalg import qr
 
-    key = (dom.family, dom.signature)
-    cached = _matcher_cache.get(key)
-    if cached is not None:
-        return cached
-    weights = sys.weights
+    weights = _system(dom.family).weights
     real_axes = [j for j, s in enumerate(dom.signature) if s == REAL]
     imag_axes = [j for j, s in enumerate(dom.signature) if s == IMAGINARY]
     w_r = weights[:, real_axes]
@@ -656,7 +635,7 @@ def _matcher(sys: _System, dom: EvolutionDomain) -> dict:
         for offs in itertools.product((-1, 0, 1), repeat=len(sub_rows))
     ]
     pinv_wi = np.linalg.pinv(-w_i) if imag_axes else None
-    data = {
+    return {
         "real_axes": real_axes,
         "imag_axes": imag_axes,
         "w_r": w_r,
@@ -667,13 +646,11 @@ def _matcher(sys: _System, dom: EvolutionDomain) -> dict:
         "offsets": offsets,
         "pinv_wi": pinv_wi,
     }
-    _matcher_cache[key] = data
-    return data
 
 
 def _match_domain(sys: _System, dom: EvolutionDomain, eig: np.ndarray):
     """Solve exp(i W phi) = eig for phi with dom's signature, or return None."""
-    m = _matcher(sys, dom)
+    m = _matcher(dom)
     nw = len(sys.weights)
     slot_unit = m["slot_unit"]
     eig_unit = _unit_class(eig)

@@ -1,4 +1,4 @@
-"""Winding lattices, domain sublattices, image sets, and alcove reduction.
+"""Winding lattices, domain sublattices, and alcove reduction.
 
 The compact winding lattice is spanned by the simple coroots; translations of
 the radial vector by 2*pi times a lattice point leave every central function
@@ -26,7 +26,6 @@ __all__ = [
     "winding_lattice",
     "domain_sublattice",
     "enumerate_points",
-    "image_set",
     "canonicalize",
     "reduce_lexmax",
 ]
@@ -116,16 +115,6 @@ class WindingLattice:
     @property
     def rank(self) -> int:
         return self.generators.shape[1] if self.generators.ndim == 2 else 0
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        """Which parent coroot directions participate in this lattice."""
-        if self.dim == 0:
-            return np.zeros(self.coeffs.shape[1], dtype=bool)
-        return (self.coeffs != 0).any(axis=0)
-
-    def point(self, mcoeffs) -> np.ndarray:
-        return np.asarray(mcoeffs, dtype=float) @ self.generators
 
 
 def winding_lattice(rs: RootSystem) -> WindingLattice:
@@ -381,28 +370,6 @@ def _real_vector(phi, rank: int) -> np.ndarray:
     if vec.shape != (rank,):
         raise ArgumentError(f"phi must have length {rank}, got shape {vec.shape}")
     return vec.astype(float)
-
-
-def image_set(
-    rs: RootSystem,
-    group: WeylGroup,
-    lat: WindingLattice,
-    phi,
-    t_like: float = 1.0,
-    tol: float = 1e-14,
-) -> list:
-    """Signed images sigma(phi + 2 pi m) of a radial point.
-
-    Returns ``(point, sign)`` pairs with sign the parity of the reflection,
-    for every Weyl element and every lattice point inside the cutoff.
-    """
-    cv = phi.complex_vector() if isinstance(phi, RadialPoint) else np.asarray(phi, dtype=complex)
-    points = enumerate_points(lat, phi, t_like, tol, lam=rs.lam)
-    out = []
-    for elem in group:
-        for m in points:
-            out.append((elem.matrix @ (cv + 2.0 * np.pi * m), elem.parity))
-    return out
 
 
 def _coeffs_of(lat: WindingLattice, vector: np.ndarray) -> np.ndarray:

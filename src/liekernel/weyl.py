@@ -1,8 +1,9 @@
 """Weyl group machinery: reflections, characters, dimensions, and the
-exponential-sum calculus behind the intertwining operator."""
+intertwining operator, all on integer weight-orbit coordinates."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,15 +14,12 @@ from .rootsys import RootSystem
 __all__ = [
     "WeylElement",
     "WeylGroup",
-    "ExpSum",
     "generate_weyl_group",
     "weyl_function",
     "character",
     "weight_orbit",
     "dimension",
     "casimir_eigenvalue",
-    "apply_intertwiner",
-    "symmetrize",
 ]
 
 _CLOSURE_CAP = 10**6
@@ -35,9 +33,6 @@ class WeylElement:
 
     matrix: np.ndarray
     parity: int
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
     def __repr__(self):
         return f"WeylElement(parity={self.parity:+d})"
@@ -134,56 +129,6 @@ def generate_weyl_group(rs: RootSystem) -> WeylGroup:
     return group
 
 
-@dataclass(frozen=True)
-class ExpSum:
-    """Finite sum of complex exponentials sum_k c_k exp(i v_k . phi).
-
-    Frequencies are real r-vectors; evaluation accepts complex phi, which is
-    how the non-compact radial points enter.
-    """
-
-    coeffs: np.ndarray
-    freqs: np.ndarray
-
-    @staticmethod
-    def from_terms(terms) -> "ExpSum":
-        coeffs = np.array([c for c, _ in terms], dtype=complex)
-        freqs = np.array([np.asarray(v, dtype=float) for _, v in terms])
-        return ExpSum(coeffs, freqs).merged()
-
-    @staticmethod
-    def single(coeff, freq) -> "ExpSum":
-        return ExpSum(np.array([coeff], dtype=complex), np.atleast_2d(np.asarray(freq, float)))
-
-    def merged(self) -> "ExpSum":
-        """Canonical form: distinct frequencies (rounded-grid key), sorted."""
-        buckets: dict[tuple, list] = {}
-        for c, v in zip(self.coeffs, self.freqs):
-            key = tuple(np.round(v, _MERGE_DECIMALS))
-            if key in buckets:
-                buckets[key][0] += c
-            else:
-                buckets[key] = [c, v]
-        items = sorted(buckets.items())
-        coeffs = np.array([c for _, (c, _) in items], dtype=complex)
-        freqs = np.array([v for _, (_, v) in items]) if items else np.zeros((0, self.freqs.shape[1]))
-        keep = coeffs != 0
-        return ExpSum(coeffs[keep], freqs[keep])
-
-    def evaluate(self, phi) -> complex:
-        if len(self.coeffs) == 0:
-            return 0j
-        phi = np.asarray(phi)
-        return complex(self.coeffs @ np.exp(1j * (self.freqs @ phi)))
-
-    def map_coeffs(self, factor_of_freq) -> "ExpSum":
-        factors = np.array([factor_of_freq(v) for v in self.freqs], dtype=complex)
-        return ExpSum(self.coeffs * factors, self.freqs).merged()
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
 def weyl_function(rs: RootSystem, phi) -> complex:
     """w(phi) = prod over positive roots of sin(alpha.phi/2); complex-safe."""
     phi = np.asarray(phi)
@@ -199,15 +144,6 @@ def _check_dominant(l, rank) -> np.ndarray:
     if not np.allclose(l, li) or (li < 0).any():
         raise ArgumentError(f"dominant weight must be componentwise nonnegative integers, got {l}")
     return li
-
-
-def character_numerator(rs: RootSystem, l, group: WeylGroup | None = None) -> ExpSum:
-    """Signed Weyl orbit sum of exp(i (l+rho).phi) as an ExpSum."""
-    group = group or generate_weyl_group(rs)
-    li = _check_dominant(l, rs.rank)
-    nvec = (li + 1) @ rs.weights
-    freqs = np.einsum("kij,j->ki", group.matrices, nvec)
-    return ExpSum(group.parities.astype(complex), freqs).merged()
 
 
 def weight_orbit(group: WeylGroup, coords) -> np.ndarray:
@@ -257,7 +193,8 @@ def wall_denominator(rs: RootSystem, phi, limit: bool, direction=None) -> tuple:
             f"{roots[0]}; request the limit (limit=True, wall_limit=True) for wall values"
         )
     if direction is None:
-        slopes, scale = np.full(len(roots), 0.5), _permanent(roots @ roots.T)
+        gram = roots @ roots.T
+        slopes, scale = np.full(len(roots), 0.5), _permanent(gram.tobytes(), len(gram))
     else:
         slopes, scale = roots @ direction / 2.0, 1.0
         if (np.abs(slopes) <= _WALL_TOL).any():
@@ -271,9 +208,11 @@ def wall_denominator(rs: RootSystem, phi, limit: bool, direction=None) -> tuple:
     return roots, scale * complex(np.prod(sines))
 
 
-def _permanent(g: np.ndarray) -> float:
-    """Permanent of a square matrix by Ryser's formula."""
-    k = len(g)
+@functools.lru_cache(maxsize=256)
+def _permanent(data: bytes, k: int) -> float:
+    """Permanent of the k x k float matrix with raw bytes ``data``, by
+    Ryser's formula; memoized, as each wall-limit call asks again."""
+    g = np.frombuffer(data).reshape(k, k)
     subsets = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1
     return float((-1) ** k * ((-1.0) ** subsets.sum(axis=1) @ np.prod(subsets @ g.T, axis=1)))
 
@@ -329,47 +268,18 @@ def casimir_eigenvalue(rs: RootSystem, l) -> float:
     return float((nvec @ nvec - rs.rho @ rs.rho) / rs.lam)
 
 
-def apply_intertwiner(rs: RootSystem, f: ExpSum) -> ExpSum:
-    """Apply the product of directional derivatives along the positive roots.
-
-    On an exponential exp(i v.phi) each factor alpha.grad contributes
-    i(alpha.v), so the term picks up prod over alpha>0 of i(alpha.v).  The
-    operator flips the symmetry class under Weyl reflections.
-    """
-    pos = rs.positive_roots
-
-    def factor(v):
-        return complex(np.prod(1j * (pos @ v)))
-
-    return f.map_coeffs(factor)
-
-
-def symmetrize(group: WeylGroup, f: ExpSum, signed: bool = False) -> ExpSum:
-    """Sum of f composed with every Weyl element, optionally parity-weighted.
-
-    exp(i v . (sigma phi)) = exp(i (sigma^T v) . phi), so each term's
-    frequency orbit is generated by the transposed matrices.
-    """
-    coeffs = []
-    freqs = []
-    for elem in group:
-        weight = elem.parity if signed else 1
-        coeffs.append(weight * f.coeffs)
-        freqs.append(f.freqs @ elem.matrix)
-    return ExpSum(np.concatenate(coeffs), np.vstack(freqs)).merged()
-
-
 def weyl_order_from_intertwiner(rs: RootSystem) -> float:
     """N(W) via the identity (2^p / prod alpha.rho) * (D w)(0).
 
-    Builds w as an ExpSum through the denominator identity
-    (2i)^p w = signed symmetrization of exp(i rho.phi).
+    By the denominator identity (2i)^p w is the signed orbit sum of
+    exp(i rho.phi), and rho has weight coordinates all ones.  D = prod_alpha
+    alpha.grad multiplies each term exp(i v.phi) by prod_alpha i alpha.v, so
+    (D w)(0) = sum_w parity(w) prod_alpha i alpha.v / (2i)^p.
     """
     group = generate_weyl_group(rs)
-    denom = symmetrize(group, ExpSum.single(1.0, rs.rho), signed=True)
-    w_sum = ExpSum(denom.coeffs / (2j) ** rs.p, denom.freqs)
-    dw = apply_intertwiner(rs, w_sum)
-    value = dw.evaluate(np.zeros(rs.rank))
+    orbit = weight_orbit(group, np.ones(rs.rank, dtype=int))
+    factors = np.prod(1j * ((rs.positive_roots @ rs.weights.T) @ orbit), axis=0)
+    value = complex(factors @ group.parities) / (2j) ** rs.p
     scale = 2.0**rs.p / float(np.prod(rs.positive_roots @ rs.rho))
     result = scale * value
     if abs(result.imag) > 1e-9 * max(1.0, abs(result)):

@@ -10,7 +10,6 @@ from liekernel import (
     domain_sublattice,
     enumerate_points,
     generate_weyl_group,
-    image_set,
     winding_lattice,
 )
 
@@ -203,48 +202,6 @@ def test_enumerate_points_resource_cap():
     lat = winding_lattice(rs)
     with pytest.raises(ResourceError):
         enumerate_points(lat, RadialPoint.real([0.5, 0.5]), 1e12, 1e-300, lam=rs.lam)
-
-
-def test_image_set_a1_structure():
-    rs = build_root_system("A", 1)
-    group = generate_weyl_group(rs)
-    lat = winding_lattice(rs)
-    phi0 = 0.9
-    images = image_set(rs, group, lat, RadialPoint.real([phi0]), t_like=0.5, tol=1e-18)
-    for point, sign in images:
-        val = float(point[0].real)
-        if sign > 0:
-            assert abs((val - phi0) % (4 * np.pi)) < 1e-9 or abs((val - phi0) % (4 * np.pi) - 4 * np.pi) < 1e-9
-        else:
-            assert abs((val + phi0) % (4 * np.pi)) < 1e-9 or abs((val + phi0) % (4 * np.pi) - 4 * np.pi) < 1e-9
-
-
-def test_image_set_wall_cancellation():
-    # on a Weyl wall the signed Gaussian sum over images vanishes
-    rs = build_root_system("A", 2)
-    group = generate_weyl_group(rs)
-    lat = winding_lattice(rs)
-    wall_phi = np.array([0.0, 0.9])  # gamma_1 wall
-    images = image_set(rs, group, lat, RadialPoint.real(wall_phi), t_like=0.7, tol=1e-16)
-    total = sum(sign * np.exp(-float((p @ p).real) / 2.0) for p, sign in images)
-    assert abs(total) < 1e-12
-
-
-def test_image_set_sign_composition():
-    rs = build_root_system("A", 2)
-    group = generate_weyl_group(rs)
-    lat = winding_lattice(rs)
-    phi = RNG.uniform(0.2, 1.0, 2)
-    sigma = group.elements[3]
-    base = image_set(rs, group, lat, RadialPoint.real(phi), t_like=0.5, tol=1e-12)
-    moved = image_set(rs, group, lat, RadialPoint.real(sigma.matrix @ phi), t_like=0.5, tol=1e-12)
-
-    def keyset(images, flip):
-        return sorted(
-            (tuple(np.round(np.real(p), 8)), int(s) * flip) for p, s in images
-        )
-
-    assert keyset(moved, sigma.parity) == keyset(base, 1)
 
 
 def test_canonicalize_examples():
