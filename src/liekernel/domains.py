@@ -852,10 +852,7 @@ def _build_a_family(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.nda
                 if abs(c1.real - c2.real) > 1e-9:
                     raise InternalError("hyperbolic pair must share its phase")
                 i, j = plus.pop(0), minus.pop(0)
-                chi, u = c1.real, -c1.imag
-                ch, sh = np.cosh(u), np.sinh(u)
-                blk = np.exp(1j * chi) * np.array([[ch, sh], [sh, ch]])
-                g[np.ix_([i, j], [i, j])] = blk
+                g[np.ix_([i, j], [i, j])] = _hyperbolic(c1.real, -c1.imag)
         else:  # SL(n,R): conjugate pair r e^{+-i psi} or two real eigenvalues
             c1, c2 = cs
             if abs(c1.real) < 1e-12 and abs(c2.real) < 1e-12:
@@ -880,6 +877,12 @@ def _place_diag(g, plus, minus, lam, family):
     g[i, i] = lam if family.kind is GroupKind.SU else lam.real
 
 
+def _hyperbolic(chi, u):
+    """e^{i chi} [[cosh u, sinh u], [sinh u, cosh u]]."""
+    ch, sh = np.cosh(u), np.sinh(u)
+    return np.exp(1j * chi) * np.array([[ch, sh], [sh, ch]])
+
+
 def _so_rot(n, i, j, angle):
     m = np.eye(n)
     m[i, i] = m[j, j] = np.cos(angle)
@@ -896,104 +899,47 @@ def _so_boost(n, i, j, u):
 
 
 def _build_so(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.ndarray:
+    """Rotation, boost and mixed-plane blocks placed on the axes in one pass.
+
+    Boost and mixed planes span one + and one - axis each; a rotation then
+    takes two + axes while two are left, else two - axes.  A zero exponent
+    takes none, and unused axes (the zero weight's among them) stay fixed.
+    The point fixes the planes and a rotation needs only a same-sign pair,
+    so no other placement succeeds where this one runs out of axes.
+    """
     n = family.matrix_dim
-    # per slot: list of (need_plus, need_minus, builder) alternatives
-    tasks = []
+    rots, boosts, mixed = [], [], []
     for slot in sys.slots:
-        if slot[0] == "zero":
-            continue
         cs = _slot_values(sys, slot, cv)
-        if slot[0] == "pair":
-            (c,) = cs
-            tasks.append(_so_pair_task(n, c))
-        else:
-            c1, c2 = cs
-            tasks.append(_so_quartet_task(n, c1, c2))
-    g = _allocate_so(family, tasks)
-    return g
-
-
-def _so_pair_task(n, c):
-    if abs(c.imag) < 1e-12:
-        angle = c.real
-
-        def rot(axes):
-            return _so_rot(n, axes[0], axes[1], angle)
-
-        return [((2, 0), rot), ((0, 2), rot)]
-    if abs(c.real) > 1e-9:
-        raise InternalError("orthogonal pair slot with mixed complex exponent")
-    u = -c.imag
-
-    def boost(axes):
-        return _so_boost(n, axes[0], axes[1], u)
-
-    return [((1, 1), boost)]
-
-
-def _so_quartet_task(n, c1, c2):
-    real1, real2 = abs(c1.imag) < 1e-12, abs(c2.imag) < 1e-12
-    rotational1, rotational2 = abs(c1.real) > 1e-12, abs(c2.real) > 1e-12
-    if real1 and real2:
-        def two_rots(axes):
-            return _so_rot(n, axes[0], axes[1], c1.real) @ _so_rot(n, axes[2], axes[3], c2.real)
-
-        return [((4, 0), two_rots), ((2, 2), two_rots), ((0, 4), two_rots)]
-    if not rotational1 and not rotational2:
-        def two_boosts(axes):
-            # axes arrive as (+,+,-,-): boost planes (p1,m1), (p2,m2)
-            return _so_boost(n, axes[0], axes[2], -c1.imag) @ _so_boost(n, axes[1], axes[3], -c2.imag)
-
-        return [((2, 2), two_boosts)]
-
-    # mixed plane: both exponents fully complex, eigenvalues e^{+-iA +- B};
-    # realized by a commuting rotation+boost exponential on (+,+,-,-)
-    if abs(abs(c1.real) - abs(c2.real)) > 1e-9 or abs(abs(c1.imag) - abs(c2.imag)) > 1e-9:
-        raise InternalError("mixed orthogonal plane needs matched |Re| and |Im| exponents")
-    angle, u = c1.real, c1.imag
-
-    def mixed(axes):
-        from scipy.linalg import expm
-
-        x = np.zeros((n, n))
-        p1, p2, m1, m2 = axes
-        x[p1, p2], x[p2, p1] = -angle, angle
-        x[m1, m2], x[m2, m1] = -angle, angle
-        x[p1, m1] = x[m1, p1] = u
-        x[p2, m2] = x[m2, p2] = u
-        return expm(x)
-
-    return [((2, 2), mixed)]
-
-
-def _allocate_so(family: GroupFamily, tasks) -> np.ndarray:
-    n = family.matrix_dim
-    plus_all = list(range(family.p))
-    minus_all = list(range(family.p, n))
-
-    def backtrack(i, plus, minus, acc):
-        if i == len(tasks):
-            return acc
-        for (need_p, need_m), builder in tasks[i]:
-            if need_p <= len(plus) and need_m <= len(minus):
-                axes = plus[:need_p] + minus[:need_m]
-                out = backtrack(i + 1, plus[need_p:], minus[need_m:], acc + [builder(tuple(axes))])
-                if out is not None:
-                    return out
-        return None
-
-    mats = backtrack(0, plus_all, minus_all, [])
-    if mats is None:
-        raise InternalError(f"no axis allocation realizes this domain of {family.name}")
+        if len(cs) == 2 and all(abs(c.real) > 1e-12 and abs(c.imag) >= 1e-12 for c in cs):
+            # mixed plane: eigenvalues e^{+-iA +- B}, matched by the second
+            # exponent (a mismatch fails the eigenvalue self-check)
+            mixed.append((cs[0].real, cs[0].imag))
+            continue
+        for c in cs:
+            if abs(c.imag) >= 1e-12:
+                boosts.append(-c.imag)  # a real part here fails it too
+            elif abs(c.real) >= 1e-12:
+                rots.append(c.real)
+    plus, minus = list(range(family.p)), list(range(family.p, n))
     g = np.eye(n)
-    for m in mats:
-        g = g @ m
+    try:
+        for angle, u in mixed:
+            # diag(R, R) on (p1,p2 | m1,m2) commutes with the boosts [[0, I], [I, 0]]
+            p1, p2, m1, m2 = plus.pop(0), plus.pop(0), minus.pop(0), minus.pop(0)
+            g = g @ _so_rot(n, p1, p2, angle) @ _so_rot(n, m1, m2, angle)
+            g = g @ _so_boost(n, p1, m1, u) @ _so_boost(n, p2, m2, u)
+        for u in boosts:
+            g = g @ _so_boost(n, plus.pop(0), minus.pop(0), u)
+        for angle in rots:
+            pool = plus if len(plus) >= 2 else minus
+            g = g @ _so_rot(n, pool.pop(0), pool.pop(0), angle)
+    except IndexError:
+        raise InternalError(f"no axis allocation realizes this domain of {family.name}") from None
     return g
 
 
 def _build_usp(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.ndarray:
-    from scipy.linalg import expm
-
     nslots = family.p + family.q
     g = np.eye(2 * nslots, dtype=complex)
     plus = list(range(family.p))
@@ -1018,14 +964,11 @@ def _build_usp(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.ndarray:
                 put_unit_pair(c1)
                 put_unit_pair(c2)
             else:
+                # exp of a = [[i chi, u], [u, i chi]] on (i, j) and of -a^T on (n+i, n+j)
                 chi, u = c1.real, -c1.imag
                 i, j = plus.pop(0), minus.pop(0)
-                a = np.zeros((nslots, nslots), dtype=complex)
-                a[i, i] = a[j, j] = 1j * chi
-                a[i, j] = a[j, i] = u
-                x = np.block([[a, np.zeros_like(a)], [np.zeros_like(a), -a.T]])
-                # block touches only freshly popped slots; commutes with the rest
-                g = g @ expm(x)
+                g[np.ix_([i, j], [i, j])] = _hyperbolic(chi, u)
+                g[np.ix_([nslots + i, nslots + j], [nslots + i, nslots + j])] = _hyperbolic(-chi, -u)
     return g
 
 

@@ -23,7 +23,7 @@ from .errors import (
     ResourceError,
     UnsupportedOperationError,
 )
-from .lattice import REAL, RadialPoint, WindingLattice, domain_sublattice, enumerate_points, winding_lattice
+from .lattice import REAL, RadialPoint, domain_sublattice, enumerate_points, winding_lattice
 from .lattice import _ellipsoid_points
 from .rootsys import RootSystem
 from .volumes import coset_volume, group_volume
@@ -154,16 +154,6 @@ class KernelRequest:
                 )
 
 
-_lattice_cache: dict[tuple, WindingLattice] = {}
-
-
-def _full_lattice(rs: RootSystem) -> WindingLattice:
-    key = rs.cache_key()
-    if key not in _lattice_cache:
-        _lattice_cache[key] = winding_lattice(rs)
-    return _lattice_cache[key]
-
-
 def _prefactor(n: int, t: complex) -> complex:
     return np.exp(-(n / 2.0) * np.log(4j * np.pi * t))
 
@@ -210,7 +200,7 @@ def compact_pathsum(req: KernelRequest) -> KernelValue:
         raise ArgumentError("compact_pathsum needs a compact request (no domain)")
     rs = req.rs
     t = req.time.effective
-    lat = _full_lattice(rs)
+    lat = winding_lattice(rs)
     points = enumerate_points(lat, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
     value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t, req.wall_limit)
 
@@ -324,7 +314,7 @@ def noncompact_pathsum(req: KernelRequest) -> KernelValue:
         raise ArgumentError("noncompact_pathsum needs an evolution domain")
     rs = req.rs
     t = req.time.effective
-    sub = domain_sublattice(_full_lattice(rs), req.domain)
+    sub = domain_sublattice(winding_lattice(rs), req.domain)
     points = enumerate_points(sub, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
     value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t, req.wall_limit)
 

@@ -8,6 +8,7 @@ vanishes along the imaginary coordinate directions survives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,6 +109,16 @@ class WindingLattice:
     generators: np.ndarray
     coeffs: np.ndarray
 
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return (self.generators.shape, self.generators.tobytes(), self.coeffs.tobytes())
+
+    def __eq__(self, other):
+        return isinstance(other, WindingLattice) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
     @property
     def dim(self) -> int:
         return len(self.generators)
@@ -117,6 +128,7 @@ class WindingLattice:
         return self.generators.shape[1] if self.generators.ndim == 2 else 0
 
 
+@functools.cache
 def winding_lattice(rs: RootSystem) -> WindingLattice:
     """Full compact winding lattice spanned by the simple coroots."""
     return WindingLattice(generators=rs.coroots, coeffs=np.eye(rs.rank, dtype=int))
@@ -237,9 +249,6 @@ def _inverse(mat) -> list:
     return [row[n:] for row in red]
 
 
-_sublattice_cache: dict = {}
-
-
 def domain_sublattice(lat: WindingLattice, domain) -> WindingLattice:
     """Restrict a winding lattice to vectors vanishing on imaginary axes.
 
@@ -247,19 +256,18 @@ def domain_sublattice(lat: WindingLattice, domain) -> WindingLattice:
     sequence itself.  The resulting basis is unique (row Hermite normal form
     of the integer coefficient matrix), which keeps emitted tables stable.
     """
-    signature = getattr(domain, "signature", domain)
-    signature = tuple(signature)
+    signature = tuple(getattr(domain, "signature", domain))
     if len(signature) != lat.rank:
         raise ArgumentError(
             f"signature rank {len(signature)} does not match lattice rank {lat.rank}"
         )
-    cache_key = (lat.generators.tobytes(), lat.coeffs.tobytes(), signature)
-    cached = _sublattice_cache.get(cache_key)
-    if cached is not None:
-        return cached
+    return _sublattice(lat, signature)
+
+
+@functools.cache
+def _sublattice(lat: WindingLattice, signature: tuple) -> WindingLattice:
     imag_axes = [j for j, s in enumerate(signature) if s == IMAGINARY]
     if not imag_axes:
-        _sublattice_cache[cache_key] = lat
         return lat
 
     rows = []
@@ -270,17 +278,11 @@ def domain_sublattice(lat: WindingLattice, domain) -> WindingLattice:
         rows.append([_rationalize(x / scale) for x in row])
     basis = _nullspace(rows)
     if not basis:
-        sub = WindingLattice(
+        return WindingLattice(
             generators=np.zeros((0, lat.rank)), coeffs=np.zeros((0, lat.coeffs.shape[1]), dtype=int)
         )
-        _sublattice_cache[cache_key] = sub
-        return sub
     rel = np.array(_transpose(_hermite_normal_form(_transpose(basis))), dtype=int)
-    generators = rel.astype(float) @ lat.generators
-    coeffs = rel @ lat.coeffs
-    sub = WindingLattice(generators=generators, coeffs=coeffs)
-    _sublattice_cache[cache_key] = sub
-    return sub
+    return WindingLattice(generators=rel.astype(float) @ lat.generators, coeffs=rel @ lat.coeffs)
 
 
 def _ellipsoid_points(gens, x0, scale: float, radius2: float, lower: int | None = None):

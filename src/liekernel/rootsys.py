@@ -9,6 +9,7 @@ remaining supported systems use compatible standard realizations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,8 +81,18 @@ class RootSystem:
         norms = np.where(np.abs(snapped - norms) < 1e-12, snapped, norms)
         return 2.0 * g / norms
 
-    def cache_key(self):
+    @functools.cached_property
+    def _key(self) -> tuple:
         return (self.family, self.rank, self.simple_roots.round(12).tobytes())
+
+    def cache_key(self):
+        return self._key
+
+    def __eq__(self, other):
+        return isinstance(other, RootSystem) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def __repr__(self):
         return f"RootSystem({self.name}, n={self.n}, p={self.p})"

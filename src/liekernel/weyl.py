@@ -76,9 +76,6 @@ def reflection_matrix(root: np.ndarray) -> np.ndarray:
     return np.eye(len(root)) - 2.0 * np.outer(root, root) / (root @ root)
 
 
-_group_cache: dict[tuple, WeylGroup] = {}
-
-
 def _close_group(gens, start, name: str, weights: np.ndarray | None = None) -> WeylGroup:
     """Closure of ``start`` under left multiplication by ``gens``.
 
@@ -117,16 +114,11 @@ def _close_group(gens, start, name: str, weights: np.ndarray | None = None) -> W
     return WeylGroup(elements, weights)
 
 
+@functools.cache
 def generate_weyl_group(rs: RootSystem) -> WeylGroup:
     """Closure of the simple-root reflections, deduplicated on a rounded grid."""
-    key = rs.cache_key()
-    cached = _group_cache.get(key)
-    if cached is not None:
-        return cached
     gens = [reflection_matrix(g) for g in rs.simple_roots]
-    group = _close_group(gens, [np.eye(rs.rank)], f"the Weyl group of {rs.name}", rs.weights)
-    _group_cache[key] = group
-    return group
+    return _close_group(gens, [np.eye(rs.rank)], f"the Weyl group of {rs.name}", rs.weights)
 
 
 def weyl_function(rs: RootSystem, phi) -> complex:
@@ -243,8 +235,12 @@ def orbit_quotient(rs: RootSystem, phi, limit: bool, reach: int) -> tuple:
         out = tables[0].take(coords[0])
         for table, c in zip(tables[1:], coords[1:]):
             out *= table.take(c)
-        for wall in walls:
-            out *= np.tensordot(wall, coords, 1)
+        if len(walls):
+            # one batched product; each wall row takes the vector-matrix
+            # route a single wall would, so the factors round the same
+            factors = walls[:, None] @ coords.reshape(len(coords), -1)
+            for factor in factors.reshape(len(walls), *coords.shape[1:]):
+                out *= factor
         return out
 
     return terms, (2j) ** rs.p * w

@@ -16,6 +16,7 @@ from liekernel import (
 )
 from liekernel.domains import (
     GroupKind,
+    _pairing_residual,
     canonical_radial,
     check_defining_relation,
     classification_lattice,
@@ -177,7 +178,12 @@ def test_classify_su2_trace_convention():
         assert abs(np.trace(g).real - 2.0 * np.cos(pt.values[0] / 2.0)) < 1e-10
 
 
-@pytest.mark.parametrize("name", CATALOGUE_GROUPS + ["SU(2)", "SU(1,1)", "SU(3)", "SO(5)", "USp(6)", "SU(4)", "SO(6)"])
+# SO(4,3), SO(5,2) and SO(6,1) leave an axis to the zero weight in some domains
+@pytest.mark.parametrize(
+    "name",
+    CATALOGUE_GROUPS
+    + ["SU(2)", "SU(1,1)", "SU(3)", "SO(5)", "USp(6)", "SU(4)", "SO(6)", "SO(4,3)", "SO(5,2)", "SO(6,1)"],
+)
 def test_roundtrip_all_domains(name):
     fam = parse_group(name)
     for dom in enumerate_domains(fam):
@@ -234,6 +240,92 @@ def test_conjugation_invariance_rank1():
         dom_b, pt_b = classify_element(fam_n, w @ h @ np.linalg.inv(w))
         assert dom_a.label == dom_b.label == "D0"
         assert np.abs(np.array(pt_a.values) - np.array(pt_b.values)).max() < 1e-7
+
+
+def _random_algebra_element(fam, rng):
+    """Random X in the Lie algebra of fam's defining representation."""
+    from liekernel.domains import _eta, _zeta
+
+    d = fam.matrix_dim
+    a = rng.normal(size=(d, d))
+    if fam.kind is GroupKind.SU:
+        h = a + 1j * rng.normal(size=(d, d))
+        x = _eta(fam) @ (h - h.conj().T)
+        return x - np.trace(x) / d * np.eye(d)
+    if fam.kind is GroupKind.SO:
+        return _eta(fam) @ (a - a.T)
+    if fam.kind is GroupKind.SL:
+        return a - np.trace(a) / d * np.eye(d)
+    return _zeta(d // 2) @ (a + a.T)  # Sp(2n,R)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["SU(2,1)", "SL(3,R)", "SO(4,1)", "SO(3,2)", "SU(3,1)", "SU(2,2)", "SO(3,3)", "SO(5,1)", "Sp(6,R)"],
+)
+def test_conjugation_invariance_higher_rank(name):
+    from scipy.linalg import expm
+
+    fam = parse_group(name)
+    rng = np.random.default_rng(505)
+    for dom in enumerate_domains(fam):
+        for _ in range(4):
+            vals = rng.uniform(0.15, 1.5, fam.rank)
+            g = build_element(fam, canonical_radial(fam, RadialPoint(tuple(vals), dom.signature)))
+            dom_a, pt_a = classify_element(fam, g)
+            for _ in range(2):
+                v = expm(0.3 * _random_algebra_element(fam, rng))
+                check_defining_relation(fam, v)
+                dom_b, pt_b = classify_element(fam, v @ g @ np.linalg.inv(v))
+                assert dom_b.label == dom_a.label
+                assert np.abs(np.array(pt_b.values) - np.array(pt_a.values)).max() < 1e-7
+
+
+def test_closed_form_blocks_match_expm():
+    from scipy.linalg import expm
+
+    from liekernel.domains import _hyperbolic, _so_boost, _so_rot
+
+    # parameters as the domain tests draw them; at larger generator norms
+    # expm's own scaling-and-squaring error passes 1e-14 first
+    rng = np.random.default_rng(606)
+    for angle, u in rng.uniform(0.15, 1.5, (20, 2)) * rng.choice([-1.0, 1.0], (20, 2)):
+        # mixed orthogonal plane on the (+, +, -, -) axes (0, 1, 3, 4) of SO(3,3)
+        p1, p2, m1, m2 = 0, 1, 3, 4
+        x = np.zeros((6, 6))
+        x[p1, p2], x[p2, p1] = -angle, angle
+        x[m1, m2], x[m2, m1] = -angle, angle
+        x[p1, m1] = x[m1, p1] = x[p2, m2] = x[m2, p2] = u
+        closed = _so_rot(6, p1, p2, angle) @ _so_rot(6, m1, m2, angle)
+        closed = closed @ _so_boost(6, p1, m1, u) @ _so_boost(6, p2, m2, u)
+        assert np.abs(closed - expm(x)).max() <= 1e-14 * np.abs(closed).max()
+        # USp hyperbolic quartet: exp of a on (i, j) and of -a^T on (n+i, n+j)
+        a = np.array([[1j * angle, u], [u, 1j * angle]])
+        for block, gen in ((_hyperbolic(angle, u), a), (_hyperbolic(-angle, -u), -a.T)):
+            assert np.abs(block - expm(gen)).max() <= 1e-14 * np.abs(block).max()
+
+
+@pytest.mark.parametrize("values", [(0.0, 0.7, 0.0), (0.7, 0.0, 0.7)])
+def test_so33_d0_point_with_zero_parameter_builds(values):
+    # a zero exponent is the identity on two axes and needs no plane of its own
+    fam = parse_group("SO(3,3)")
+    dom = next(d for d in enumerate_domains(fam) if d.label == "D0")
+    g = build_element(fam, canonical_radial(fam, RadialPoint(values, dom.signature)))
+    check_defining_relation(fam, g)
+    dom2, pt2 = classify_element(fam, g)
+    # the element lies on the boundary with D2, which classification tries first
+    assert dom2.label in ("D0", "D2")
+    assert _pairing_residual(predicted_eigenvalues(fam, pt2), np.linalg.eigvals(g.astype(complex))) < 1e-7
+
+
+@pytest.mark.parametrize("name, values", [("SO(5,1)", (0.7, 0.0, 0.7)), ("SO(3,3)", (0.4, 0.0, 1.1))])
+def test_zero_boost_parameter_takes_no_axes(name, values):
+    # the two rotations fill the axes a third, zero-angle one would need;
+    # build_element checks the spectrum itself
+    fam = parse_group(name)
+    dom = next(d for d in enumerate_domains(fam) if d.label == "D2")
+    g = build_element(fam, RadialPoint(values, dom.signature))
+    check_defining_relation(fam, g)
 
 
 def test_classification_ambiguous_for_loxodromic_symplectic():
