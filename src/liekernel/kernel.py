@@ -10,6 +10,7 @@ from the lower half plane.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,9 @@ _ORBIT_CAP = 3 * 10**7
 # orbit entries per block of levels in compact_spectral: the temporaries of
 # one block stay cache-sized
 _BLOCK = 2**15
+
+# grid x quadrature entries per block of radial_convolve
+_CONVOLVE_BLOCK = 2**18
 
 
 class TimeMode(enum.Enum):
@@ -144,6 +148,8 @@ class KernelRequest:
     def __post_init__(self):
         if self.phi.rank != self.rs.rank:
             raise ArgumentError("radial point rank does not match root system rank")
+        if not 0.0 < self.tol < 1.0:
+            raise ArgumentError(f"tol must lie in (0, 1), got {self.tol}")
         if self.domain is None and not self.phi.is_compact:
             raise ArgumentError("mixed-signature point needs an evolution domain")
         if self.domain is not None:
@@ -158,6 +164,15 @@ def _prefactor(n: int, t: complex) -> complex:
     return np.exp(-(n / 2.0) * np.log(4j * np.pi * t))
 
 
+@functools.cache
+def _path_constants(rs: RootSystem, signature: tuple) -> tuple:
+    """rho's part on the real axes (the wall-limit direction d), the positive
+    roots' products with d, and rho.rho: the per-signature constants of
+    ``_pathsum_terms``."""
+    direction = np.where(np.array(signature) == REAL, rs.rho, 0.0)
+    return direction, rs.positive_roots @ direction, rs.rho @ rs.rho
+
+
 def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: complex,
                    wall_limit: bool) -> complex:
     """Sum of van Vleck terms over the given winding points.
@@ -167,7 +182,7 @@ def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: comp
     denominator: the wall rule along d, rho's part on the real axes.
     """
     cv = phi.complex_vector()
-    direction = np.where(np.array(phi.signature) == REAL, rs.rho, 0.0)
+    direction, slopes, rho2 = _path_constants(rs, phi.signature)
     roots, w = wall_denominator(rs, cv, wall_limit, direction)
     k = len(roots)
     shifted = cv[None, :] + 2.0 * np.pi * points
@@ -176,7 +191,7 @@ def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: comp
         # prod_beta (u_beta + s v_beta) to order s^k, one row per point
         poly = np.zeros((len(points), k + 1), dtype=complex)
         poly[:, 0] = 1.0
-        for u, v in zip(factors.T, rs.positive_roots @ direction):
+        for u, v in zip(factors.T, slopes):
             poly[:, 1:] = poly[:, 1:] * u[:, None] + poly[:, :-1] * v
             poly[:, 0] *= u
         c = 1j * rs.lam / (4.0 * t)
@@ -187,10 +202,18 @@ def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: comp
             gauss.append((a * gauss[n] + 2.0 * b * gauss[n - 1]) / (n + 1))
         nums = sum(poly[:, j] * gauss[k - j] for j in range(k + 1))
     else:
-        nums = np.prod(factors, axis=1)
+        # np.prod(factors, axis=1) on split real and imaginary rows, in the
+        # same order and rounding: a complex elementwise product rounds
+        # differently from the reduction
+        re, im = factors.real.T, factors.imag.T
+        nre, nim = re[0], im[0]
+        for ure, uim in zip(re[1:], im[1:]):
+            nre, nim = nre * ure - nim * uim, nre * uim + nim * ure
+        nums = np.empty(len(points), dtype=complex)
+        nums.real, nums.imag = nre, nim
     denom = 2.0**rs.p * w
     action = np.einsum("ki,ki->k", shifted, shifted)
-    phases = np.exp(1j * rs.lam * action / (4.0 * t) + 1j * (rs.rho @ rs.rho) / rs.lam * t)
+    phases = np.exp(1j * rs.lam * action / (4.0 * t) + 1j * rho2 / rs.lam * t)
     return complex((nums / denom) @ phases)
 
 
@@ -481,16 +504,23 @@ def radial_convolve(rs: RootSystem, f_samples, g_samples, gauss_order: int = 48)
     nodes, wts = roots_legendre(gauss_order)
     spline = CubicSpline(grid, g_samples)
 
-    cos_half = np.cos(grid / 2.0)
-    sin_half = np.sin(grid / 2.0)
+    cos_half = np.cos(grid / 2.0)[:, None]
+    sin_half = np.sin(grid / 2.0)[:, None]
     out = np.empty(npts, dtype=np.result_type(f_samples, g_samples, np.float64))
-    for i, x in enumerate(grid):
-        cx, sx = np.cos(x / 2.0), np.sin(x / 2.0)
-        # class angle of y^{-1} x over axis angle u = cos(omega)
-        arg = cx * cos_half[:, None] + sx * sin_half[:, None] * nodes[None, :]
+    # inner[i, j], the coset average of g at the class angle of y_j^{-1} x_i,
+    # is symmetric in (i, j) bit for bit: each block of rows is formed from
+    # its first row's column on and mirrored into the later rows.  The
+    # (rows, columns, gauss_order) temporaries stay near _CONVOLVE_BLOCK.
+    inner = np.empty((npts, npts), dtype=np.result_type(g_samples, np.float64))
+    step = max(1, _CONVOLVE_BLOCK // (npts * gauss_order))
+    for start in range(0, npts, step):
+        rows = slice(start, start + step)
+        # class angle over axis angle u = cos(omega)
+        arg = cos_half[rows, None] * cos_half[start:] + sin_half[rows, None] * sin_half[start:] * nodes
         c = 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
-        inner = (spline(c) * wts[None, :]).sum(axis=1) * (vgt / 2.0)
-        out[i] = simpson(f_samples * measure * inner, x=grid)
+        inner[rows, start:] = (spline(c) * wts).sum(axis=-1) * (vgt / 2.0)
+        inner[start:, rows] = inner[rows, start:].T
+        out[rows] = simpson(f_samples * measure * inner[rows], x=grid)
     return out
 
 

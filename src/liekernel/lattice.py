@@ -9,6 +9,7 @@ vanishes along the imaginary coordinate directions survives.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,15 +333,47 @@ def _ellipsoid_points(gens, x0, scale: float, radius2: float, lower: int | None 
     return coeffs[order], d2[order]
 
 
+# (lattice, window) pairs whose offsets stay resident: a compact grid, a
+# (domain, damping) pair or a CLI grid reuses one window for every point
+_WINDOW_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _window_offsets(lat: WindingLattice, window: float) -> tuple:
+    """Integer offsets c with |2 pi c @ gens| <= R + sqrt(R^2 + window).
+
+    R = pi max_{s in {-1, 1}^dim} |s @ gens| is the radius of the Babai cell:
+    rounding the real minimizer's coordinates moves the point by at most R.
+    The closest lattice point is therefore within R of the minimizer, every
+    point the window keeps within sqrt(R^2 + window) of it, and so within
+    the offsets' reach of the rounded point.  The offsets come in
+    lexicographic order, with the projection (gens gens^T)^-1 gens onto the
+    coordinates.
+    """
+    gens = lat.generators
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=lat.dim)))
+    cell = np.pi * math.sqrt(((signs @ gens) ** 2).sum(axis=1).max())
+    reach = cell + math.sqrt(cell**2 + window)
+    # the margin covers the rounding of the distances; extra offsets only
+    # cost candidates that the distance test drops
+    coeffs, _ = _ellipsoid_points(gens, np.zeros(lat.rank), 2.0 * np.pi, reach**2 * (1.0 + 1e-9))
+    bound = int(np.abs(coeffs).max())
+    dtype = next(d for d in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
+    return coeffs.astype(dtype), np.linalg.solve(gens @ gens.T, gens)
+
+
 def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: float = 1.0) -> np.ndarray:
     """Lattice points whose Gaussian path weight survives a relative cutoff.
 
     A point m is kept while exp(-lam |phi + 2 pi m|^2 / (4 t_like)) is at
     least ``tol`` times the largest such weight.  Points come back sorted by
-    distance then lexicographically.
+    distance then lexicographically.  The candidates are the window's cached
+    offsets around the rounded minimizer; each distance comes from the
+    point's absolute coefficients, so the rounding of the centre does not
+    change the result.
     """
-    if tol <= 0:
-        raise ArgumentError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise ArgumentError(f"tol must lie in (0, 1), got {tol}")
     if t_like <= 0:
         raise ArgumentError(f"t_like must be positive, got {t_like}")
     rank = lat.rank
@@ -349,16 +382,14 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     x0 = _real_vector(phi, rank)
 
     gens = lat.generators
-    center = np.linalg.solve(gens @ gens.T, gens @ (-x0 / (2.0 * np.pi)))
-    nearest = x0 + 2.0 * np.pi * (np.round(center) @ gens)
     window = 4.0 * t_like * np.log(1.0 / tol) / lam
-    # the rounded center bounds the closest distance from above, so the
-    # search radius covers the window around the true closest point
-    reach = nearest @ nearest + window
-    coeffs, d2 = _ellipsoid_points(gens, x0, 2.0 * np.pi, reach + 1e-12 * max(1.0, reach))
+    offsets, proj = _window_offsets(lat, float(window))
+    coeffs = np.round(proj @ (-x0 / (2.0 * np.pi))).astype(int) + offsets
+    pts = coeffs @ gens
+    d2 = ((x0 + 2.0 * np.pi * pts) ** 2).sum(axis=1)
     radius2 = d2.min() + window
     keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
-    pts = coeffs[keep] @ gens
+    pts = pts[keep]
     d2 = d2[keep]
     order = np.lexsort(tuple(np.round(pts[:, j], 9) for j in range(rank - 1, -1, -1)) + (np.round(d2, 9),))
     return pts[order]
@@ -459,20 +490,19 @@ def reduce_lexmax(group: WeylGroup, lat: WindingLattice, phi: RadialPoint):
     m in integer coordinates over ``lat``'s basis.
     """
     sub = domain_sublattice(lat, phi.signature)
-    values = np.asarray(phi.values, dtype=float)
-    candidates = []
-    for elem in _signature_preserving(group, phi.signature):
-        y = elem.matrix @ values
-        if sub.dim:
-            center = np.linalg.solve(sub.generators @ sub.generators.T, sub.generators @ y)
-            c = -np.round(center / (2.0 * np.pi)).astype(int)
-            y = y + 2.0 * np.pi * (c @ sub.generators)
-            full = c @ sub.coeffs
-        else:
-            full = np.zeros(lat.coeffs.shape[1], dtype=int)
-        key = tuple(np.round(y, 10))
-        candidates.append((key, y, elem, full))
-    key, y, elem, full = max(candidates, key=lambda item: item[0])
+    elems = _signature_preserving(group, phi.signature)
+    ys = np.stack([e.matrix for e in elems]) @ np.asarray(phi.values, dtype=float)
+    shifts = np.zeros((len(elems), sub.dim), dtype=int)
+    if sub.dim:
+        gens = sub.generators
+        # stacked matrix-vector products and solves, each the same call per
+        # element as a loop would make, so the reduction is unchanged
+        center = np.linalg.solve((gens @ gens.T)[None], gens[None] @ ys[..., None])[..., 0]
+        shifts = -np.round(center / (2.0 * np.pi)).astype(int)
+        ys = ys + 2.0 * np.pi * (shifts[:, None] @ gens)[:, 0]
+    keys = np.round(ys, 10)
+    best = max(range(len(elems)), key=lambda i: tuple(keys[i]))
+    y, elem, full = ys[best], elems[best], shifts[best] @ sub.coeffs
     # m is applied before sigma: canonical = sigma(phi + 2 pi m)
     mcoeffs = _coeffs_of(lat, elem.matrix.T @ (full @ lat.generators))
     return RadialPoint(tuple(y), phi.signature), elem, mcoeffs

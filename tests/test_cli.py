@@ -79,6 +79,15 @@ def test_kernel_empty_grid_is_usage_error(capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("route", ["pathsum", "spectral", "both"])
+@pytest.mark.parametrize("tol", ["5", "1", "0", "-1e-3"])
+def test_kernel_tol_outside_unit_interval_is_usage_error(capsys, route, tol):
+    code, out, err = run(capsys, "kernel", "SU3", "--heat", "0.5", "--route", route, f"--tol={tol}",
+                         "--point", "0.3,0.5")
+    assert code == 2
+    assert out == "" and "tol" in err and "Traceback" not in err
+
+
 def test_kernel_requires_time(capsys):
     code, _, err = run(capsys, "kernel", "SU2", "--grid", "0.3:2.0:4")
     assert code == 2

@@ -17,6 +17,7 @@ from liekernel import (
     build_root_system,
     compact_pathsum,
     compact_spectral,
+    domain_sublattice,
     enumerate_points,
     generate_weyl_group,
     integrate_central_su2,
@@ -33,7 +34,7 @@ from liekernel import (
     winding_lattice,
 )
 from liekernel import kernel
-from liekernel.domains import enumerate_domains
+from liekernel.domains import enumerate_domains, root_system_of
 from liekernel.kernel import _level_sums, _spectral_data, _spectral_levels
 
 RNG = np.random.default_rng(92)
@@ -188,6 +189,84 @@ def test_wall_rejection_and_limit():
         KernelRequest(rs=A1, phi=RadialPoint.real([0.0]), time=tp, wall_limit=True)
     ).value
     assert abs(limit - spec_limit) / abs(limit) < 1e-7
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, 2.0, float("nan")])
+def test_request_rejects_tol_outside_unit_interval(tol):
+    phi = RadialPoint.real([0.8, 0.55])
+    for route in (compact_pathsum, compact_spectral):
+        with pytest.raises(ArgumentError, match="tol"):
+            route(KernelRequest(rs=A2, phi=phi, time=TimeParameter.heat(0.5), tol=tol))
+    dom = _domain("SU(2,1)", "D1")
+    with pytest.raises(ArgumentError, match="tol"):
+        noncompact_pathsum(KernelRequest(rs=A2, phi=RadialPoint.mixed([0.7, 0.4], dom.signature),
+                                         time=TimeParameter.real(1.0), domain=dom, tol=tol))
+
+
+def _pathsum_terms_by_prod(rs, phi, points, t, wall_limit):
+    """Reference van Vleck sum: the numerator product as one np.prod."""
+    cv = phi.complex_vector()
+    direction = np.where(np.array(phi.signature) == "R", rs.rho, 0.0)
+    roots, w = kernel.wall_denominator(rs, cv, wall_limit, direction)
+    k = len(roots)
+    shifted = cv[None, :] + 2.0 * np.pi * points
+    factors = shifted @ rs.positive_roots.T
+    if k:
+        poly = np.zeros((len(points), k + 1), dtype=complex)
+        poly[:, 0] = 1.0
+        for u, v in zip(factors.T, rs.positive_roots @ direction):
+            poly[:, 1:] = poly[:, 1:] * u[:, None] + poly[:, :-1] * v
+            poly[:, 0] *= u
+        c = 1j * rs.lam / (4.0 * t)
+        a, b = 2.0 * c * (shifted @ direction), c * (direction @ direction)
+        gauss = [np.ones(len(points)), a]
+        for n in range(1, k):
+            gauss.append((a * gauss[n] + 2.0 * b * gauss[n - 1]) / (n + 1))
+        nums = sum(poly[:, j] * gauss[k - j] for j in range(k + 1))
+    else:
+        nums = np.prod(factors, axis=1)
+    denom = 2.0**rs.p * w
+    action = np.einsum("ki,ki->k", shifted, shifted)
+    phases = np.exp(1j * rs.lam * action / (4.0 * t) + 1j * (rs.rho @ rs.rho) / rs.lam * t)
+    return complex((nums / denom) @ phases)
+
+
+def _pathsum_cases():
+    """(rs, lattice, point, times): compact points off and on walls, and
+    domain points with the undamped (Abel) window and a small damping."""
+    damped = (TimeParameter.heat(0.6), TimeParameter.real(1.0, 0.05))
+    cases = []
+    for family, rank in [("A", 1), ("A", 2), ("B", 3), ("C", 3), ("D", 4)]:
+        rs = build_root_system(family, rank)
+        lat = winding_lattice(rs)
+        off = RNG.uniform(0.2, 1.2, rank)
+        # the identity and a point on the first simple root's wall
+        wall = np.linalg.solve(rs.simple_roots, np.r_[0.0, RNG.uniform(0.3, 0.9, rank - 1)])
+        for x in (off, np.zeros(rank), wall):
+            cases.append((rs, lat, RadialPoint.real(x), damped))
+    for name, label in [("SU(2,1)", "D1"), ("SU(3,1)", "D3"), ("Sp(6,R)", "D3"), ("SO(3,3)", "D2")]:
+        dom = _domain(name, label)
+        rs = root_system_of(parse_group(name))
+        sub = domain_sublattice(winding_lattice(rs), dom)
+        phi = RadialPoint.mixed(RNG.uniform(0.2, 1.4, rs.rank), dom.signature)
+        cases.append((rs, sub, phi, (TimeParameter.real(1.0), TimeParameter.real(1.0, 0.05))))
+    return cases
+
+
+def test_pathsum_terms_match_prod_reference():
+    for rs, lat, phi, times in _pathsum_cases():
+        for time in times:
+            t = time.effective
+            points = enumerate_points(lat, phi, time.decay_scale(), 1e-14, lam=rs.lam)
+            for limit in (False, True):
+                try:
+                    want = _pathsum_terms_by_prod(rs, phi, points, t, limit)
+                except SingularPointError:
+                    with pytest.raises(SingularPointError):
+                        kernel._pathsum_terms(rs, phi, points, t, limit)
+                    continue
+                got = kernel._pathsum_terms(rs, phi, points, t, limit)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (rs.name, phi, time, limit)
 
 
 def test_spectral_requires_damping_in_real_time():
@@ -538,6 +617,42 @@ def test_convolution_delta_approximant_returns_g():
     out = radial_convolve(A1, delta.astype(complex), g.astype(complex))
     interior = slice(40, n - 40)
     assert np.abs(out[interior] - g[interior]).max() < 5e-3
+
+
+def _radial_convolve_by_loop(rs, f_samples, g_samples, gauss_order=48):
+    """Reference convolution: one grid point x at a time."""
+    from scipy.integrate import simpson
+    from scipy.interpolate import CubicSpline
+    from scipy.special import roots_legendre
+
+    npts = len(f_samples)
+    grid = np.linspace(0.0, 2.0 * np.pi, npts)
+    vgt = kernel.coset_volume(rs)
+    measure = rs.lam ** 0.5 * 2.0 ** (rs.n - rs.rank) * np.sin(grid / 2.0) ** 2
+    nodes, wts = roots_legendre(gauss_order)
+    spline = CubicSpline(grid, g_samples)
+    cos_half = np.cos(grid / 2.0)
+    sin_half = np.sin(grid / 2.0)
+    out = np.empty(npts, dtype=np.result_type(f_samples, g_samples, np.float64))
+    for i, x in enumerate(grid):
+        cx, sx = np.cos(x / 2.0), np.sin(x / 2.0)
+        arg = cx * cos_half[:, None] + sx * sin_half[:, None] * nodes[None, :]
+        c = 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
+        inner = (spline(c) * wts[None, :]).sum(axis=1) * (vgt / 2.0)
+        out[i] = simpson(f_samples * measure * inner, x=grid)
+    return out
+
+
+@pytest.mark.parametrize("npts,gauss_order", [(64, 48), (201, 48), (201, 16)])
+def test_convolution_matches_per_point_loop(npts, gauss_order):
+    grid = np.linspace(0.0, 2.0 * np.pi, npts)
+    f = _heat_samples(0.3, npts)
+    for g in (np.cos(grid) + 0.3, _heat_samples(0.5, npts)):
+        got = radial_convolve(A1, f, g, gauss_order=gauss_order)
+        want = _radial_convolve_by_loop(A1, f, g, gauss_order=gauss_order)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    real = radial_convolve(A1, f.real, grid, gauss_order=gauss_order)
+    assert real.tobytes() == _radial_convolve_by_loop(A1, f.real, grid, gauss_order=gauss_order).tobytes()
 
 
 def test_convolution_semigroup():

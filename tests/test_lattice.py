@@ -12,6 +12,14 @@ from liekernel import (
     generate_weyl_group,
     winding_lattice,
 )
+from liekernel.lattice import (
+    _WINDOW_CACHE_SIZE,
+    _coeffs_of,
+    _ellipsoid_points,
+    _signature_preserving,
+    _window_offsets,
+    reduce_lexmax,
+)
 
 RNG = np.random.default_rng(31)
 
@@ -197,6 +205,67 @@ def test_enumerate_points_matches_box_scan(rs, lat):
             assert np.array_equal(got, _points_by_box(lat, x0, t_like, 1e-14, rs.lam)), (x0, t_like)
 
 
+def _points_by_search(lat, x0, t_like, tol, lam):
+    """Reference window: one Fincke-Pohst search around x0 per call, out to
+    the rounded minimizer's distance plus the window."""
+    gens = lat.generators
+    center = np.linalg.solve(gens @ gens.T, gens @ (-x0 / (2.0 * np.pi)))
+    nearest = x0 + 2.0 * np.pi * (np.round(center) @ gens)
+    window = 4.0 * t_like * np.log(1.0 / tol) / lam
+    reach = nearest @ nearest + window
+    coeffs, d2 = _ellipsoid_points(gens, x0, 2.0 * np.pi, reach + 1e-12 * max(1.0, reach))
+    radius2 = d2.min() + window
+    keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
+    pts, d2 = coeffs[keep] @ gens, d2[keep]
+    rank = gens.shape[1]
+    order = np.lexsort(tuple(np.round(pts[:, j], 9) for j in range(rank - 1, -1, -1)) + (np.round(d2, 9),))
+    return pts[order]
+
+
+@pytest.mark.parametrize("rs,lat", _window_lattices())
+def test_enumerate_points_matches_per_call_search(rs, lat):
+    rng = np.random.default_rng(11)
+    gens = lat.generators
+    # pi times integer coroot sums put the minimizer on Babai-cell
+    # boundaries: half-integer coordinates wherever a coefficient is odd
+    points = [
+        rng.uniform(-12.0, 12.0, rs.rank),
+        rng.uniform(0.0, 2.0 * np.pi, rs.rank),
+        np.pi * (np.ones(lat.dim) @ gens),
+        np.pi * (rng.integers(-1, 2, lat.dim) @ gens),
+        np.pi * (rng.integers(-3, 4, lat.dim) @ gens) + 1e-13,
+    ]
+    for t_like in (0.01, 0.3, 30.0, 1000.0):
+        for tol in (1e-6, 1e-14, 1e-30):
+            if lat.dim == 4 and t_like * np.log(1.0 / tol) > 1000.0:
+                continue  # 10^5 and more points per call
+            for x0 in points:
+                got = enumerate_points(lat, x0, t_like, tol, lam=rs.lam)
+                want = _points_by_search(lat, x0, t_like, tol, rs.lam)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x0, t_like, tol)
+
+
+def test_window_offsets_cache_stays_bounded():
+    rs = build_root_system("A", 2)
+    lat = winding_lattice(rs)
+    phi = RadialPoint.real([0.8, 0.55])
+    for k in range(_WINDOW_CACHE_SIZE + 8):
+        enumerate_points(lat, phi, 0.2 + 0.01 * k, 1e-14, lam=rs.lam)
+    info = _window_offsets.cache_info()
+    assert info.maxsize == _WINDOW_CACHE_SIZE
+    assert info.currsize <= _WINDOW_CACHE_SIZE
+    hits = info.hits
+    enumerate_points(lat, RadialPoint.real([2.1, -0.4]), 0.2 + 0.01 * (_WINDOW_CACHE_SIZE + 7), 1e-14, lam=rs.lam)
+    assert _window_offsets.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, 2.0, float("nan")])
+def test_enumerate_points_rejects_tol_outside_unit_interval(tol):
+    rs = build_root_system("A", 2)
+    with pytest.raises(ArgumentError):
+        enumerate_points(winding_lattice(rs), RadialPoint.real([0.8, 0.55]), 0.5, tol, lam=rs.lam)
+
+
 def test_enumerate_points_resource_cap():
     rs = build_root_system("A", 2)
     lat = winding_lattice(rs)
@@ -253,3 +322,44 @@ def test_canonicalize_mixed():
     assert abs(c.values[0] - 0.4) < 1e-9 and abs(c.values[1] - 0.8) < 1e-9
     back = sigma.matrix.T @ np.array(c.values) - 2 * np.pi * (m @ lb.generators)
     assert np.abs(back - np.array(pt.values)).max() < 1e-9
+
+
+def _reduce_lexmax_by_loop(group, lat, phi):
+    """Reference reduction: one Weyl element at a time."""
+    sub = domain_sublattice(lat, phi.signature)
+    values = np.asarray(phi.values, dtype=float)
+    candidates = []
+    for elem in _signature_preserving(group, phi.signature):
+        y = elem.matrix @ values
+        if sub.dim:
+            center = np.linalg.solve(sub.generators @ sub.generators.T, sub.generators @ y)
+            c = -np.round(center / (2.0 * np.pi)).astype(int)
+            y = y + 2.0 * np.pi * (c @ sub.generators)
+            full = c @ sub.coeffs
+        else:
+            full = np.zeros(lat.coeffs.shape[1], dtype=int)
+        candidates.append((tuple(np.round(y, 10)), y, elem, full))
+    _, y, elem, full = max(candidates, key=lambda item: item[0])
+    mcoeffs = _coeffs_of(lat, elem.matrix.T @ (full @ lat.generators))
+    return RadialPoint(tuple(y), phi.signature), elem, mcoeffs
+
+
+@pytest.mark.parametrize("name", CATALOGUE_GROUPS)
+def test_reduce_lexmax_matches_loop(name):
+    from liekernel.domains import classification_lattice, enumerate_domains, parse_group, root_system_of
+
+    fam = parse_group(name)
+    rs = root_system_of(fam)
+    group = generate_weyl_group(rs)
+    rng = np.random.default_rng(23)
+    for lat in (winding_lattice(rs), classification_lattice(fam)):
+        for dom in enumerate_domains(fam):
+            for k in range(8):
+                # multiples of pi/2 put images on walls and cell boundaries
+                values = rng.uniform(-15.0, 15.0, rs.rank) if k % 2 else rng.integers(-4, 5, rs.rank) * np.pi / 2
+                phi = RadialPoint.mixed(values, dom.signature)
+                got = reduce_lexmax(group, lat, phi)
+                want = _reduce_lexmax_by_loop(group, lat, phi)
+                assert np.array(got[0].values).tobytes() == np.array(want[0].values).tobytes()
+                assert got[1].matrix.tobytes() == want[1].matrix.tobytes()
+                assert np.array_equal(got[2], want[2])
