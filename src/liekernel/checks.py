@@ -1,16 +1,21 @@
 """Named invariant checks, runnable from the command line.
 
-Each check returns (passed, residual, detail); the suite is the library's
-self-test surface, covering the identities the construction is supposed to
-guarantee.
+Each identity the construction is supposed to guarantee is one public
+function of its inputs that returns its worst residual.  ``CHECKS`` binds a
+name to one call of such a function, the bound its residual must stay below
+(0: must vanish exactly) and a one-line detail; ``liekernel check`` runs
+these bindings, and the test suite calls the same functions at its own
+inputs and bounds, so each identity is coded once.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import kernel as kmod
-from .domains import domain_count, parse_group
+from .domains import domain_count, enumerate_domains, parse_group, root_system_of
 from .lattice import RadialPoint, domain_sublattice, winding_lattice
 from .rootsys import build_root_system, cartan_matrix, rescale
 from .volumes import coset_volume, group_volume, torus_volume, torus_volume_quadrature
@@ -22,262 +27,349 @@ from .weyl import (
     weyl_order_from_intertwiner,
 )
 
-_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
+SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
+WEYL_ORDERS = [("A", 1, 2), ("A", 2, 6), ("B", 2, 8), ("A", 3, 24), ("C", 3, 48)]
+CATALOGUED_DOMAIN_COUNTS = {
+    "SU(2,1)": 2, "SL(3,R)": 2, "SO(4,1)": 2, "SO(3,2)": 3, "SU(3,1)": 2,
+    "SU(2,2)": 3, "SO(3,3)": 3, "SO(5,1)": 1, "USp(4,2)": 2, "Sp(6,R)": 4,
+}
 
 
-def _check_rho_identity():
+# ---------------------------------------------------------------------------
+# root systems, Weyl groups, volumes
+# ---------------------------------------------------------------------------
+
+
+def rho_identity(systems) -> float:
+    """Worst |rho^2/lambda - n/24| over (family, rank) systems."""
     worst = 0.0
-    for fam, rank in _SYSTEMS:
+    for fam, rank in systems:
         rs = build_root_system(fam, rank)
         worst = max(worst, abs(float(rs.rho @ rs.rho) / rs.lam - rs.n / 24.0))
-    return worst < 1e-12, worst, "rho^2/lambda == n/24 over all supported systems"
+    return worst
 
 
-def _check_root_weight_duality():
+def root_weight_duality(systems) -> float:
+    """Worst entry of gamma_i . w_j - gamma_i^2/2 delta_ij."""
     worst = 0.0
-    for fam, rank in _SYSTEMS:
+    for fam, rank in systems:
         rs = build_root_system(fam, rank)
         want = np.diag((rs.simple_roots**2).sum(axis=1) / 2.0)
         worst = max(worst, float(np.abs(rs.simple_roots @ rs.weights.T - want).max()))
-    return worst < 1e-12, worst, "gamma_i . w_j == gamma_i^2/2 delta_ij"
+    return worst
 
 
-def _check_rescale_roundtrip():
-    rs = build_root_system("B", 2)
-    back = rescale(rescale(rs, 1.7), 1 / 1.7)
+def rescale_roundtrip(rs, factor: float) -> float:
+    """Worst change of the simple roots and Cartan matrix after rescale(c), rescale(1/c)."""
+    back = rescale(rescale(rs, factor), 1 / factor)
     worst = float(np.abs(back.simple_roots - rs.simple_roots).max())
-    worst = max(worst, float(np.abs(cartan_matrix(back) - cartan_matrix(rs)).max()))
-    return worst < 1e-12, worst, "rescale(c) then rescale(1/c) is the identity"
+    return max(worst, float(np.abs(cartan_matrix(back) - cartan_matrix(rs)).max()))
 
 
-def _check_weyl_orders():
-    want = {("A", 1): 2, ("A", 2): 6, ("B", 2): 8, ("A", 3): 24, ("C", 3): 48}
-    bad = 0
-    for (fam, rank), order in want.items():
-        if generate_weyl_group(build_root_system(fam, rank)).order != order:
-            bad += 1
-    return bad == 0, float(bad), "N(W) = 2, 6, 8, 24, 48 for A1, A2, B2, A3, C3"
+def weyl_orders(cases) -> int:
+    """Number of (family, rank, order) cases whose Weyl group has another order."""
+    return sum(generate_weyl_group(build_root_system(fam, rank)).order != order for fam, rank, order in cases)
 
 
-def _check_weyl_function_parity():
-    rng = np.random.default_rng(11)
+def weyl_function_parity(systems, rng, draws: int) -> float:
+    """Worst |w(sigma phi) - parity(sigma) w(phi)| over every sigma in W.
+
+    ``draws`` points per system come from ``rng`` (a seed or a Generator),
+    uniform in [-2, 2)^r.
+    """
+    rng = np.random.default_rng(rng)
     worst = 0.0
-    for fam, rank in [("A", 2), ("B", 2), ("C", 3)]:
+    for fam, rank in systems:
         rs = build_root_system(fam, rank)
         group = generate_weyl_group(rs)
-        for _ in range(5):
+        for _ in range(draws):
             phi = rng.uniform(-2, 2, rank)
             w0 = weyl_function(rs, phi)
             for elem in group:
                 worst = max(worst, abs(weyl_function(rs, elem.matrix @ phi) - elem.parity * w0))
-    return worst < 1e-10, worst, "w(sigma phi) = parity(sigma) w(phi)"
+    return worst
 
 
-def _check_intertwiner_order():
+def intertwiner_order(cases) -> float:
+    """Worst |(2^p/prod alpha.rho) (D w)(0) - N(W)| over (family, rank, N(W)) cases."""
+    return max(
+        abs(weyl_order_from_intertwiner(build_root_system(fam, rank)) - order) for fam, rank, order in cases
+    )
+
+
+def character_dimensions(rs, cases) -> float:
+    """Worst |chi_l(0) - d| and |dim(l) - d| over (l, d) cases.
+
+    chi_l(0) is the character's exact wall limit at the identity.
+    """
     worst = 0.0
-    for fam, rank in [("A", 1), ("A", 2), ("B", 2)]:
+    for l, d in cases:
+        lim = character(rs, l, np.zeros(rs.rank), limit=True)
+        worst = max(worst, abs(dimension(rs, l) - d), abs(lim - d))
+    return worst
+
+
+def volume_factorization(systems) -> float:
+    """Worst |V_G - V_T V_G/T| / V_G."""
+    worst = 0.0
+    for fam, rank in systems:
         rs = build_root_system(fam, rank)
-        order = generate_weyl_group(rs).order
-        worst = max(worst, abs(weyl_order_from_intertwiner(rs) - order))
-    return worst < 1e-9, worst, "(2^p/prod alpha.rho) (D w)(0) = N(W)"
+        vg = group_volume(rs)
+        worst = max(worst, abs(vg - torus_volume(rs) * coset_volume(rs)) / vg)
+    return worst
 
 
-def _check_dimensions():
-    rs = build_root_system("A", 2)
-    vals = [dimension(rs, l) for l in ([0, 0], [1, 0], [1, 1], [3, 0])]
-    ok = vals == [1, 3, 8, 10]
+def volume_rescale(systems, factors) -> float:
+    """Worst relative change of V_G, V_T and V_G/T when the roots are rescaled."""
     worst = 0.0
-    for l, d in zip(([0, 0], [1, 0], [1, 1], [3, 0]), vals):
-        lim = character(rs, l, np.zeros(2), limit=True)
-        worst = max(worst, abs(lim - d))
-    return ok and worst < 1e-12, worst, "dimension formula vs character limit on A2"
-
-
-def _check_identity_value():
-    tau = 2.0
-    worst = 0.0
-    for fam, rank in _SYSTEMS:
+    for fam, rank in systems:
         rs = build_root_system(fam, rank)
-        lam_l, dims, _, _ = kmod._spectral_data(rs, tau, 1e-20, None)
-        want = float((dims**2 * np.exp(-lam_l * tau)).sum()) / group_volume(rs)
-        req = kmod.KernelRequest(
-            rs=rs, phi=RadialPoint.real(np.zeros(rank)), time=kmod.TimeParameter.heat(tau),
-            tol=1e-20, wall_limit=True,
-        )
-        for route in (kmod.compact_pathsum, kmod.compact_spectral):
-            worst = max(worst, abs(route(req).value - want) / want)
-    return worst < 1e-12, worst, "both routes at the identity == V_G^-1 sum_l d_l^2 exp(-lambda_l tau)"
+        for c in factors:
+            rs2 = rescale(rs, c)
+            for vol in (group_volume, torus_volume, coset_volume):
+                worst = max(worst, abs(vol(rs2) - vol(rs)) / vol(rs))
+    return worst
 
 
-def _check_volume_factorization():
-    worst = 0.0
-    for fam, rank in _SYSTEMS:
-        rs = build_root_system(fam, rank)
-        vg, vt, vgt = group_volume(rs), torus_volume(rs), coset_volume(rs)
-        worst = max(worst, abs(vg - vt * vgt) / vg)
-        rs2 = rescale(rs, 1.3)
-        worst = max(worst, abs(group_volume(rs2) - vg) / vg)
-    return worst < 1e-10, worst, "V_G = V_T V_G/T and rescale invariance"
-
-
-def _check_volume_quadrature():
-    rs = build_root_system("A", 1)
+def volume_quadrature(rs, points_per_axis: int) -> float:
+    """Relative miss of the torus volume quadrature against the closed form."""
     vt = torus_volume(rs)
-    worst = abs(torus_volume_quadrature(rs) - vt) / vt
-    return worst < 1e-8, worst, "torus volume quadrature agrees with the closed form"
+    return abs(torus_volume_quadrature(rs, points_per_axis) - vt) / vt
 
 
-def _check_sublattice_purity():
+def sublattice_purity(cases) -> float:
+    """Largest generator entry of a domain sublattice on an imaginary axis.
+
+    ``cases`` are (root system, signature) pairs; the identity holds when the
+    result is exactly 0.
+    """
     worst = 0.0
-    for name in ("SU(2,1)", "SL(3,R)", "SU(2,2)", "Sp(6,R)"):
-        from .domains import enumerate_domains, root_system_of
-
-        fam = parse_group(name)
-        lat = winding_lattice(root_system_of(fam))
-        for dom in enumerate_domains(fam):
-            sub = domain_sublattice(lat, dom)
-            for j, s in enumerate(dom.signature):
-                if s == "I" and sub.dim:
-                    worst = max(worst, float(np.abs(sub.generators[:, j]).max()))
-    return worst == 0.0, worst, "sublattice generators vanish exactly on imaginary axes"
+    for rs, signature in cases:
+        sub = domain_sublattice(winding_lattice(rs), tuple(signature))
+        for j, s in enumerate(signature):
+            if s == "I" and sub.dim:
+                worst = max(worst, float(np.abs(sub.generators[:, j]).max()))
+    return worst
 
 
-def _check_dual_series_su2():
-    rs = build_root_system("A", 1)
+def domain_counts(cases) -> int:
+    """Number of groups in the {name: count} mapping with another domain count."""
+    return sum(domain_count(parse_group(name)) != want for name, want in cases.items())
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+
+def _heat(rs, phi, tau, **kw):
+    return kmod.KernelRequest(rs=rs, phi=RadialPoint.real(phi), time=kmod.TimeParameter.heat(tau), **kw)
+
+
+def identity_value(systems, taus, routes) -> float:
+    """Worst |K_tau(0) - V_G^-1 sum_l d_l^2 exp(-lambda_l tau)| relative, per route.
+
+    Both sides are taken at tol = 1e-20; ``routes`` are kernel functions such
+    as ``compact_pathsum`` and ``compact_spectral``.
+    """
     worst = 0.0
-    for tau in (0.1, 0.5, 1.0):
-        req = kmod.KernelRequest(rs=rs, phi=RadialPoint.real([1.3]), time=kmod.TimeParameter.heat(tau))
-        a = kmod.compact_pathsum(req).value
-        b = kmod.compact_spectral(req).value
-        worst = max(worst, abs(a - b) / abs(b))
-    return worst < 1e-8, worst, "path sum == spectral expansion on the rank-1 compact group"
+    for fam, rank in systems:
+        rs = build_root_system(fam, rank)
+        for tau in taus:
+            lam_l, dims, _, _ = kmod._spectral_data(rs, tau, 1e-20, None)
+            want = float((dims**2 * np.exp(-lam_l * tau)).sum()) / group_volume(rs)
+            req = _heat(rs, np.zeros(rank), tau, tol=1e-20, wall_limit=True)
+            for route in routes:
+                worst = max(worst, abs(route(req).value - want) / want)
+    return worst
 
 
-def _check_dual_series_su3():
+def dual_series(rs, points, taus, wall_limit: bool = False) -> float:
+    """Worst |path sum - spectral expansion| / |spectral| at heat times ``taus``."""
+    worst = 0.0
+    for tau in taus:
+        for phi in points:
+            req = _heat(rs, phi, tau, wall_limit=wall_limit)
+            a = kmod.compact_pathsum(req).value
+            b = kmod.compact_spectral(req).value
+            worst = max(worst, abs(a - b) / abs(b))
+    return worst
+
+
+def kernel_symmetry(cases) -> float:
+    """Worst |K(sigma phi + 2 pi m) - K(phi)| / max(1, |K(phi)|) of the path sum.
+
+    ``cases`` are (rs, phi, time, sigma, m): sigma indexes the Weyl group's
+    elements and m is a winding vector in phi coordinates.
+    """
+    worst = 0.0
+    for rs, phi, time, sigma, m in cases:
+        base = kmod.compact_pathsum(kmod.KernelRequest(rs=rs, phi=RadialPoint.real(phi), time=time)).value
+        elem = generate_weyl_group(rs).elements[sigma]
+        moved_phi = RadialPoint.real(elem.matrix @ phi + 2 * np.pi * m)
+        moved = kmod.compact_pathsum(kmod.KernelRequest(rs=rs, phi=moved_phi, time=time)).value
+        worst = max(worst, abs(moved - base) / max(1.0, abs(base)))
+    return worst
+
+
+def _a2_weyl_draws(seed: int, count: int, tau: float) -> list:
+    """Random A2 points in [0.3, 1.2)^2, each with a random Weyl element and no winding."""
+    rng = np.random.default_rng(seed)
     rs = build_root_system("A", 2)
-    worst = 0.0
-    for tau in (0.1, 0.5):
-        req = kmod.KernelRequest(rs=rs, phi=RadialPoint.real([0.8, 0.5]), time=kmod.TimeParameter.heat(tau))
-        a = kmod.compact_pathsum(req).value
-        b = kmod.compact_spectral(req).value
-        worst = max(worst, abs(a - b) / abs(b))
-    return worst < 1e-8, worst, "path sum == spectral expansion on the rank-2 unitary group"
+    time = kmod.TimeParameter.heat(tau)
+    return [(rs, rng.uniform(0.3, 1.2, 2), time, int(rng.integers(0, 6)), np.zeros(2)) for _ in range(count)]
 
 
-def _check_normalization_su2():
+def heat_normalization(tau: float) -> float:
+    """|integral of the rank-1 heat kernel against the invariant measure - 1|."""
     rs = build_root_system("A", 1)
 
     def kern(x):
-        req = kmod.KernelRequest(
-            rs=rs, phi=RadialPoint.real([x]), time=kmod.TimeParameter.heat(0.5), wall_limit=True
-        )
-        return kmod.compact_pathsum(req).value
+        return kmod.compact_pathsum(_heat(rs, [x], tau, wall_limit=True)).value
 
-    worst = abs(kmod.integrate_central_su2(rs, kern) - 1.0)
-    return worst < 1e-6, worst, "heat kernel integrates to 1 against the invariant measure"
+    return abs(kmod.integrate_central_su2(rs, kern) - 1.0)
 
 
-def _check_d1_identity():
-    from .domains import enumerate_domains
+def _su11_domain(label: str):
+    return next(d for d in enumerate_domains(parse_group("SU(1,1)")) if d.label == label)
 
+
+def d1_identity(points, times) -> float:
+    """Worst |SU(1,1) D1 kernel - SU(2) kernel| at radial values ``points``."""
     rs = build_root_system("A", 1)
-    fam = parse_group("SU(1,1)")
-    d1 = [d for d in enumerate_domains(fam) if d.label == "D1"][0]
+    d1 = _su11_domain("D1")
     worst = 0.0
-    for t in (kmod.TimeParameter.heat(0.4), kmod.TimeParameter.real(0.7)):
-        for phi in (0.6, 2.5):
+    for t in times:
+        for phi in points:
             a = kmod.noncompact_pathsum(
                 kmod.KernelRequest(rs=rs, phi=RadialPoint.real([phi]), time=t, domain=d1)
             ).value
-            b = kmod.compact_pathsum(
-                kmod.KernelRequest(rs=rs, phi=RadialPoint.real([phi]), time=t)
-            ).value
+            b = kmod.compact_pathsum(kmod.KernelRequest(rs=rs, phi=RadialPoint.real([phi]), time=t)).value
             worst = max(worst, abs(a - b))
-    return worst < 1e-12, worst, "open-form D1 kernel identical to the compact kernel"
+    return worst
 
 
-def _check_d0_closed_form():
-    from .domains import enumerate_domains
-
+def d0_closed_form(thetas, times) -> float:
+    """Worst |SU(1,1) D0 path sum - su11_kernel_d0| at imaginary radial values ``thetas``."""
     rs = build_root_system("A", 1)
-    fam = parse_group("SU(1,1)")
-    d0 = [d for d in enumerate_domains(fam) if d.label == "D0"][0]
+    d0 = _su11_domain("D0")
     worst = 0.0
-    for t in (0.5, 1.0):
-        for theta in np.linspace(0.1, 3.0, 7):
-            tp = kmod.TimeParameter.real(t)
+    for t in times:
+        for theta in thetas:
             a = kmod.noncompact_pathsum(
-                kmod.KernelRequest(rs=rs, phi=RadialPoint.mixed([theta], "I"), time=tp, domain=d0)
+                kmod.KernelRequest(rs=rs, phi=RadialPoint.mixed([theta], "I"), time=t, domain=d0)
             ).value
-            b = kmod.su11_kernel_d0(theta, tp)
-            worst = max(worst, abs(a - b))
-    return worst < 1e-10, worst, "engine matches the closed form on the open rank-1 domain"
+            worst = max(worst, abs(a - kmod.su11_kernel_d0(theta, t)))
+    return worst
 
 
-def _check_resolvent_poles():
-    poles = kmod.su2_resolvent_poles(4.5)
-    worst = 0.0
-    for n in range(1, 7):
-        lam_n = (n**2 - 1) / 8.0
-        worst = max(worst, min(abs(p - lam_n) for p in poles))
-    return worst < 1e-9, worst, "rank-1 resolvent poles sit at (n^2-1)/8"
+def resolvent_poles(lam_max: float, levels) -> float:
+    """Worst distance from (n^2-1)/8, n in ``levels``, to the nearest located rank-1 pole."""
+    poles = kmod.su2_resolvent_poles(lam_max)
+    return max(min(abs(p - (n**2 - 1) / 8.0) for p in poles) for n in levels)
 
 
-def _check_domain_counts():
-    cases = {
-        "SU(2,1)": 2, "SL(3,R)": 2, "SO(4,1)": 2, "SO(3,2)": 3, "SU(3,1)": 2,
-        "SU(2,2)": 3, "SO(3,3)": 3, "SO(5,1)": 1, "USp(4,2)": 2, "Sp(6,R)": 4,
-    }
-    bad = sum(1 for name, want in cases.items() if domain_count(parse_group(name)) != want)
-    return bad == 0, float(bad), "domain counts match the catalogued values"
+# ---------------------------------------------------------------------------
+# the suite
+# ---------------------------------------------------------------------------
 
 
-def _check_kernel_weyl_invariance():
-    rng = np.random.default_rng(5)
-    rs = build_root_system("A", 2)
-    group = generate_weyl_group(rs)
-    worst = 0.0
-    for _ in range(10):
-        phi = rng.uniform(0.3, 1.2, 2)
-        req = kmod.KernelRequest(rs=rs, phi=RadialPoint.real(phi), time=kmod.TimeParameter.heat(0.4))
-        base = kmod.compact_pathsum(req).value
-        elem = group.elements[rng.integers(0, group.order)]
-        req2 = kmod.KernelRequest(
-            rs=rs, phi=RadialPoint.real(elem.matrix @ phi), time=kmod.TimeParameter.heat(0.4)
-        )
-        worst = max(worst, abs(kmod.compact_pathsum(req2).value - base))
-    return worst < 1e-9, worst, "kernel invariant under Weyl images of the radial point"
+class Check(NamedTuple):
+    run: Callable[[], float]  # one call of an identity above at fixed inputs
+    bound: float  # residual < bound passes; 0 means the residual must be exactly 0
+    detail: str
+
+    def passes(self, residual: float) -> bool:
+        return bool(residual < self.bound if self.bound else residual == 0)
 
 
 CHECKS = {
-    "rho2-over-lambda": _check_rho_identity,
-    "root-weight-duality": _check_root_weight_duality,
-    "rescale-roundtrip": _check_rescale_roundtrip,
-    "weyl-orders": _check_weyl_orders,
-    "weyl-function-parity": _check_weyl_function_parity,
-    "intertwiner-order": _check_intertwiner_order,
-    "dimensions-vs-character-limit": _check_dimensions,
-    "identity-value": _check_identity_value,
-    "volume-factorization": _check_volume_factorization,
-    "volume-quadrature": _check_volume_quadrature,
-    "sublattice-purity": _check_sublattice_purity,
-    "dual-series-su2": _check_dual_series_su2,
-    "dual-series-su3": _check_dual_series_su3,
-    "normalization-su2": _check_normalization_su2,
-    "d1-compact-identity": _check_d1_identity,
-    "d0-closed-form": _check_d0_closed_form,
-    "resolvent-poles": _check_resolvent_poles,
-    "domain-counts": _check_domain_counts,
-    "kernel-weyl-invariance": _check_kernel_weyl_invariance,
+    "rho2-over-lambda": Check(
+        lambda: rho_identity(SYSTEMS), 1e-12, "rho^2/lambda == n/24 over all supported systems"
+    ),
+    "root-weight-duality": Check(
+        lambda: root_weight_duality(SYSTEMS), 1e-12, "gamma_i . w_j == gamma_i^2/2 delta_ij"
+    ),
+    "rescale-roundtrip": Check(
+        lambda: rescale_roundtrip(build_root_system("B", 2), 1.7), 1e-12,
+        "rescale(c) then rescale(1/c) is the identity",
+    ),
+    "weyl-orders": Check(
+        lambda: weyl_orders(WEYL_ORDERS), 0, "N(W) = 2, 6, 8, 24, 48 for A1, A2, B2, A3, C3"
+    ),
+    "weyl-function-parity": Check(
+        lambda: weyl_function_parity([("A", 2), ("B", 2), ("C", 3)], 11, 5), 1e-10,
+        "w(sigma phi) = parity(sigma) w(phi)",
+    ),
+    "intertwiner-order": Check(
+        lambda: intertwiner_order(WEYL_ORDERS[:3]), 1e-9, "(2^p/prod alpha.rho) (D w)(0) = N(W)"
+    ),
+    "dimensions-vs-character-limit": Check(
+        lambda: character_dimensions(
+            build_root_system("A", 2), [([0, 0], 1), ([1, 0], 3), ([1, 1], 8), ([3, 0], 10)]
+        ),
+        1e-12, "dimension formula vs character limit on A2",
+    ),
+    "identity-value": Check(
+        lambda: identity_value(SYSTEMS, (2.0,), (kmod.compact_pathsum, kmod.compact_spectral)), 1e-12,
+        "both routes at the identity == V_G^-1 sum_l d_l^2 exp(-lambda_l tau)",
+    ),
+    "volume-factorization": Check(
+        lambda: max(volume_factorization(SYSTEMS), volume_rescale(SYSTEMS, (1.3,))), 1e-10,
+        "V_G = V_T V_G/T and rescale invariance",
+    ),
+    "volume-quadrature": Check(
+        lambda: volume_quadrature(build_root_system("A", 1), 401), 1e-8,
+        "torus volume quadrature agrees with the closed form",
+    ),
+    "sublattice-purity": Check(
+        lambda: sublattice_purity(
+            (root_system_of(fam), dom.signature)
+            for fam in map(parse_group, ("SU(2,1)", "SL(3,R)", "SU(2,2)", "Sp(6,R)"))
+            for dom in enumerate_domains(fam)
+        ),
+        0, "sublattice generators vanish exactly on imaginary axes",
+    ),
+    "dual-series-su2": Check(
+        lambda: dual_series(build_root_system("A", 1), [[1.3]], (0.1, 0.5, 1.0)), 1e-8,
+        "path sum == spectral expansion on the rank-1 compact group",
+    ),
+    "dual-series-su3": Check(
+        lambda: dual_series(build_root_system("A", 2), [[0.8, 0.5]], (0.1, 0.5)), 1e-8,
+        "path sum == spectral expansion on the rank-2 unitary group",
+    ),
+    "normalization-su2": Check(
+        lambda: heat_normalization(0.5), 1e-6, "heat kernel integrates to 1 against the invariant measure"
+    ),
+    "d1-compact-identity": Check(
+        lambda: d1_identity((0.6, 2.5), (kmod.TimeParameter.heat(0.4), kmod.TimeParameter.real(0.7))), 1e-12,
+        "open-form D1 kernel identical to the compact kernel",
+    ),
+    "d0-closed-form": Check(
+        lambda: d0_closed_form(np.linspace(0.1, 3.0, 7), [kmod.TimeParameter.real(t) for t in (0.5, 1.0)]),
+        1e-10, "engine matches the closed form on the open rank-1 domain",
+    ),
+    "resolvent-poles": Check(
+        lambda: resolvent_poles(4.5, range(1, 7)), 1e-9, "rank-1 resolvent poles sit at (n^2-1)/8"
+    ),
+    "domain-counts": Check(
+        lambda: domain_counts(CATALOGUED_DOMAIN_COUNTS), 0, "domain counts match the catalogued values"
+    ),
+    "kernel-weyl-invariance": Check(
+        lambda: kernel_symmetry(_a2_weyl_draws(5, 10, 0.4)), 1e-9,
+        "kernel invariant under Weyl images of the radial point",
+    ),
 }
 
 
 def run_checks(only: str | None = None) -> list:
     """Run the (filtered) suite; returns records with measured residuals."""
     out = []
-    for name, fn in CHECKS.items():
+    for name, check in CHECKS.items():
         if only and only not in name:
             continue
-        passed, residual, detail = fn()
-        out.append({"name": name, "passed": bool(passed), "residual": float(residual), "detail": detail})
+        residual = check.run()
+        out.append(
+            {"name": name, "passed": check.passes(residual), "residual": float(residual), "detail": check.detail}
+        )
     return out

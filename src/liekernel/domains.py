@@ -374,8 +374,14 @@ def canonical_radial(family: GroupFamily, point: RadialPoint) -> RadialPoint:
     """Canonical representative of a radial point for classification.
 
     Reduces modulo the defining representation's periodicity lattice and the
-    signature-preserving Weyl moves; classify_element returns exactly this
-    representative, so round trips compare equal.
+    signature-preserving Weyl moves; classify_element returns this
+    representative.  Round trips through build_element and classify_element
+    compare equal when the point lies inside its reduction cell: its
+    coordinates over the domain sublattice are off half-integers, where the
+    rounding ties, and no two Weyl images tie in the lexicographic order.  On
+    such a boundary (SU(3,1) D3 at (pi, 8.886, pi), for example) the round
+    trip's rounding may land on another representative, with the same domain
+    and eigenvalue multiset.
     """
     from .lattice import reduce_lexmax
 
@@ -649,18 +655,22 @@ def _matcher(dom: EvolutionDomain) -> dict:
 
 
 def _match_domain(sys: _System, dom: EvolutionDomain, eig: np.ndarray):
-    """Solve exp(i W phi) = eig for phi with dom's signature, or return None."""
+    """Solve exp(i W phi) = eig for phi with dom's signature, or return None.
+
+    Slots of weights that vanish on the imaginary axes need unit-modulus
+    eigenvalues; the other slots take the rest, which may include unit ones
+    (a zero imaginary parameter).
+    """
     m = _matcher(dom)
     nw = len(sys.weights)
     slot_unit = m["slot_unit"]
     eig_unit = _unit_class(eig)
-    if slot_unit.sum() != eig_unit.sum():
+    if slot_unit.sum() > eig_unit.sum():
         return None
 
     unit_slots = np.where(slot_unit)[0]
     nonunit_slots = np.where(~slot_unit)[0]
-    unit_eigs = np.where(eig_unit)[0]
-    nonunit_eigs = np.where(~eig_unit)[0]
+    unit_eigs = np.where(eig_unit)[0].tolist()
     log_mod = np.log(np.abs(eig))
     args = np.angle(eig)
     w_r, w_i = m["w_r"], m["w_i"]
@@ -673,9 +683,10 @@ def _match_domain(sys: _System, dom: EvolutionDomain, eig: np.ndarray):
         return bool(np.abs(pred - eig[assign]).max() <= 1e-8 * scale)
 
     assign = np.empty(nw, dtype=int)
-    for perm_u in itertools.permutations(unit_eigs):
+    for perm_u in itertools.permutations(unit_eigs, len(unit_slots)):
         assign[unit_slots] = perm_u
-        for perm_n in itertools.permutations(nonunit_eigs):
+        rest = [k for k in range(nw) if k not in perm_u]
+        for perm_n in itertools.permutations(rest):
             assign[nonunit_slots] = perm_n
             if m["imag_axes"]:
                 y = m["pinv_wi"] @ log_mod[assign]

@@ -82,6 +82,8 @@ class TimeParameter:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.epsilon)):
+            raise ArgumentError(f"time and epsilon must be finite, got {self.value} and {self.epsilon}")
         if self.mode is TimeMode.HEAT and not self.value > 0:
             raise ArgumentError(f"heat mode needs tau > 0, got {self.value}")
         if self.epsilon < 0:

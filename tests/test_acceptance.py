@@ -8,8 +8,6 @@ import pathlib
 import time
 
 import numpy as np
-import pytest
-from scipy.optimize import linear_sum_assignment
 
 import liekernel as lk
 from liekernel import (
@@ -17,6 +15,7 @@ from liekernel import (
     RadialPoint,
     TimeParameter,
     build_root_system,
+    checks,
     compact_pathsum,
     compact_spectral,
     noncompact_pathsum,
@@ -30,7 +29,6 @@ from liekernel.domains import (
     parse_group,
     root_system_of,
 )
-from liekernel.weyl import weyl_order_from_intertwiner
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 A1 = build_root_system("A", 1)
@@ -55,19 +53,11 @@ def test_criterion_01_dual_series_equivalence():
     means radial distances up to ~2).
     """
     t0 = time.time()
-    worst = 0.0
-    for phi in np.linspace(0.3, 2.0, 20):
-        for tau in (0.1, 0.5, 1.0):
-            req = KernelRequest(rs=A1, phi=RadialPoint.real([phi]), time=TimeParameter.heat(tau))
-            a, b = compact_pathsum(req).value, compact_spectral(req).value
-            worst = max(worst, abs(a - b) / abs(b))
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        phi = rng.uniform(0.25, 1.15, 2)
-        for tau in (0.1, 0.5, 1.0):
-            req = KernelRequest(rs=A2, phi=RadialPoint.real(phi), time=TimeParameter.heat(tau))
-            a, b = compact_pathsum(req).value, compact_spectral(req).value
-            worst = max(worst, abs(a - b) / abs(b))
+    worst = max(
+        checks.dual_series(A1, [[phi] for phi in np.linspace(0.3, 2.0, 20)], (0.1, 0.5, 1.0)),
+        checks.dual_series(A2, [rng.uniform(0.25, 1.15, 2) for _ in range(20)], (0.1, 0.5, 1.0)),
+    )
     elapsed = time.time() - t0
     _report(1, worst < 1e-8 and elapsed < 5.0,
             f"max relative discrepancy {worst:.2e}, runtime {elapsed:.2f}s (< 5s)")
@@ -99,32 +89,14 @@ def test_criterion_02_su2_printed_formulas():
 
 
 def test_criterion_03_su11_closed_forms():
-    fam = parse_group("SU(1,1)")
-    d1 = next(d for d in enumerate_domains(fam) if d.label == "D1")
-    d0 = next(d for d in enumerate_domains(fam) if d.label == "D0")
-    worst_d1 = 0.0
-    for tp in (TimeParameter.heat(0.5), TimeParameter.real(0.8)):
-        for phi in (0.4, 1.7, 3.9):
-            a = noncompact_pathsum(
-                KernelRequest(rs=A1, phi=RadialPoint.real([phi]), time=tp, domain=d1)
-            ).value
-            b = compact_pathsum(KernelRequest(rs=A1, phi=RadialPoint.real([phi]), time=tp)).value
-            worst_d1 = max(worst_d1, abs(a - b))
-    worst_d0 = 0.0
-    for t in (0.5, 1.0):
-        tp = TimeParameter.real(t)
-        for theta in np.linspace(0.1, 3.0, 15):
-            got = noncompact_pathsum(
-                KernelRequest(rs=A1, phi=RadialPoint.mixed([theta], "I"), time=tp, domain=d0)
-            ).value
-            worst_d0 = max(worst_d0, abs(got - lk.su11_kernel_d0(theta, tp)))
+    worst_d1 = checks.d1_identity((0.4, 1.7, 3.9), (TimeParameter.heat(0.5), TimeParameter.real(0.8)))
+    worst_d0 = checks.d0_closed_form(np.linspace(0.1, 3.0, 15), [TimeParameter.real(t) for t in (0.5, 1.0)])
     _report(3, worst_d1 < 1e-12 and worst_d0 < 1e-10,
             f"D1 identity {worst_d1:.2e} (< 1e-12), D0 closed form {worst_d0:.2e} (< 1e-10)")
 
 
 def test_criterion_04_su2_resolvent():
-    poles = lk.su2_resolvent_poles(4.5)
-    worst_pole = max(min(abs(p - (n * n - 1) / 8.0) for p in poles) for n in range(1, 7))
+    worst_pole = checks.resolvent_poles(4.5, range(1, 7))
     phi = 1.1
     worst_res = 0.0
     for n in range(1, 7):
@@ -140,23 +112,15 @@ def test_criterion_04_su2_resolvent():
 
 def test_criterion_05_normalization_and_semigroup():
     t0 = time.time()
-
-    def kern(tau):
-        def f(x):
-            req = KernelRequest(
-                rs=A1, phi=RadialPoint.real([x]), time=TimeParameter.heat(tau), wall_limit=True
-            )
-            return compact_pathsum(req).value
-        return f
-
-    norm = abs(lk.integrate_central_su2(A1, kern(0.5)) - 1.0)
+    norm = checks.heat_normalization(0.5)
 
     n = 200
     grid = np.linspace(0.0, 2.0 * np.pi, n)
 
     def samples(tau):
-        f = kern(tau)
-        return np.array([f(x) for x in grid], dtype=complex)
+        reqs = (KernelRequest(rs=A1, phi=RadialPoint.real([x]), time=TimeParameter.heat(tau), wall_limit=True)
+                for x in grid)
+        return np.array([compact_pathsum(req).value for req in reqs], dtype=complex)
 
     out = lk.radial_convolve(A1, samples(0.3), samples(0.5))
     semi = np.abs(out - samples(0.8)).max()
@@ -167,28 +131,14 @@ def test_criterion_05_normalization_and_semigroup():
 
 
 def test_criterion_06_constant_identity():
-    worst = 0.0
-    for family, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
-                         ("C", 2), ("C", 3), ("D", 3), ("D", 4)]:
-        rs = build_root_system(family, rank)
-        worst = max(worst, abs(float(rs.rho @ rs.rho) / rs.lam - rs.n / 24.0))
+    worst = checks.rho_identity(checks.SYSTEMS)
     _report(6, worst < 1e-12, f"rho^2/lambda - n/24 residual {worst:.2e} (< 1e-12)")
 
 
 def test_criterion_07_weyl_machinery():
-    orders_ok = all(
-        lk.generate_weyl_group(build_root_system(f, r)).order == o
-        for f, r, o in [("A", 1, 2), ("A", 2, 6), ("B", 2, 8), ("A", 3, 24), ("C", 3, 48)]
-    )
-    dims_ok = True
-    for l, d in ([0, 0], 1), ([1, 0], 3), ([1, 1], 8), ([3, 0], 10):
-        dims_ok &= lk.dimension(A2, l) == d
-        lim = lk.character(A2, l, np.zeros(2), limit=True)
-        dims_ok &= round(abs(lim)) == d and abs(lim - d) < 1e-5
-    worst_iw = max(
-        abs(weyl_order_from_intertwiner(build_root_system(f, r)) - o)
-        for f, r, o in [("A", 1, 2), ("A", 2, 6), ("B", 2, 8)]
-    )
+    orders_ok = checks.weyl_orders(checks.WEYL_ORDERS) == 0
+    dims_ok = checks.character_dimensions(A2, [([0, 0], 1), ([1, 0], 3), ([1, 1], 8), ([3, 0], 10)]) < 1e-5
+    worst_iw = checks.intertwiner_order(checks.WEYL_ORDERS[:3])
     _report(7, orders_ok and dims_ok and worst_iw < 1e-9,
             f"orders {orders_ok}, dimensions {dims_ok}, intertwiner identity {worst_iw:.2e} (< 1e-9)")
 
@@ -213,14 +163,7 @@ def test_criterion_08_golden_tables(capsys):
 
 def test_criterion_09_volumes():
     worst_coset = abs(lk.coset_volume(A1) - 8.0 * np.pi)
-    worst = 0.0
-    for family, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
-                         ("C", 2), ("C", 3), ("D", 3), ("D", 4)]:
-        rs = build_root_system(family, rank)
-        vg = lk.group_volume(rs)
-        worst = max(worst, abs(vg - lk.torus_volume(rs) * lk.coset_volume(rs)) / vg)
-        rs2 = lk.rescale(rs, 1.9)
-        worst = max(worst, abs(lk.group_volume(rs2) - vg) / vg)
+    worst = max(checks.volume_factorization(checks.SYSTEMS), checks.volume_rescale(checks.SYSTEMS, (1.9,)))
     _report(9, worst_coset < 1e-10 and worst < 1e-10,
             f"coset volume residual {worst_coset:.2e}, factorization/rescale {worst:.2e} (< 1e-10)")
 
@@ -255,30 +198,17 @@ def test_criterion_10_classifier_roundtrip():
 
 def test_criterion_11_kernel_symmetries():
     rng = np.random.default_rng(5150)
-    group1 = lk.generate_weyl_group(A1)
-    group2 = lk.generate_weyl_group(A2)
-    lat1 = lk.winding_lattice(A1)
-    lat2 = lk.winding_lattice(A2)
-    worst = 0.0
+    cases = []
     for trial in range(500):
-        if trial % 2:
-            rs, group, lat = A1, group1, lat1
-            phi = rng.uniform(0.3, 2.2, 1)
-        else:
-            rs, group, lat = A2, group2, lat2
-            phi = rng.uniform(0.25, 1.1, 2)
+        rs, box = (A1, (0.3, 2.2)) if trial % 2 else (A2, (0.25, 1.1))
+        phi = rng.uniform(*box, rs.rank)
         if rng.random() < 0.5:
             tp = TimeParameter.heat(float(rng.uniform(0.2, 1.2)))
         else:
             tp = TimeParameter.real(float(rng.uniform(0.4, 1.5)), epsilon=float(rng.uniform(0.02, 0.2)))
-        base = compact_pathsum(KernelRequest(rs=rs, phi=RadialPoint.real(phi), time=tp)).value
-        sigma = group.elements[int(rng.integers(0, group.order))]
-        m = rng.integers(-1, 2, rs.rank) @ lat.generators
-        moved = compact_pathsum(
-            KernelRequest(rs=rs, phi=RadialPoint.real(sigma.matrix @ phi + 2 * np.pi * m), time=tp)
-        ).value
-        scale = max(1.0, abs(base))
-        worst = max(worst, abs(moved - base) / scale)
+        sigma = int(rng.integers(0, lk.generate_weyl_group(rs).order))
+        cases.append((rs, phi, tp, sigma, rng.integers(-1, 2, rs.rank) @ lk.winding_lattice(rs).generators))
+    worst = checks.kernel_symmetry(cases)
     _report(11, worst < 1e-9, f"500 randomized symmetry draws, worst residual {worst:.2e} (< 1e-9)")
 
 

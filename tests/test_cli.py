@@ -93,6 +93,16 @@ def test_kernel_requires_time(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags", [["--t", "nan"], ["--t", "inf"], ["--t", "1", "--eps", "nan"], ["--t", "1", "--eps", "inf"],
+              ["--heat", "inf"]],
+)
+def test_kernel_non_finite_time_is_usage_error(capsys, flags):
+    code, _, err = run(capsys, "kernel", "SU3", *flags, "--point", "0.3,0.5")
+    assert code == 2
+    assert "finite" in err
+
+
 def test_kernel_spectral_route_rejected_off_compact(capsys):
     code, _, err = run(
         capsys, "kernel", "SU11", "--domain", "D0", "--t", "1.0", "--grid", "0.2:1:3",

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from liekernel import (
     NotInGroupError,
     RadialPoint,
     build_element,
+    checks,
     classify_element,
     domain_count,
     domain_of_radial,
@@ -57,32 +60,29 @@ def test_rank_formulas():
 
 def test_domain_counts_closed_forms():
     # randomized signatures with p+q <= 7 against the per-family rules
+    want = {}
     for _ in range(40):
         total = int(RNG.integers(2, 8))
         p = int(RNG.integers(1, total))
         q = total - p
-        assert domain_count(parse_group(f"SU({p},{q})")) == min(p, q) + 1
-        if total >= 2:
-            assert domain_count(parse_group(f"SL({total},R)")) == total // 2 + 1
+        want[f"SU({p},{q})"] = min(p, q) + 1
+        want[f"SL({total},R)"] = total // 2 + 1
         if total >= 5 and total % 2 == 1:
-            assert domain_count(parse_group(f"SO({p},{q})")) == min(p, q) + 1
-        assert domain_count(parse_group(f"USp({2 * p},{2 * q})")) == abs(p - q) + 1
+            want[f"SO({p},{q})"] = min(p, q) + 1
+        want[f"USp({2 * p},{2 * q})"] = abs(p - q) + 1
         if total % 2 == 0:
-            assert domain_count(parse_group(f"Sp({total},R)")) == total // 2 + 1
+            want[f"Sp({total},R)"] = total // 2 + 1
+    assert checks.domain_counts(want) == 0
 
 
 def test_usp_count_is_catalogue_literal():
     # printed rule |p-q|+1; the quartet analysis would give min(p,q)+1, and
     # the catalogued case USp(4,2) cannot tell the two apart
-    assert domain_count(parse_group("USp(4,2)")) == 2 == min(2, 1) + 1
-    assert domain_count(parse_group("USp(4,4)")) == 1
+    assert checks.domain_counts({"USp(4,2)": min(2, 1) + 1, "USp(4,4)": 1}) == 0
 
 
 def test_even_orthogonal_counts():
-    assert domain_count(parse_group("SO(3,3)")) == 3
-    assert domain_count(parse_group("SO(5,1)")) == 1
-    assert domain_count(parse_group("SO(4,2)")) == 3
-    assert domain_count(parse_group("SO(6)")) == 1
+    assert checks.domain_counts({"SO(3,3)": 3, "SO(5,1)": 1, "SO(4,2)": 3, "SO(6)": 1}) == 0
 
 
 EXPECTED_MASKS = {
@@ -326,6 +326,36 @@ def test_zero_boost_parameter_takes_no_axes(name, values):
     dom = next(d for d in enumerate_domains(fam) if d.label == "D2")
     g = build_element(fam, RadialPoint(values, dom.signature))
     check_defining_relation(fam, g)
+    # all eigenvalues have unit modulus; D2 leaves slots for them
+    dom2, pt2 = classify_element(fam, g)
+    assert dom2.label == "D2"
+    assert _pairing_residual(predicted_eigenvalues(fam, pt2), np.linalg.eigvals(g.astype(complex))) < 1e-7
+
+
+@pytest.mark.parametrize("name", ["SU(1,1)"] + CATALOGUE_GROUPS)
+def test_identity_classifies_at_the_origin(name):
+    # zero parameters on imaginary axes give unit eigenvalues beyond the
+    # domain's unit slots (SL(3,R), SO(3,3), SO(5,1))
+    fam = parse_group(name)
+    dom, point = classify_element(fam, np.eye(fam.matrix_dim))
+    assert dom == enumerate_domains(fam)[0]
+    assert np.abs(point.values).max() < 1e-12
+
+
+@pytest.mark.parametrize("name, label", [("SU(3,1)", "D3"), ("SO(3,3)", "D2"), ("Sp(6,R)", "D3")])
+def test_roundtrip_on_cell_boundaries_keeps_domain_and_spectrum(name, label):
+    # the {0, pi, 0.7}^3 grid puts canonical points on cell boundaries, such as
+    # SU(3,1) D3 (pi, 8.886, pi), which may come back as another representative
+    fam = parse_group(name)
+    dom = next(d for d in enumerate_domains(fam) if d.label == label)
+    for values in itertools.product((0.0, np.pi, 0.7), repeat=3):
+        canon = canonical_radial(fam, RadialPoint(values, dom.signature))
+        g = build_element(fam, canon)
+        dom2, pt2 = classify_element(fam, g)
+        assert dom2.label == label
+        pred = predicted_eigenvalues(fam, pt2)
+        assert _pairing_residual(pred, predicted_eigenvalues(fam, canon)) < 1e-7
+        assert _pairing_residual(pred, np.linalg.eigvals(g.astype(complex))) < 1e-7
 
 
 def test_classification_ambiguous_for_loxodromic_symplectic():
@@ -357,8 +387,7 @@ def test_enumerate_unsupported_rank_raises():
     with pytest.raises(ConfigurationError):
         enumerate_domains(parse_group("SO(6,2)"))  # rank-4 even orthogonal
     # counts remain available: SO(6,2) allows 0, 1 or 2 imaginary parameters
-    assert domain_count(parse_group("SU(3,2)")) == 3
-    assert domain_count(parse_group("SO(6,2)")) == 3
+    assert checks.domain_counts({"SU(3,2)": 3, "SO(6,2)": 3}) == 0
 
 
 def test_classification_lattice_refines_windings():

@@ -20,20 +20,17 @@ from liekernel import (
     domain_sublattice,
     enumerate_points,
     generate_weyl_group,
-    integrate_central_su2,
     noncompact_pathsum,
     parse_group,
     radial_convolve,
     rescale,
     su2_pathsum_series,
     su2_resolvent,
-    su2_resolvent_poles,
     su2_spectral_series,
-    su11_kernel_d0,
     su11_resolvent_d0,
     winding_lattice,
 )
-from liekernel import kernel
+from liekernel import checks, kernel
 from liekernel.domains import enumerate_domains, root_system_of
 from liekernel.kernel import _level_sums, _spectral_data, _spectral_levels
 
@@ -55,6 +52,13 @@ def test_time_parameter_validation():
         TimeParameter.heat(-1.0)
     with pytest.raises(ArgumentError):
         TimeParameter(value=1.0, mode=TimeParameter.heat(1.0).mode, epsilon=-0.1)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ArgumentError, match="finite"):
+            TimeParameter.real(bad)
+        with pytest.raises(ArgumentError, match="finite"):
+            TimeParameter.real(1.0, epsilon=bad)
+        with pytest.raises(ArgumentError, match="finite"):
+            TimeParameter.heat(bad)
     tp = TimeParameter.heat(0.5)
     assert tp.effective == -0.5j
     tp = TimeParameter.real(2.0, epsilon=0.1)
@@ -72,21 +76,12 @@ def test_dual_series_su2(tau):
     floor of double precision.  Inside that region both series agree to
     twelve digits.
     """
-    for phi in np.linspace(0.35, 2.0, 8):
-        req = KernelRequest(rs=A1, phi=RadialPoint.real([phi]), time=TimeParameter.heat(tau))
-        a = compact_pathsum(req).value
-        b = compact_spectral(req).value
-        assert abs(a - b) / abs(b) < 1e-8
+    assert checks.dual_series(A1, [[phi] for phi in np.linspace(0.35, 2.0, 8)], (tau,)) < 1e-8
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0])
 def test_dual_series_su3(tau):
-    for _ in range(4):
-        phi = RNG.uniform(0.3, 1.1, 2)
-        req = KernelRequest(rs=A2, phi=RadialPoint.real(phi), time=TimeParameter.heat(tau))
-        a = compact_pathsum(req).value
-        b = compact_spectral(req).value
-        assert abs(a - b) / abs(b) < 1e-8
+    assert checks.dual_series(A2, [RNG.uniform(0.3, 1.1, 2) for _ in range(4)], (tau,)) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -99,11 +94,7 @@ def test_dual_series_su3(tau):
     ],
 )
 def test_dual_series_other_families(family, rank, phi):
-    rs = build_root_system(family, rank)
-    req = KernelRequest(rs=rs, phi=RadialPoint.real(phi), time=TimeParameter.heat(0.8))
-    a = compact_pathsum(req).value
-    b = compact_spectral(req).value
-    assert abs(a - b) / abs(b) < 1e-10
+    assert checks.dual_series(build_root_system(family, rank), [phi], (0.8,)) < 1e-10
 
 
 def test_engine_matches_printed_spectral_term_by_term():
@@ -144,22 +135,14 @@ def test_engine_matches_printed_pathsum_term_by_term():
 
 
 def test_kernel_weyl_invariance_and_periodicity():
-    group = generate_weyl_group(A2)
-    lat = winding_lattice(A2)
+    # each draw: one Weyl image, then one winding shift (element 0 is the identity)
     tp = TimeParameter.heat(0.45)
+    cases = []
     for _ in range(6):
         phi = RNG.uniform(0.3, 1.1, 2)
-        base = compact_pathsum(KernelRequest(rs=A2, phi=RadialPoint.real(phi), time=tp)).value
-        elem = group.elements[int(RNG.integers(0, group.order))]
-        moved = compact_pathsum(
-            KernelRequest(rs=A2, phi=RadialPoint.real(elem.matrix @ phi), time=tp)
-        ).value
-        assert abs(moved - base) < 1e-9
-        m = RNG.integers(-1, 2, 2) @ lat.generators
-        shifted = compact_pathsum(
-            KernelRequest(rs=A2, phi=RadialPoint.real(phi + 2 * np.pi * m), time=tp)
-        ).value
-        assert abs(shifted - base) < 1e-9
+        cases.append((A2, phi, tp, int(RNG.integers(0, 6)), np.zeros(2)))
+        cases.append((A2, phi, tp, 0, RNG.integers(-1, 2, 2) @ winding_lattice(A2).generators))
+    assert checks.kernel_symmetry(cases) < 1e-9
 
 
 def test_kernel_rescale_invariance():
@@ -185,10 +168,7 @@ def test_wall_rejection_and_limit():
     ).value
     assert abs(limit - nearby) < 1e-4 * abs(limit)
     # identity value equals the coincidence-limit heat trace density at phi=0
-    spec_limit = compact_spectral(
-        KernelRequest(rs=A1, phi=RadialPoint.real([0.0]), time=tp, wall_limit=True)
-    ).value
-    assert abs(limit - spec_limit) / abs(limit) < 1e-7
+    assert checks.dual_series(A1, [[0.0]], (0.5,), wall_limit=True) < 1e-7
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, 2.0, float("nan")])
@@ -427,12 +407,6 @@ def test_su2_resolvent_pole_error_and_domain():
     assert np.isfinite(su2_resolvent(1.0, 0.25 + 1e-3j).real)
 
 
-def test_su2_resolvent_poles_located():
-    poles = su2_resolvent_poles(4.5)
-    for n in range(1, 7):
-        assert min(abs(p - (n**2 - 1) / 8.0) for p in poles) < 1e-9
-
-
 def test_su2_resolvent_residues_match_spectral_coefficients():
     """Contour-integral residues against the spectral weights (independent
     oracle; the causal contour closes clockwise, hence the minus sign)."""
@@ -505,26 +479,14 @@ def test_su11_d0_laplace_transform_oracle():
 
 
 def test_d1_kernel_identical_to_compact():
-    d1 = _domain("SU(1,1)", "D1")
-    for tp in (TimeParameter.heat(0.4), TimeParameter.real(0.8), TimeParameter.real(1.3, 0.01)):
-        for phi in (0.5, 2.0, 4.4):
-            a = noncompact_pathsum(
-                KernelRequest(rs=A1, phi=RadialPoint.real([phi]), time=tp, domain=d1)
-            ).value
-            b = compact_pathsum(KernelRequest(rs=A1, phi=RadialPoint.real([phi]), time=tp)).value
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+    times = (TimeParameter.heat(0.4), TimeParameter.real(0.8), TimeParameter.real(1.3, 0.01))
+    # absolute, so at least as tight as 1e-12 * max(1, |K|)
+    assert checks.d1_identity((0.5, 2.0, 4.4), times) < 1e-12
 
 
 def test_d0_kernel_matches_closed_form():
-    d0 = _domain("SU(1,1)", "D0")
-    for t in (0.5, 1.0):
-        tp = TimeParameter.real(t)
-        for theta in np.linspace(0.1, 3.0, 12):
-            got = noncompact_pathsum(
-                KernelRequest(rs=A1, phi=RadialPoint.mixed([theta], "I"), time=tp, domain=d0)
-            ).value
-            want = su11_kernel_d0(theta, tp)
-            assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+    # absolute; |K| stays below 0.07 here, so this is 1e-10 * max(1, |K|)
+    assert checks.d0_closed_form(np.linspace(0.1, 3.0, 12), [TimeParameter.real(t) for t in (0.5, 1.0)]) < 1e-10
 
 
 def test_noncompact_heat_mode_growing_tag():
@@ -587,16 +549,6 @@ def _heat_samples(tau, npts=201):
         )
         out[i] = compact_pathsum(req).value
     return out
-
-
-def test_heat_kernel_normalization():
-    def kern(x):
-        req = KernelRequest(
-            rs=A1, phi=RadialPoint.real([x]), time=TimeParameter.heat(0.5), wall_limit=True
-        )
-        return compact_pathsum(req).value
-
-    assert abs(integrate_central_su2(A1, kern) - 1.0) < 1e-6
 
 
 def test_convolution_with_constant_projects():

@@ -22,34 +22,25 @@ from liekernel import (
     compact_spectral,
     dimension,
     generate_weyl_group,
-    group_volume,
     noncompact_pathsum,
 )
+from liekernel import checks
 from liekernel.domains import enumerate_domains, parse_group, root_system_of
-from liekernel.kernel import _spectral_data, _spectral_levels
+from liekernel.kernel import _spectral_levels
 
 SYSTEMS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 3), ("A", 4), ("D", 4)]
 # heat times of the compact benchmark grid, by rank
 HEAT_TIMES = {1: (0.25, 1.0), 2: (0.25, 1.0), 3: (1.0, 2.0)}
 
 
-def _request(rs, phi, tau, tol=1e-14):
-    return KernelRequest(rs=rs, phi=RadialPoint.real(phi), time=TimeParameter.heat(tau), tol=tol,
-                         wall_limit=True)
-
-
 @pytest.mark.parametrize("family,rank", SYSTEMS)
 def test_identity_value_both_routes(family, rank):
-    rs = build_root_system(family, rank)
-    for tau in (0.5, 1.0, 2.0, 8.0) if rank < 4 else (2.0, 8.0):
-        lam_l, dims, _, _ = _spectral_data(rs, tau, 1e-20, None)
-        want = (dims**2 * np.exp(-lam_l * tau)).sum() / group_volume(rs)
-        req = _request(rs, np.zeros(rank), tau, tol=1e-20)
-        path = compact_pathsum(req).value
-        spec = compact_spectral(req).value
-        assert abs(spec - want) <= 1e-12 * want
+    taus = (0.5, 1.0, 2.0, 8.0) if rank < 4 else (2.0, 8.0)
+    assert checks.identity_value([(family, rank)], taus, [compact_spectral]) < 1e-12
+    for tau in taus:
         # the degree-p numerator reaches 2e-11 on A4 at tau=8
-        assert abs(path - want) <= (1e-10 if (family, rank, tau) == ("A", 4, 8.0) else 1e-12) * want
+        bound = 1e-10 if (family, rank, tau) == ("A", 4, 8.0) else 1e-12
+        assert checks.identity_value([(family, rank)], (tau,), [compact_pathsum]) < bound
 
 
 def _wall_points(rs, rng, count, box=0.3, floor=0.02):
@@ -78,22 +69,18 @@ def _wall_points(rs, rng, count, box=0.3, floor=0.02):
 def test_dual_series_on_walls_near_identity(family, rank):
     rs = build_root_system(family, rank)
     rng = np.random.default_rng(rank * 7 + ord(family))
-    for phi in _wall_points(rs, rng, 4):
+    points = _wall_points(rs, rng, 4)
+    for phi in points:
         assert (np.abs(np.sin(rs.positive_roots @ phi / 2.0)) <= 1e-12).sum() >= 1
-        for tau in HEAT_TIMES[rank]:
-            req = _request(rs, phi, tau)
-            path = compact_pathsum(req).value
-            spec = compact_spectral(req).value
-            assert abs(path - spec) <= 1e-11 * abs(spec)
+    assert checks.dual_series(rs, points, HEAT_TIMES[rank], wall_limit=True) < 1e-11
 
 
 @pytest.mark.parametrize("family,rank", SYSTEMS)
 def test_character_at_identity_is_dimension(family, rank):
     rs = build_root_system(family, rank)
-    group = generate_weyl_group(rs)
     for l in _spectral_levels(rs, 2.0, 1e-14, None):
-        d = dimension(rs, l, group)
-        assert abs(character(rs, l, np.zeros(rank), group, limit=True) - d) <= 1e-12 * d
+        d = dimension(rs, l)
+        assert checks.character_dimensions(rs, [(l, d)]) < 1e-12 * d
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("C", 3), ("D", 4)])

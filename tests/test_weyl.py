@@ -10,6 +10,7 @@ from liekernel import (
     generate_weyl_group,
     weyl_function,
 )
+from liekernel import checks
 from liekernel.weyl import weight_orbit, weyl_order_from_intertwiner
 
 RNG = np.random.default_rng(20240817)
@@ -19,8 +20,7 @@ RNG = np.random.default_rng(20240817)
     "family,rank,order", [("A", 1, 2), ("A", 2, 6), ("B", 2, 8), ("A", 3, 24), ("C", 3, 48)]
 )
 def test_weyl_orders(family, rank, order):
-    rs = build_root_system(family, rank)
-    assert generate_weyl_group(rs).order == order
+    assert checks.weyl_orders([(family, rank, order)]) == 0
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3)])
@@ -59,13 +59,7 @@ def test_weyl_function_values():
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_weyl_function_antisymmetry(family, rank):
-    rs = build_root_system(family, rank)
-    group = generate_weyl_group(rs)
-    for _ in range(10):
-        phi = RNG.uniform(-2.0, 2.0, rank)
-        w0 = weyl_function(rs, phi)
-        for elem in group:
-            assert abs(weyl_function(rs, elem.matrix @ phi) - elem.parity * w0) < 1e-10
+    assert checks.weyl_function_parity([(family, rank)], RNG, 10) < 1e-10
 
 
 def test_character_trivial_and_rank1():
@@ -100,10 +94,7 @@ def test_character_wall_error_names_root():
 
 def test_character_limit_is_dimension():
     rs = build_root_system("A", 2)
-    for l, d in ([0, 0], 1), ([1, 0], 3), ([1, 1], 8), ([3, 0], 10):
-        lim = character(rs, l, np.zeros(2), limit=True)
-        assert abs(lim - d) < 1e-6
-        assert dimension(rs, l) == d
+    assert checks.character_dimensions(rs, [([0, 0], 1), ([1, 0], 3), ([1, 1], 8), ([3, 0], 10)]) < 1e-6
 
 
 def test_character_complex_argument():
@@ -151,8 +142,7 @@ def test_casimir_against_radial_operator():
     ],
 )
 def test_intertwiner_weyl_order_identity(family, rank, order):
-    rs = build_root_system(family, rank)
-    assert abs(weyl_order_from_intertwiner(rs) - order) < 1e-9
+    assert checks.intertwiner_order([(family, rank, order)]) < 1e-9
 
 
 def _nested_stencil(func, dirs, x, h):
