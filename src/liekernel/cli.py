@@ -12,7 +12,6 @@ from . import checks as checks_mod
 from . import kernel as kmod
 from .domains import (
     GroupFamily,
-    build_element,
     classify_element,
     domain_count,
     enumerate_domains,
@@ -184,9 +183,11 @@ def _time_parameter(args) -> kmod.TimeParameter:
     if args.heat is not None and args.t is not None:
         raise ArgumentError("choose one of --heat and --t")
     if args.heat is not None:
+        if args.eps is not None:
+            raise ArgumentError("--eps damps real time (--t); heat mode takes none")
         return kmod.TimeParameter.heat(args.heat)
     if args.t is not None:
-        return kmod.TimeParameter.real(args.t, epsilon=args.eps)
+        return kmod.TimeParameter.real(args.t, epsilon=0.0 if args.eps is None else args.eps)
     raise ArgumentError("a time is required: --heat TAU or --t T [--eps E]")
 
 
@@ -441,7 +442,7 @@ def _build_parser() -> tuple:
     p.add_argument("--domain", help="evolution domain label, e.g. D0")
     p.add_argument("--heat", type=float, default=None, help="heat time tau > 0")
     p.add_argument("--t", type=float, default=None, help="real time t")
-    p.add_argument("--eps", type=float, default=0.0, help="damping for real time")
+    p.add_argument("--eps", type=float, default=None, help="damping for real time (default 0)")
     p.add_argument("--grid", help="START:STOP:N sweep along --axis")
     p.add_argument("--theta-grid", dest="theta_grid", help="alias of --grid")
     p.add_argument("--axis", type=int, default=0)

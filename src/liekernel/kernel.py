@@ -28,7 +28,7 @@ from .lattice import REAL, RadialPoint, domain_sublattice, enumerate_points, win
 from .lattice import _ellipsoid_points
 from .rootsys import RootSystem
 from .volumes import coset_volume, group_volume
-from .weyl import generate_weyl_group, orbit_quotient, wall_denominator, weight_orbit
+from .weyl import generate_weyl_group, orbit_index, orbit_quotient, wall_denominator, weight_orbit
 
 __all__ = [
     "TimeMode",
@@ -49,13 +49,13 @@ __all__ = [
     "integrate_central_su2",
 ]
 
-# largest spectral table, in levels x Weyl images; each entry holds rank
-# integer orbit coordinates (int16 where they fit).  It also bounds the
+# largest spectral table, in levels x Weyl images; each entry holds at most
+# rank non-negative integers (uint16 where they fit).  It also bounds the
 # entries that the spectral cache keeps resident.
 _ORBIT_CAP = 3 * 10**7
 
-# orbit entries per block of levels in compact_spectral: the temporaries of
-# one block stay cache-sized
+# orbit entries per block of levels in compact_spectral, and the largest
+# folded power table: the temporaries of one block stay cache-sized
 _BLOCK = 2**15
 
 # grid x quadrature entries per block of radial_convolve
@@ -261,11 +261,14 @@ _spectral_cache: dict = {}
 def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int | None):
     """Representation data for the retained dominant weights l.
 
-    Returns (lambda_l, d_l, orbit, d_l / V_G).  ``orbit`` is (coords,
-    parities, reach): the weight coordinates of each Weyl orbit of l + rho,
-    shape (r, L, |W|), the parities of the Weyl images, and a bound on the
-    coordinates' moduli.  The cache keeps at most ``_ORBIT_CAP`` orbit
-    entries and drops the oldest tables to make room.
+    Returns (lambda_l, d_l, orbit, d_l / V_G).  ``orbit`` is (index,
+    parities, reach): the weight coordinates of each Weyl orbit of l + rho
+    as ``orbit_index`` encodes them, shape (r - k + 1, L, |W|), the
+    parities of the Weyl images, and a bound on the coordinates' moduli.
+    The fold depth k is the largest with (2 reach + 1)^k <= min(L |W|,
+    _BLOCK): the folded power table costs no more entries than the orbit
+    table it serves, and stays cache-sized.  The cache keeps at most
+    ``_ORBIT_CAP`` orbit entries and drops the oldest tables to make room.
     """
     key = (rs.cache_key(), round(float(t_like), 12), tol, level_cutoff)
     cached = _spectral_cache.get(key)
@@ -289,12 +292,16 @@ def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int 
     dims = np.prod(nvecs @ rs.positive_roots.T, axis=1) / np.prod(rs.positive_roots @ rs.rho)
     # |coordinate j of w(l + rho)| <= sum_i (l_i + 1) max_w |W_w[i, j]|
     reach = int(((labels + 1) @ np.abs(group.weight_matrices).max(axis=0)).max())
-    dtype = next(d for d in (np.int16, np.int32, np.int64) if reach <= np.iinfo(d).max)
-    coords = np.empty((rs.rank, len(labels), group.order), dtype=dtype)
+    span, fold = 2 * reach + 1, 1
+    while fold < rs.rank and span ** (fold + 1) <= min(size, _BLOCK):
+        fold += 1
+    dtype = next(d for d in (np.uint16, np.uint32, np.uint64) if span**fold - 1 <= np.iinfo(d).max)
+    index = np.empty((rs.rank - fold + 1, len(labels), group.order), dtype=dtype)
     step = max(1, _BLOCK // group.order)
     for start in range(0, len(labels), step):
-        coords[:, start : start + step] = weight_orbit(group, labels[start : start + step] + 1)
-    data = (lam_l, dims, (coords, group.parities.astype(complex), reach), dims / group_volume(rs))
+        coords = weight_orbit(group, labels[start : start + step] + 1)
+        index[:, start : start + step] = orbit_index(coords, reach, fold)
+    data = (lam_l, dims, (index, group.parities.astype(complex), reach), dims / group_volume(rs))
     _spectral_cache[key] = data
     return data
 
@@ -304,14 +311,15 @@ def _level_sums(rs: RootSystem, orbit, phi, limit: bool) -> tuple:
 
     Walks the levels in blocks of about ``_BLOCK`` orbit entries.  Each
     level's signed sum is formed before any level weight multiplies it:
-    d_l exp(-lambda_l t) on the cancelling terms would lose digits.
+    d_l exp(-lambda_l t) on the cancelling terms would lose digits.  The
+    fold depth is read off the table's shape.
     """
-    coords, parities, reach = orbit
-    terms, denom = orbit_quotient(rs, phi, limit, reach)
+    index, parities, reach = orbit
+    terms, denom = orbit_quotient(rs, phi, limit, reach, fold=rs.rank - len(index) + 1)
     step = max(1, _BLOCK // len(parities))
-    sums = np.empty(coords.shape[1], dtype=complex)
+    sums = np.empty(index.shape[1], dtype=complex)
     for start in range(0, len(sums), step):
-        sums[start : start + step] = terms(coords[:, start : start + step]) @ parities
+        sums[start : start + step] = terms(index[:, start : start + step]) @ parities
     return sums, denom
 
 

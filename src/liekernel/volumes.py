@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rootsys import RootSystem, cartan_matrix
-from .weyl import generate_weyl_group, weyl_function
+from .weyl import generate_weyl_group
 
 __all__ = [
     "VolumeReport",

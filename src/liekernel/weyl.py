@@ -157,8 +157,9 @@ def character(rs: RootSystem, l, phi, group: WeylGroup | None = None, limit: boo
     # the orbit of the strictly dominant l + rho is free: |W| distinct terms
     coords = weight_orbit(group, _check_dominant(l, rs.rank) + 1)
     phi = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
-    terms, denom = orbit_quotient(rs, phi, limit, int(np.abs(coords).max()))
-    return complex(terms(coords) @ group.parities) / denom
+    reach = int(np.abs(coords).max())
+    terms, denom = orbit_quotient(rs, phi, limit, reach)
+    return complex(terms(coords + reach) @ group.parities) / denom
 
 
 def wall_denominator(rs: RootSystem, phi, limit: bool, direction=None) -> tuple:
@@ -209,33 +210,59 @@ def _permanent(data: bytes, k: int) -> float:
     return float((-1) ** k * ((-1.0) ** subsets.sum(axis=1) @ np.prod(subsets @ g.T, axis=1)))
 
 
-def orbit_quotient(rs: RootSystem, phi, limit: bool, reach: int) -> tuple:
+def orbit_index(coords, reach: int, fold: int) -> np.ndarray:
+    """Integer weight coordinates (r, ...), each of modulus at most
+    ``reach``, in the encoding that ``orbit_quotient`` reads: the leading
+    ``fold`` axes as one index sum_{j<fold} (c_j + reach) M^(fold-1-j),
+    M = 2 reach + 1, and each later axis as c_j + reach.  Shape
+    (r - fold + 1, ...); every entry is non-negative."""
+    shifted = np.asarray(coords, dtype=np.int64) + reach
+    lead = shifted[0]
+    for c in shifted[1:fold]:
+        lead = lead * (2 * reach + 1) + c
+    return np.concatenate([lead[None], shifted[fold:]])
+
+
+def orbit_quotient(rs: RootSystem, phi, limit: bool, reach: int, fold: int = 1) -> tuple:
     """Signed orbit sums at phi: a term map and the denominator
     (2i)^p w(phi), by the wall rule without a direction.
 
-    ``terms(coords)`` maps integer weight coordinates (r, ...), each of
-    modulus at most ``reach``, to exp(i v.phi) with v = coords @ weights.
-    As exp(i v.phi) = prod_j z_j^{c_j}, z_j = exp(i omega_j.phi), each term
-    is the product of r lookups into per-axis tables of powers of z_j, so
-    no term takes its own exp.  phi may be complex.
+    ``terms(index)`` maps integer weight coordinates c, each of modulus at
+    most ``reach`` and encoded by ``orbit_index`` with this ``fold``, to
+    exp(i v.phi) with v = c @ weights.  As exp(i v.phi) = prod_j z_j^{c_j},
+    z_j = exp(i omega_j.phi), each term is a product of lookups into tables
+    of powers z_j^{-reach..reach}, so no term takes its own exp.  The
+    leading ``fold`` axes share one table of all their products, built as
+    the same left fold (z_0^a z_1^b) z_2^c that the per-axis lookups would
+    multiply out; a term costs r - fold + 1 lookups and is the same to the
+    bit for every fold.  phi may be complex.
 
-    On a wall each term gains prod_beta i beta.v, with beta.v = coords @
+    On a wall each term gains prod_beta i beta.v, with beta.v = c @
     (weights @ beta).  The reflections in the wall roots fix exp(i v.phi)
     and flip the sign of that product, so the signed terms of one coset are
     equal and add up instead of cancelling, as the powers of v.d along one
     direction would.
     """
     roots, w = wall_denominator(rs, phi, limit)
-    # powers 0..reach, then -reach..-1: a negative coordinate indexes from the end
-    powers = np.r_[0 : reach + 1, -reach:0]
-    tables = np.exp(1j * np.multiply.outer(rs.weights @ phi, powers))
+    span = 2 * reach + 1
+    powers = np.exp(1j * np.multiply.outer(rs.weights @ phi, np.arange(-reach, reach + 1)))
+    folded = powers[0]
+    for table in powers[1:fold]:
+        folded = np.multiply.outer(folded, table).ravel()
+    tables = [folded, *powers[fold:]]
     walls = 1j * (rs.weights @ roots.T).T
 
-    def terms(coords):
-        out = tables[0].take(coords[0])
-        for table, c in zip(tables[1:], coords[1:]):
+    def terms(index):
+        out = tables[0].take(index[0])
+        for table, c in zip(tables[1:], index[1:]):
             out *= table.take(c)
         if len(walls):
+            # the coordinates themselves: digits of the leading index
+            lead, digits = index[0].astype(np.int64), []
+            for _ in range(fold):
+                lead, digit = np.divmod(lead, span)
+                digits.append(digit)
+            coords = np.stack([*digits[::-1], *index[1:].astype(np.int64)]) - reach
             # one batched product; each wall row takes the vector-matrix
             # route a single wall would, so the factors round the same
             factors = walls[:, None] @ coords.reshape(len(coords), -1)

@@ -103,6 +103,15 @@ def test_kernel_non_finite_time_is_usage_error(capsys, flags):
     assert "finite" in err
 
 
+def test_kernel_eps_in_heat_mode_is_usage_error(capsys):
+    for eps in ("0.3", "0", "-1", "inf"):
+        code, out, err = run(capsys, "kernel", "SU3", "--heat", "0.5", "--eps", eps, "--point", "0.3,0.5")
+        assert code == 2
+        assert out == "" and "--eps" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "kernel", "SU3", "--t", "1.0", "--point", "0.3,0.5")
+    assert code == 0 and json.loads(out)["epsilon"] == 0.0
+
+
 def test_kernel_spectral_route_rejected_off_compact(capsys):
     code, _, err = run(
         capsys, "kernel", "SU11", "--domain", "D0", "--t", "1.0", "--grid", "0.2:1:3",

@@ -33,6 +33,7 @@ from liekernel import (
 from liekernel import checks, kernel
 from liekernel.domains import enumerate_domains, root_system_of
 from liekernel.kernel import _level_sums, _spectral_data, _spectral_levels
+from liekernel.weyl import character, orbit_index, wall_denominator, weight_orbit
 
 RNG = np.random.default_rng(92)
 
@@ -356,11 +357,84 @@ def test_level_sums_from_power_tables_match_direct_exponentials(family, rank, ta
         assert abs(denom - (2j) ** rs.p * np.prod(np.sin(rs.positive_roots @ phi / 2.0))) <= 1e-13
 
 
+def _left_fold_terms(rs, coords, phi, limit):
+    """exp(i v.phi) per orbit entry as the per-axis left fold
+    (z_0^{c_0} z_1^{c_1}) z_2^{c_2} ..., one exp per axis and entry, times
+    the wall factors prod_beta i beta.v formed as the kernel forms them.
+
+    Each factor is bound to a name before it multiplies: numpy may compute
+    ``out * temporary`` in the temporary's memory with the operands swapped,
+    and a complex product rounds differently in the other order."""
+    roots = wall_denominator(rs, phi, limit)[0]
+    x = rs.weights @ phi
+    powers = [np.exp(1j * (xj * c)) for xj, c in zip(x, coords)]
+    flat = coords.reshape(len(coords), -1)
+    walls = [(wall @ flat).reshape(coords.shape[1:]) for wall in 1j * (rs.weights @ roots.T).T]
+    out = powers[0]
+    for factor in powers[1:] + walls:
+        out = out * factor
+    return out
+
+
+def _left_fold_sums(rs, coords, phi, limit, parities):
+    """Level sums over the same blocks of levels as ``_level_sums``."""
+    step = max(1, kernel._BLOCK // len(parities))
+    return np.concatenate([_left_fold_terms(rs, coords[:, s : s + step], phi, limit) @ parities
+                           for s in range(0, coords.shape[1], step)])
+
+
+def _wall_point(rs, rng):
+    """A point on the wall of the first simple root."""
+    a, x = rs.simple_roots[0], rng.uniform(-3.0, 3.0, rs.rank)
+    return x - (a @ x) / (a @ a) * a
+
+
+# A2 folds 1 axis, A4 at tau = 2 folds 2, A4 and D4 at tau = 8 fold 3
+FOLD_CASES = [("A", 2, 1.0), ("A", 4, 2.0), ("A", 4, 8.0), ("D", 4, 8.0)]
+
+
+@pytest.mark.parametrize("family,rank,tau", FOLD_CASES)
+def test_folded_level_sums_equal_per_axis_left_fold(family, rank, tau):
+    rs = build_root_system(family, rank)
+    coords = weight_orbit(generate_weyl_group(rs), _spectral_levels(rs, tau, 1e-14, None) + 1)
+    table = _spectral_data(rs, tau, 1e-14, None)[2]
+    index, parities, reach = table
+    fold, span = rank - len(index) + 1, 2 * reach + 1
+    # the deepest fold whose table fits both bounds
+    bound = min(index[0].size, kernel._BLOCK)
+    assert span**fold <= bound and (fold == rank or span ** (fold + 1) > bound)
+    assert fold == {("A", 2, 1.0): 1, ("A", 4, 2.0): 2}.get((family, rank, tau), 3)
+    lead = sum((coords[j] + reach) * span ** (fold - 1 - j) for j in range(fold))
+    assert (index[0] == lead).all() and (index[1:] == coords[fold:] + reach).all()
+    tables = [table] + [(orbit_index(coords, reach, k), parities, reach) for k in range(1, min(3, rank) + 1)]
+    rng = np.random.default_rng(rank * 7 + int(tau))
+    points = ((rng.uniform(-3.0, 3.0, rank), False), (_wall_point(rs, rng), True), (np.zeros(rank), True))
+    for phi, limit in points:
+        want = _left_fold_sums(rs, coords, phi, limit, parities)
+        for orbit in tables:
+            assert (_level_sums(rs, orbit, phi, limit)[0] == want).all()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 4), ("D", 4)])
+def test_character_equals_per_axis_left_fold(family, rank):
+    rs = build_root_system(family, rank)
+    group = generate_weyl_group(rs)
+    rng = np.random.default_rng(rank * 11 + ord(family))
+    for l in ([0] * rank, [1] * rank, rng.integers(0, 4, rank)):
+        coords = weight_orbit(group, np.asarray(l) + 1)
+        points = ((rng.uniform(-3.0, 3.0, rank), False), (_wall_point(rs, rng), True), (np.zeros(rank), True))
+        for phi, limit in points:
+            denom = (2j) ** rs.p * wall_denominator(rs, phi, limit)[1]
+            want = complex(_left_fold_terms(rs, coords, phi, limit) @ group.parities) / denom
+            assert character(rs, l, phi, group, limit=limit) == want
+
+
 def test_orbit_coordinates_beyond_int16_do_not_wrap():
     orbit = _spectral_data(A1, 1.0, 1e-14, 40000)[2]
-    coords, _, reach = orbit
-    assert reach > np.iinfo(np.int16).max and coords.dtype.itemsize > 2
-    assert np.abs(coords).max() == 40001
+    index, _, reach = orbit
+    assert reach > np.iinfo(np.int16).max and index.dtype.itemsize > 2
+    # coordinates -40001..40001 are stored shifted by reach, as 0..2 * 40001
+    assert index.min() == 0 and index.max() == 2 * 40001
     phi = np.array([0.37])
     sums, _ = _level_sums(A1, orbit, phi, False)
     labels = _spectral_levels(A1, 1.0, 1e-14, 40000)
