@@ -34,7 +34,7 @@ print()
 print("character values at phi =", phi)
 for l in ([1, 0], [1, 1]):
     print(f"  chi_{l}(phi) = {character(rs, l, phi):.10f}")
-print("  chi_[1,1](0) by the exact wall limit:", character(rs, [1, 1], np.zeros(2), limit=True))
+print("  chi_[1,1](0), the exact limit on the walls there:", character(rs, [1, 1], np.zeros(2)))
 
 print()
 print("the signed Weyl orbit of exp(i rho.phi) rebuilds the Weyl denominator:")

@@ -52,9 +52,7 @@ print("heat kernel facts on the rank-1 group:")
 
 def kernel(tau):
     def f(x):
-        req = KernelRequest(
-            rs=a1, phi=RadialPoint.real([x]), time=TimeParameter.heat(tau), wall_limit=True
-        )
+        req = KernelRequest(rs=a1, phi=RadialPoint.real([x]), time=TimeParameter.heat(tau))
         return compact_pathsum(req).value
     return f
 

@@ -104,7 +104,7 @@ def character_dimensions(rs, cases) -> float:
     """
     worst = 0.0
     for l, d in cases:
-        lim = character(rs, l, np.zeros(rs.rank), limit=True)
+        lim = character(rs, l, np.zeros(rs.rank))
         worst = max(worst, abs(dimension(rs, l) - d), abs(lim - d))
     return worst
 
@@ -178,18 +178,18 @@ def identity_value(systems, taus, routes) -> float:
         for tau in taus:
             lam_l, dims, _, _ = kmod._spectral_data(rs, tau, 1e-20, None)
             want = float((dims**2 * np.exp(-lam_l * tau)).sum()) / group_volume(rs)
-            req = _heat(rs, np.zeros(rank), tau, tol=1e-20, wall_limit=True)
+            req = _heat(rs, np.zeros(rank), tau, tol=1e-20)
             for route in routes:
                 worst = max(worst, abs(route(req).value - want) / want)
     return worst
 
 
-def dual_series(rs, points, taus, wall_limit: bool = False) -> float:
+def dual_series(rs, points, taus) -> float:
     """Worst |path sum - spectral expansion| / |spectral| at heat times ``taus``."""
     worst = 0.0
     for tau in taus:
         for phi in points:
-            req = _heat(rs, phi, tau, wall_limit=wall_limit)
+            req = _heat(rs, phi, tau)
             a = kmod.compact_pathsum(req).value
             b = kmod.compact_spectral(req).value
             worst = max(worst, abs(a - b) / abs(b))
@@ -225,7 +225,7 @@ def heat_normalization(tau: float) -> float:
     rs = build_root_system("A", 1)
 
     def kern(x):
-        return kmod.compact_pathsum(_heat(rs, [x], tau, wall_limit=True)).value
+        return kmod.compact_pathsum(_heat(rs, [x], tau)).value
 
     return abs(kmod.integrate_central_su2(rs, kern) - 1.0)
 

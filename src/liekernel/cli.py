@@ -192,9 +192,14 @@ def _time_parameter(args) -> kmod.TimeParameter:
 
 
 def _grid_points(args, rank: int, signature) -> list:
+    if not 0 <= args.axis < rank:
+        raise ArgumentError(f"--axis must lie in 0..{rank - 1}, got {args.axis}")
     base = np.zeros(rank)
     if args.point:
-        base = np.array([float(v) for v in args.point.split(",")])
+        try:
+            base = np.array([float(v) for v in args.point.split(",")])
+        except ValueError as exc:
+            raise ArgumentError(f"bad --point {args.point!r}: {exc}") from None
         if len(base) != rank:
             raise ArgumentError(f"--point needs {rank} comma-separated values")
     spec = args.grid or args.theta_grid
@@ -224,9 +229,9 @@ def _closed_form(fam: GroupFamily, domain_label: str, point: RadialPoint, tp) ->
         if not fam.is_compact and domain_label == "D0":
             value = kmod.su11_kernel_d0(point.values[0], tp)
         else:
-            # the wall rule refuses a wall point: the closed series is 0/0 there
-            rs = root_system_of(fam)
-            wall_denominator(rs, np.asarray(point.values), limit=False)
+            # the printed series is 0/0 on a wall
+            if len(wall_denominator(root_system_of(fam), np.asarray(point.values))[0]):
+                return None
             value = kmod.su2_pathsum_series(point.values[0], tp)
     except LieKernelError:
         return None
@@ -264,20 +269,17 @@ def cmd_kernel(args) -> int:
             "phi": [float(v) for v in point.values],
             "signature": "".join(point.signature),
         }
+        req = kmod.KernelRequest(rs=rs, phi=point, time=tp, tol=args.tol, level_cutoff=args.level_cutoff,
+                                 domain=None if compact_request else domain)
         for route in routes:
             try:
                 if route == "spectral":
-                    req = kmod.KernelRequest(
-                        rs=rs, phi=point, time=tp, tol=args.tol, level_cutoff=args.level_cutoff
-                    )
                     kv = kmod.compact_spectral(req)
                 elif compact_request:
-                    req = kmod.KernelRequest(rs=rs, phi=point, time=tp, tol=args.tol)
                     kv = kmod.compact_pathsum(req)
                 else:
-                    req = kmod.KernelRequest(rs=rs, phi=point, time=tp, tol=args.tol, domain=domain)
                     kv = kmod.noncompact_pathsum(req)
-            except SingularPointError:
+            except SingularPointError:  # a wall root orthogonal to the real axes: no limit
                 rec[f"{route}_skipped"] = "wall point"
                 continue
             rec[f"{route}_re"] = float(kv.value.real)
@@ -364,16 +366,20 @@ def cmd_domains(args) -> int:
         _emit(args, payload, payload["domains"])
         return 0
     # classify
-    with open(args.matrix, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    flat = np.asarray(raw, dtype=float)
+    try:
+        with open(args.matrix, encoding="utf-8") as fh:
+            flat = np.asarray(json.load(fh), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"{args.matrix}: not a JSON numeric array: {exc}") from None
     if flat.ndim == 2 and flat.shape[1] == 2:  # row-major [re, im] pairs
         n = int(round(np.sqrt(len(flat))))
+        if n * n != len(flat):
+            raise ArgumentError(f"{args.matrix}: {len(flat)} [re, im] pairs do not fill a square matrix")
         mat = (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
     elif flat.ndim == 3 and flat.shape[2] == 2:
         mat = flat[..., 0] + 1j * flat[..., 1]
     else:
-        mat = np.asarray(raw, dtype=complex)
+        mat = flat.astype(complex)
     dom, point = classify_element(fam, mat)
     eig = np.linalg.eigvals(np.asarray(mat, dtype=complex))
     pred = predicted_eigenvalues(fam, point)

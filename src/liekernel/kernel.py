@@ -145,13 +145,14 @@ class KernelRequest:
     domain: object | None = None
     tol: float = 1e-14
     level_cutoff: int | None = None
-    wall_limit: bool = False
 
     def __post_init__(self):
         if self.phi.rank != self.rs.rank:
             raise ArgumentError("radial point rank does not match root system rank")
         if not 0.0 < self.tol < 1.0:
             raise ArgumentError(f"tol must lie in (0, 1), got {self.tol}")
+        if self.level_cutoff is not None and self.level_cutoff < 0:
+            raise ArgumentError(f"level_cutoff must be >= 0, got {self.level_cutoff}")
         if self.domain is None and not self.phi.is_compact:
             raise ArgumentError("mixed-signature point needs an evolution domain")
         if self.domain is not None:
@@ -175,8 +176,7 @@ def _path_constants(rs: RootSystem, signature: tuple) -> tuple:
     return direction, rs.positive_roots @ direction, rs.rho @ rs.rho
 
 
-def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: complex,
-                   wall_limit: bool) -> complex:
+def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: complex) -> complex:
     """Sum of van Vleck terms over the given winding points.
 
     On a wall, the s^k coefficient of prod_beta beta.(x_m + s d)
@@ -185,7 +185,7 @@ def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: comp
     """
     cv = phi.complex_vector()
     direction, slopes, rho2 = _path_constants(rs, phi.signature)
-    roots, w = wall_denominator(rs, cv, wall_limit, direction)
+    roots, w = wall_denominator(rs, cv, direction)
     k = len(roots)
     shifted = cv[None, :] + 2.0 * np.pi * points
     factors = shifted @ rs.positive_roots.T
@@ -227,7 +227,7 @@ def compact_pathsum(req: KernelRequest) -> KernelValue:
     t = req.time.effective
     lat = winding_lattice(rs)
     points = enumerate_points(lat, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
-    value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t, req.wall_limit)
+    value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t)
 
     if req.time.conditionally_convergent:
         return KernelValue(
@@ -306,7 +306,7 @@ def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int 
     return data
 
 
-def _level_sums(rs: RootSystem, orbit, phi, limit: bool) -> tuple:
+def _level_sums(rs: RootSystem, orbit, phi) -> tuple:
     """Signed orbit sum of every level at phi, and the Weyl denominator.
 
     Walks the levels in blocks of about ``_BLOCK`` orbit entries.  Each
@@ -315,7 +315,7 @@ def _level_sums(rs: RootSystem, orbit, phi, limit: bool) -> tuple:
     fold depth is read off the table's shape.
     """
     index, parities, reach = orbit
-    terms, denom = orbit_quotient(rs, phi, limit, reach, fold=rs.rank - len(index) + 1)
+    terms, denom = orbit_quotient(rs, phi, reach, fold=rs.rank - len(index) + 1)
     step = max(1, _BLOCK // len(parities))
     sums = np.empty(index.shape[1], dtype=complex)
     for start in range(0, len(sums), step):
@@ -336,7 +336,7 @@ def compact_spectral(req: KernelRequest) -> KernelValue:
     t = req.time.effective
     x = np.asarray(req.phi.values, dtype=float)
     lam_l, _, orbit, weights = _spectral_data(rs, req.time.decay_scale(), req.tol, req.level_cutoff)
-    sums, denom = _level_sums(rs, orbit, x, req.wall_limit)
+    sums, denom = _level_sums(rs, orbit, x)
     value = complex((weights * np.exp(-1j * lam_l * t)) @ sums / denom)
     return KernelValue(value, ConvergenceTag.CONVERGENT)
 
@@ -349,7 +349,7 @@ def noncompact_pathsum(req: KernelRequest) -> KernelValue:
     t = req.time.effective
     sub = domain_sublattice(winding_lattice(rs), req.domain)
     points = enumerate_points(sub, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
-    value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t, req.wall_limit)
+    value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t)
 
     tag, warning = _noncompact_tag(rs, req, t)
     return KernelValue(value, tag, warning)

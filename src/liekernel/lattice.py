@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError, InternalError, ResourceError
 from .rootsys import RootSystem
-from .weyl import WeylElement, WeylGroup, reflection_matrix
+from .weyl import WeylElement, WeylGroup, generate_weyl_group, reflection_matrix
 
 __all__ = [
     "REAL",
@@ -57,6 +57,8 @@ class RadialPoint:
             raise ArgumentError(f"signature entries must be 'R' or 'I', got {self.signature}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "signature", tuple(self.signature))
+        if not all(map(math.isfinite, self.values)):
+            raise ArgumentError(f"radial values must be finite, got {self.values}")
 
     @classmethod
     def real(cls, values) -> "RadialPoint":
@@ -415,9 +417,7 @@ def _coeffs_of(lat: WindingLattice, vector: np.ndarray) -> np.ndarray:
     return rounded.astype(int)
 
 
-def canonicalize(
-    rs: RootSystem, group: WeylGroup, lat: WindingLattice, phi: RadialPoint
-) -> tuple:
+def canonicalize(rs: RootSystem, phi: RadialPoint) -> tuple:
     """Reduce a radial point to its canonical representative.
 
     Compact points land in the Weyl alcove (gamma.phi >= 0 for simple roots,
@@ -428,8 +428,8 @@ def canonicalize(
     ``m`` integer coefficients over the simple coroots.
     """
     if phi.is_compact:
-        return _canonicalize_compact(rs, lat, phi)
-    return reduce_lexmax(group, lat, phi)
+        return _canonicalize_compact(rs, winding_lattice(rs), phi)
+    return reduce_lexmax(generate_weyl_group(rs), winding_lattice(rs), phi)
 
 
 def _canonicalize_compact(rs: RootSystem, lat: WindingLattice, phi: RadialPoint):

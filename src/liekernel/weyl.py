@@ -146,33 +146,31 @@ def weight_orbit(group: WeylGroup, coords) -> np.ndarray:
     return (np.asarray(coords, dtype=float) @ axes).astype(np.int64)
 
 
-def character(rs: RootSystem, l, phi, group: WeylGroup | None = None, limit: bool = False) -> complex:
+def character(rs: RootSystem, l, phi) -> complex:
     """Weyl character chi_l(phi).
 
-    At Weyl walls the quotient is 0/0; pass ``limit=True`` for its exact
-    value there (see ``orbit_quotient``), which at phi=0 is the
-    representation dimension.
+    On a Weyl wall the quotient is 0/0, and the value is its exact limit
+    (see ``orbit_quotient``); at phi=0 that is the representation dimension.
     """
-    group = group or generate_weyl_group(rs)
+    group = generate_weyl_group(rs)
     # the orbit of the strictly dominant l + rho is free: |W| distinct terms
     coords = weight_orbit(group, _check_dominant(l, rs.rank) + 1)
     phi = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
     reach = int(np.abs(coords).max())
-    terms, denom = orbit_quotient(rs, phi, limit, reach)
+    terms, denom = orbit_quotient(rs, phi, reach)
     return complex(terms(coords + reach) @ group.parities) / denom
 
 
-def wall_denominator(rs: RootSystem, phi, limit: bool, direction=None) -> tuple:
+def wall_denominator(rs: RootSystem, phi, direction=None) -> tuple:
     """The wall rule: the positive roots on a wall at phi, where
     |sin(alpha.phi/2)| <= 1e-12 (complex-safe), and the leading Taylor
     coefficient of w there (w(phi) itself off every wall).
 
-    On a wall a quotient by w is 0/0; its limit is the ratio of the same
-    coefficient of numerator and w.  With a ``direction`` d that is the
-    s^k coefficient at phi + s d, k the number of wall roots; without one,
-    the image under prod_beta (beta.grad) over the wall roots.  A wall is
-    refused (``SingularPointError``) without ``limit``, and so is a wall
-    root orthogonal to d, along which there is no limit.
+    On a wall a quotient by w is 0/0; its value is the limit, the ratio of
+    the same coefficient of numerator and w.  With a ``direction`` d that is
+    the s^k coefficient at phi + s d, k the number of wall roots; without
+    one, the image under prod_beta (beta.grad) over the wall roots.  A wall
+    root orthogonal to d has no limit along d: ``SingularPointError``.
     """
     half = rs.positive_roots @ phi / 2.0
     sines = np.sin(half)
@@ -180,11 +178,6 @@ def wall_denominator(rs: RootSystem, phi, limit: bool, direction=None) -> tuple:
     roots = rs.positive_roots[wall]
     if not len(roots):
         return roots, complex(np.prod(sines))
-    if not limit:
-        raise SingularPointError(
-            f"phi lies on a Weyl wall: sin(alpha.phi/2) vanishes for positive root "
-            f"{roots[0]}; request the limit (limit=True, wall_limit=True) for wall values"
-        )
     if direction is None:
         gram = roots @ roots.T
         slopes, scale = np.full(len(roots), 0.5), _permanent(gram.tobytes(), len(gram))
@@ -223,9 +216,10 @@ def orbit_index(coords, reach: int, fold: int) -> np.ndarray:
     return np.concatenate([lead[None], shifted[fold:]])
 
 
-def orbit_quotient(rs: RootSystem, phi, limit: bool, reach: int, fold: int = 1) -> tuple:
+def orbit_quotient(rs: RootSystem, phi, reach: int, fold: int = 1) -> tuple:
     """Signed orbit sums at phi: a term map and the denominator
-    (2i)^p w(phi), by the wall rule without a direction.
+    (2i)^p w(phi), by the wall rule without a direction, so that on a Weyl
+    wall the quotient of the two is its exact limit.
 
     ``terms(index)`` maps integer weight coordinates c, each of modulus at
     most ``reach`` and encoded by ``orbit_index`` with this ``fold``, to
@@ -243,7 +237,7 @@ def orbit_quotient(rs: RootSystem, phi, limit: bool, reach: int, fold: int = 1) 
     equal and add up instead of cancelling, as the powers of v.d along one
     direction would.
     """
-    roots, w = wall_denominator(rs, phi, limit)
+    roots, w = wall_denominator(rs, phi)
     span = 2 * reach + 1
     powers = np.exp(1j * np.multiply.outer(rs.weights @ phi, np.arange(-reach, reach + 1)))
     folded = powers[0]
@@ -273,7 +267,7 @@ def orbit_quotient(rs: RootSystem, phi, limit: bool, reach: int, fold: int = 1) 
     return terms, (2j) ** rs.p * w
 
 
-def dimension(rs: RootSystem, l, group: WeylGroup | None = None) -> int:
+def dimension(rs: RootSystem, l) -> int:
     """Representation dimension by the product formula, checked to be integral."""
     li = _check_dominant(l, rs.rank)
     nvec = (li + 1) @ rs.weights

@@ -118,7 +118,7 @@ def test_criterion_05_normalization_and_semigroup():
     grid = np.linspace(0.0, 2.0 * np.pi, n)
 
     def samples(tau):
-        reqs = (KernelRequest(rs=A1, phi=RadialPoint.real([x]), time=TimeParameter.heat(tau), wall_limit=True)
+        reqs = (KernelRequest(rs=A1, phi=RadialPoint.real([x]), time=TimeParameter.heat(tau))
                 for x in grid)
         return np.array([compact_pathsum(req).value for req in reqs], dtype=complex)
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from liekernel import cli
+from liekernel import build_root_system, casimir_eigenvalue, cli, dimension, group_volume
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -64,13 +64,46 @@ def test_kernel_su11_d0_closed_form_column(capsys):
 
 
 def test_kernel_wall_points_skipped_not_fatal(capsys):
+    # the identity is a wall with a limit: it gets a value
     code, out, _ = run(capsys, "kernel", "SU2", "--heat", "0.5", "--grid", "0.0:2.0:5")
-    data = json.loads(out)
     assert code == 0
-    first = data["records"][0]
-    assert first["phi"] == [0.0]
-    assert first.get("pathsum_skipped") == "wall point"
-    assert "pathsum_re" in data["records"][1]
+    assert all("pathsum_re" in rec for rec in json.loads(out)["records"])
+    # theta_1 = theta_2 is a wall orthogonal to the real axis: no limit, skipped
+    code, out, _ = run(capsys, "kernel", "Sp6R", "--domain", "D1", "--t", "1", "--eps", "0.05",
+                       "--point", "0.7,0.7,0.0")
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["pathsum_skipped"] == "wall point" and "pathsum_re" not in rec
+
+
+def test_kernel_su2_grid_through_both_walls(capsys):
+    tau = 0.5
+    code, out, _ = run(capsys, "kernel", "SU2", "--heat", str(tau), "--route", "both",
+                       "--grid", f"0:{2 * np.pi!r}:3")
+    assert code == 0
+    at_zero, middle, at_two_pi = json.loads(out)["records"]
+    rs = build_root_system("A", 1)
+    # K(0) = V_G^-1 sum_l d_l^2 exp(-lambda_l tau)
+    want = sum(dimension(rs, [l]) ** 2 * np.exp(-casimir_eigenvalue(rs, [l]) * tau) for l in range(200))
+    want /= group_volume(rs)
+    for route in ("pathsum", "spectral"):
+        assert abs(complex(at_zero[f"{route}_re"], at_zero[f"{route}_im"]) - want) <= 1e-12 * want
+    # the printed closed series is 0/0 on the walls
+    assert not any(k.startswith("closed") for k in (*at_zero, *at_two_pi))
+    assert "closed_re" in middle and "pathsum_re" in at_two_pi
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--grid", "0.1:1:3", "--axis", "5"], "--axis"),
+    (["--grid", "0.1:1:3", "--axis", "-1"], "--axis"),
+    (["--point", "0.3,abc"], "--point"),
+    (["--point", "nan,0.3"], "finite"),
+    (["--point", "0.3,0.5", "--level-cutoff", "-1"], "level_cutoff"),
+])
+def test_kernel_bad_point_axis_or_cutoff_is_usage_error(capsys, flags, message):
+    code, out, err = run(capsys, "kernel", "SU3", "--heat", "0.5", *flags)
+    assert code == 2
+    assert out == "" and message in err and "Traceback" not in err
 
 
 def test_kernel_empty_grid_is_usage_error(capsys):
@@ -154,6 +187,20 @@ def test_domains_classify_matrix_file(capsys, tmp_path):
     assert data["domain"] == "D0"
     assert abs(data["radial"][0] - theta) < 1e-9
     assert data["residual"] < 1e-9
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[[1, 2], [3, 4], [5, 6]]", "square"),  # three [re, im] pairs
+    ("[[1, 2], [3]]", "numeric"),
+    ('[["a", "b"], ["c", "d"]]', "numeric"),
+    ("[[1, 2], [3, 4]", "JSON"),
+])
+def test_domains_classify_malformed_matrix_is_usage_error(capsys, tmp_path, text, message):
+    path = tmp_path / "mat.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "domains", "classify", "SU11", str(path))
+    assert code == 2
+    assert out == "" and message in err
 
 
 def test_domains_classify_requires_matrix(capsys):

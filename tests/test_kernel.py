@@ -11,7 +11,6 @@ from liekernel import (
     PoleError,
     RadialPoint,
     ResourceError,
-    SingularPointError,
     TimeParameter,
     UnsupportedOperationError,
     build_root_system,
@@ -158,18 +157,15 @@ def test_kernel_rescale_invariance():
         assert abs(spec - base) / abs(base) < 1e-10
 
 
-def test_wall_rejection_and_limit():
+def test_wall_value_is_the_limit():
     tp = TimeParameter.heat(0.5)
-    with pytest.raises(SingularPointError):
-        compact_pathsum(KernelRequest(rs=A1, phi=RadialPoint.real([0.0]), time=tp))
-    req = KernelRequest(rs=A1, phi=RadialPoint.real([0.0]), time=tp, wall_limit=True)
-    limit = compact_pathsum(req).value
+    limit = compact_pathsum(KernelRequest(rs=A1, phi=RadialPoint.real([0.0]), time=tp)).value
     nearby = compact_pathsum(
         KernelRequest(rs=A1, phi=RadialPoint.real([1e-3]), time=tp)
     ).value
     assert abs(limit - nearby) < 1e-4 * abs(limit)
     # identity value equals the coincidence-limit heat trace density at phi=0
-    assert checks.dual_series(A1, [[0.0]], (0.5,), wall_limit=True) < 1e-7
+    assert checks.dual_series(A1, [[0.0]], (0.5,)) < 1e-7
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, 2.0, float("nan")])
@@ -184,11 +180,18 @@ def test_request_rejects_tol_outside_unit_interval(tol):
                                          time=TimeParameter.real(1.0), domain=dom, tol=tol))
 
 
-def _pathsum_terms_by_prod(rs, phi, points, t, wall_limit):
+@pytest.mark.parametrize("values", [(float("nan"), 0.3), (0.3, float("inf")), (-float("inf"), 0.3)])
+def test_radial_point_rejects_non_finite_values(values):
+    for make in (RadialPoint.real, lambda v: RadialPoint.mixed(v, "RI")):
+        with pytest.raises(ArgumentError, match="finite"):
+            make(values)
+
+
+def _pathsum_terms_by_prod(rs, phi, points, t):
     """Reference van Vleck sum: the numerator product as one np.prod."""
     cv = phi.complex_vector()
     direction = np.where(np.array(phi.signature) == "R", rs.rho, 0.0)
-    roots, w = kernel.wall_denominator(rs, cv, wall_limit, direction)
+    roots, w = kernel.wall_denominator(rs, cv, direction)
     k = len(roots)
     shifted = cv[None, :] + 2.0 * np.pi * points
     factors = shifted @ rs.positive_roots.T
@@ -239,15 +242,9 @@ def test_pathsum_terms_match_prod_reference():
         for time in times:
             t = time.effective
             points = enumerate_points(lat, phi, time.decay_scale(), 1e-14, lam=rs.lam)
-            for limit in (False, True):
-                try:
-                    want = _pathsum_terms_by_prod(rs, phi, points, t, limit)
-                except SingularPointError:
-                    with pytest.raises(SingularPointError):
-                        kernel._pathsum_terms(rs, phi, points, t, limit)
-                    continue
-                got = kernel._pathsum_terms(rs, phi, points, t, limit)
-                assert np.array(got).tobytes() == np.array(want).tobytes(), (rs.name, phi, time, limit)
+            want = _pathsum_terms_by_prod(rs, phi, points, t)
+            got = kernel._pathsum_terms(rs, phi, points, t)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (rs.name, phi, time)
 
 
 def test_spectral_requires_damping_in_real_time():
@@ -352,12 +349,12 @@ def test_level_sums_from_power_tables_match_direct_exponentials(family, rank, ta
     rng = np.random.default_rng(rank * 31 + ord(family))
     for _ in range(3):
         phi = rng.uniform(-3.0, 3.0, rank)
-        sums, denom = _level_sums(rs, orbit, phi, False)
+        sums, denom = _level_sums(rs, orbit, phi)
         assert np.abs(sums - _direct_level_sums(rs, labels, phi)).max() <= 1e-13 * order
         assert abs(denom - (2j) ** rs.p * np.prod(np.sin(rs.positive_roots @ phi / 2.0))) <= 1e-13
 
 
-def _left_fold_terms(rs, coords, phi, limit):
+def _left_fold_terms(rs, coords, phi):
     """exp(i v.phi) per orbit entry as the per-axis left fold
     (z_0^{c_0} z_1^{c_1}) z_2^{c_2} ..., one exp per axis and entry, times
     the wall factors prod_beta i beta.v formed as the kernel forms them.
@@ -365,7 +362,7 @@ def _left_fold_terms(rs, coords, phi, limit):
     Each factor is bound to a name before it multiplies: numpy may compute
     ``out * temporary`` in the temporary's memory with the operands swapped,
     and a complex product rounds differently in the other order."""
-    roots = wall_denominator(rs, phi, limit)[0]
+    roots = wall_denominator(rs, phi)[0]
     x = rs.weights @ phi
     powers = [np.exp(1j * (xj * c)) for xj, c in zip(x, coords)]
     flat = coords.reshape(len(coords), -1)
@@ -376,10 +373,10 @@ def _left_fold_terms(rs, coords, phi, limit):
     return out
 
 
-def _left_fold_sums(rs, coords, phi, limit, parities):
+def _left_fold_sums(rs, coords, phi, parities):
     """Level sums over the same blocks of levels as ``_level_sums``."""
     step = max(1, kernel._BLOCK // len(parities))
-    return np.concatenate([_left_fold_terms(rs, coords[:, s : s + step], phi, limit) @ parities
+    return np.concatenate([_left_fold_terms(rs, coords[:, s : s + step], phi) @ parities
                            for s in range(0, coords.shape[1], step)])
 
 
@@ -408,11 +405,10 @@ def test_folded_level_sums_equal_per_axis_left_fold(family, rank, tau):
     assert (index[0] == lead).all() and (index[1:] == coords[fold:] + reach).all()
     tables = [table] + [(orbit_index(coords, reach, k), parities, reach) for k in range(1, min(3, rank) + 1)]
     rng = np.random.default_rng(rank * 7 + int(tau))
-    points = ((rng.uniform(-3.0, 3.0, rank), False), (_wall_point(rs, rng), True), (np.zeros(rank), True))
-    for phi, limit in points:
-        want = _left_fold_sums(rs, coords, phi, limit, parities)
+    for phi in (rng.uniform(-3.0, 3.0, rank), _wall_point(rs, rng), np.zeros(rank)):
+        want = _left_fold_sums(rs, coords, phi, parities)
         for orbit in tables:
-            assert (_level_sums(rs, orbit, phi, limit)[0] == want).all()
+            assert (_level_sums(rs, orbit, phi)[0] == want).all()
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 4), ("D", 4)])
@@ -422,11 +418,10 @@ def test_character_equals_per_axis_left_fold(family, rank):
     rng = np.random.default_rng(rank * 11 + ord(family))
     for l in ([0] * rank, [1] * rank, rng.integers(0, 4, rank)):
         coords = weight_orbit(group, np.asarray(l) + 1)
-        points = ((rng.uniform(-3.0, 3.0, rank), False), (_wall_point(rs, rng), True), (np.zeros(rank), True))
-        for phi, limit in points:
-            denom = (2j) ** rs.p * wall_denominator(rs, phi, limit)[1]
-            want = complex(_left_fold_terms(rs, coords, phi, limit) @ group.parities) / denom
-            assert character(rs, l, phi, group, limit=limit) == want
+        for phi in (rng.uniform(-3.0, 3.0, rank), _wall_point(rs, rng), np.zeros(rank)):
+            denom = (2j) ** rs.p * wall_denominator(rs, phi)[1]
+            want = complex(_left_fold_terms(rs, coords, phi) @ group.parities) / denom
+            assert character(rs, l, phi) == want
 
 
 def test_orbit_coordinates_beyond_int16_do_not_wrap():
@@ -436,7 +431,7 @@ def test_orbit_coordinates_beyond_int16_do_not_wrap():
     # coordinates -40001..40001 are stored shifted by reach, as 0..2 * 40001
     assert index.min() == 0 and index.max() == 2 * 40001
     phi = np.array([0.37])
-    sums, _ = _level_sums(A1, orbit, phi, False)
+    sums, _ = _level_sums(A1, orbit, phi)
     labels = _spectral_levels(A1, 1.0, 1e-14, 40000)
     # phases reach 4e4 rad, where each exponent carries ~1e-11 of rounding
     assert np.abs(sums - _direct_level_sums(A1, labels, phi)).max() <= 1e-10
@@ -618,9 +613,7 @@ def _heat_samples(tau, npts=201):
     grid = np.linspace(0.0, 2.0 * np.pi, npts)
     out = np.empty(npts, dtype=complex)
     for i, x in enumerate(grid):
-        req = KernelRequest(
-            rs=A1, phi=RadialPoint.real([x]), time=TimeParameter.heat(tau), wall_limit=True
-        )
+        req = KernelRequest(rs=A1, phi=RadialPoint.real([x]), time=TimeParameter.heat(tau))
         out[i] = compact_pathsum(req).value
     return out
 

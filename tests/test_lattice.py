@@ -273,24 +273,21 @@ def test_enumerate_points_resource_cap():
 
 def test_canonicalize_examples():
     rs = build_root_system("A", 1)
-    group = generate_weyl_group(rs)
-    lat = winding_lattice(rs)
-    c, s, m = canonicalize(rs, group, lat, RadialPoint.real([0.3]))
+    c, s, m = canonicalize(rs, RadialPoint.real([0.3]))
     assert abs(c.values[0] - 0.3) < 1e-12 and s.parity == 1 and list(m) == [0]
-    c, s, m = canonicalize(rs, group, lat, RadialPoint.real([-0.3]))
+    c, s, m = canonicalize(rs, RadialPoint.real([-0.3]))
     assert abs(c.values[0] - 0.3) < 1e-12 and s.parity == -1
-    c, s, m = canonicalize(rs, group, lat, RadialPoint.real([4 * np.pi + 0.3]))
+    c, s, m = canonicalize(rs, RadialPoint.real([4 * np.pi + 0.3]))
     assert abs(c.values[0] - 0.3) < 1e-10 and list(m) == [-1]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3)])
 def test_canonicalize_compact_properties(family, rank):
     rs = build_root_system(family, rank)
-    group = generate_weyl_group(rs)
     lat = winding_lattice(rs)
     for _ in range(20):
         phi = RNG.uniform(-8.0, 8.0, rank)
-        c, sigma, m = canonicalize(rs, group, lat, RadialPoint.real(phi))
+        c, sigma, m = canonicalize(rs, RadialPoint.real(phi))
         x = np.array(c.values)
         # alcove membership
         assert (rs.simple_roots @ x >= -1e-9).all()
@@ -299,24 +296,21 @@ def test_canonicalize_compact_properties(family, rank):
         back = sigma.matrix.T @ x - 2 * np.pi * (m @ lat.generators)
         assert np.abs(back - phi).max() < 1e-9
         # idempotent
-        c2, s2, m2 = canonicalize(rs, group, lat, c)
+        c2, s2, m2 = canonicalize(rs, c)
         assert np.abs(np.array(c2.values) - x).max() < 1e-9
         assert list(m2) == [0] * rank
 
 
 def test_canonicalize_mixed():
     rs = build_root_system("A", 1)
-    group = generate_weyl_group(rs)
-    lat = winding_lattice(rs)
-    c, s, m = canonicalize(rs, group, lat, RadialPoint.mixed([-0.7], "I"))
+    c, s, m = canonicalize(rs, RadialPoint.mixed([-0.7], "I"))
     assert c.signature == ("I",)
     assert abs(c.values[0] - 0.7) < 1e-12 and s.parity == -1
     # mixed rank-2 point: real coordinate reduced modulo the sublattice
     b2 = build_root_system("B", 2)
-    gb = generate_weyl_group(b2)
     lb = winding_lattice(b2)
     pt = RadialPoint.mixed([4 * np.pi + 0.4, -0.8], "RI")
-    c, sigma, m = canonicalize(b2, gb, lb, pt)
+    c, sigma, m = canonicalize(b2, pt)
     assert abs(c.values[0] - 0.4) < 1e-9 and abs(c.values[1] - 0.8) < 1e-9
     back = sigma.matrix.T @ np.array(c.values) - 2 * np.pi * (m @ lb.generators)
     assert np.abs(back - np.array(pt.values)).max() < 1e-9

@@ -72,7 +72,7 @@ def test_dual_series_on_walls_near_identity(family, rank):
     points = _wall_points(rs, rng, 4)
     for phi in points:
         assert (np.abs(np.sin(rs.positive_roots @ phi / 2.0)) <= 1e-12).sum() >= 1
-    assert checks.dual_series(rs, points, HEAT_TIMES[rank], wall_limit=True) < 1e-11
+    assert checks.dual_series(rs, points, HEAT_TIMES[rank]) < 1e-11
 
 
 @pytest.mark.parametrize("family,rank", SYSTEMS)
@@ -95,15 +95,13 @@ def test_minuscule_characters_on_walls(family, rank):
         l = np.eye(rank, dtype=int)[j]
         images = group.matrices @ rs.weights[j]
         orbit = images[np.unique(np.round(images, 9), axis=0, return_index=True)[1]]
-        if len(orbit) != dimension(rs, l, group):
+        if len(orbit) != dimension(rs, l):
             continue  # not minuscule
         checked += 1
         # the off-wall factors of the Weyl quotient still cost a few digits
         for phi, bound in [(phi, 1e-9) for phi in points] + [(np.zeros(rank), 1e-12)]:
             want = np.exp(1j * (orbit @ phi)).sum()
-            assert abs(character(rs, l, phi, group, limit=True) - want) <= bound * len(orbit)
-            with pytest.raises(SingularPointError):
-                character(rs, l, phi, group)
+            assert abs(character(rs, l, phi) - want) <= bound * len(orbit)
     assert checked
 
 
@@ -133,9 +131,7 @@ def test_restricted_walls_order_one(name, label, values, heat, damped):
     point = RadialPoint(values, dom.signature)
     assert (np.abs(np.sin(rs.positive_roots @ point.complex_vector() / 2.0)) <= 1e-12).sum() == 1
     for time, want in ((TimeParameter.heat(0.7), heat), (TimeParameter.real(1.0, 0.05), damped)):
-        with pytest.raises(SingularPointError):
-            noncompact_pathsum(KernelRequest(rs=rs, phi=point, time=time, domain=dom))
-        req = KernelRequest(rs=rs, phi=point, time=time, domain=dom, wall_limit=True)
+        req = KernelRequest(rs=rs, phi=point, time=time, domain=dom)
         assert abs(noncompact_pathsum(req).value - want) <= 1e-9 * abs(want)
 
 
@@ -146,7 +142,7 @@ def test_wall_orthogonal_to_real_axes_has_no_limit():
     point = RadialPoint.mixed([0.7, 0.7, 0.0], dom.signature)
     for time in (TimeParameter.heat(0.7), TimeParameter.real(1.0), TimeParameter.real(1.0, 0.05)):
         with pytest.raises(SingularPointError, match="no limit"):
-            noncompact_pathsum(KernelRequest(rs=rs, phi=point, time=time, domain=dom, wall_limit=True))
+            noncompact_pathsum(KernelRequest(rs=rs, phi=point, time=time, domain=dom))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("A", 4), ("D", 4)])
