@@ -21,7 +21,7 @@ from .domains import (
 )
 from .domains import _pairing_residual
 from .errors import ArgumentError, ConfigurationError, LieKernelError, SingularPointError
-from .lattice import RadialPoint, domain_sublattice, winding_lattice
+from .lattice import IMAGINARY, RadialPoint, domain_sublattice, winding_lattice
 from .rootsys import build_root_system, cartan_matrix, rescale
 from .volumes import volume_report
 from .weyl import generate_weyl_group, wall_denominator
@@ -202,6 +202,8 @@ def _grid_points(args, rank: int, signature) -> list:
             raise ArgumentError(f"bad --point {args.point!r}: {exc}") from None
         if len(base) != rank:
             raise ArgumentError(f"--point needs {rank} comma-separated values")
+    if args.grid and args.theta_grid:
+        raise ArgumentError("--theta-grid is an alias of --grid; give one of them")
     spec = args.grid or args.theta_grid
     if not spec:
         if not args.point:
@@ -258,11 +260,15 @@ def cmd_kernel(args) -> int:
     points = _grid_points(args, rs.rank, signature)
     if not points:
         raise ArgumentError("empty evaluation grid")
-    compact_request = domain is None or domain.b == 0
+    compact = IMAGINARY not in signature
+    pathsum = kmod.compact_pathsum if compact else kmod.noncompact_pathsum
 
     routes = [args.route] if args.route != "both" else ["pathsum", "spectral"]
-    if "spectral" in routes and not compact_request:
-        raise ArgumentError("the spectral route exists only for compact requests")
+    if "spectral" in routes and not compact:
+        raise ArgumentError("the spectral route exists only on the compact group and its all-real domains")
+    if "spectral" in routes and tp.conditionally_convergent:
+        raise ArgumentError("the spectral route needs damping in real time: give --eps > 0, "
+                            "or use --route pathsum")
 
     def evaluate(point):
         rec = {
@@ -270,15 +276,10 @@ def cmd_kernel(args) -> int:
             "signature": "".join(point.signature),
         }
         req = kmod.KernelRequest(rs=rs, phi=point, time=tp, tol=args.tol, level_cutoff=args.level_cutoff,
-                                 domain=None if compact_request else domain)
+                                 domain=domain)
         for route in routes:
             try:
-                if route == "spectral":
-                    kv = kmod.compact_spectral(req)
-                elif compact_request:
-                    kv = kmod.compact_pathsum(req)
-                else:
-                    kv = kmod.noncompact_pathsum(req)
+                kv = kmod.compact_spectral(req) if route == "spectral" else pathsum(req)
             except SingularPointError:  # a wall root orthogonal to the real axes: no limit
                 rec[f"{route}_skipped"] = "wall point"
                 continue
@@ -371,15 +372,18 @@ def cmd_domains(args) -> int:
             flat = np.asarray(json.load(fh), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ArgumentError(f"{args.matrix}: not a JSON numeric array: {exc}") from None
-    if flat.ndim == 2 and flat.shape[1] == 2:  # row-major [re, im] pairs
-        n = int(round(np.sqrt(len(flat))))
-        if n * n != len(flat):
-            raise ArgumentError(f"{args.matrix}: {len(flat)} [re, im] pairs do not fill a square matrix")
-        mat = (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
-    elif flat.ndim == 3 and flat.shape[2] == 2:
-        mat = flat[..., 0] + 1j * flat[..., 1]
-    else:
+    d = fam.matrix_dim
+    if flat.shape == (d, d):
         mat = flat.astype(complex)
+    elif flat.shape == (d, d, 2):
+        mat = flat[..., 0] + 1j * flat[..., 1]
+    elif flat.shape == (d * d, 2):  # row-major [re, im] pairs
+        mat = (flat[:, 0] + 1j * flat[:, 1]).reshape(d, d)
+    else:
+        raise ArgumentError(
+            f"{args.matrix}: shape {flat.shape} is no {fam.name} element; give the square ({d}, {d}) "
+            f"real array, ({d}, {d}, 2) [re, im] pairs or ({d * d}, 2) row-major [re, im] pairs"
+        )
     dom, point = classify_element(fam, mat)
     eig = np.linalg.eigvals(np.asarray(mat, dtype=complex))
     pred = predicted_eigenvalues(fam, point)

@@ -28,7 +28,7 @@ from .lattice import REAL, RadialPoint, domain_sublattice, enumerate_points, win
 from .lattice import _ellipsoid_points
 from .rootsys import RootSystem
 from .volumes import coset_volume, group_volume
-from .weyl import generate_weyl_group, orbit_index, orbit_quotient, wall_denominator, weight_orbit
+from .weyl import generate_weyl_group, orbit_sums, orbit_table, wall_denominator
 
 __all__ = [
     "TimeMode",
@@ -53,10 +53,6 @@ __all__ = [
 # rank non-negative integers (uint16 where they fit).  It also bounds the
 # entries that the spectral cache keeps resident.
 _ORBIT_CAP = 3 * 10**7
-
-# orbit entries per block of levels in compact_spectral, and the largest
-# folded power table: the temporaries of one block stay cache-sized
-_BLOCK = 2**15
 
 # grid x quadrature entries per block of radial_convolve
 _CONVOLVE_BLOCK = 2**18
@@ -220,23 +216,32 @@ def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: comp
 
 
 def compact_pathsum(req: KernelRequest) -> KernelValue:
-    """Kernel on a compact group as the sum over classical paths."""
-    if req.domain is not None or not req.phi.is_compact:
-        raise ArgumentError("compact_pathsum needs a compact request (no domain)")
+    """Kernel on a compact group as the sum over classical paths.
+
+    A domain with no imaginary axis is the compact group: its request gives
+    the same value.
+    """
+    if not req.phi.is_compact:
+        raise ArgumentError("compact_pathsum needs a point with no imaginary axis")
+    return _pathsum(req)
+
+
+def noncompact_pathsum(req: KernelRequest) -> KernelValue:
+    """Kernel on a non-compact evolution domain by the restricted path sum."""
+    if req.domain is None:
+        raise ArgumentError("noncompact_pathsum needs an evolution domain")
+    return _pathsum(req)
+
+
+def _pathsum(req: KernelRequest) -> KernelValue:
+    """The sum over classical paths on the winding sublattice of the point's
+    signature: the whole lattice when no axis is imaginary."""
     rs = req.rs
     t = req.time.effective
-    lat = winding_lattice(rs)
-    points = enumerate_points(lat, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
+    sub = domain_sublattice(winding_lattice(rs), req.phi.signature)
+    points = enumerate_points(sub, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
     value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t)
-
-    if req.time.conditionally_convergent:
-        return KernelValue(
-            value,
-            ConvergenceTag.OSCILLATORY,
-            warning="real time with epsilon=0: lattice tail does not decay; "
-            "sum truncated on an Abel window",
-        )
-    return KernelValue(value, ConvergenceTag.CONVERGENT)
+    return KernelValue(value, *_pathsum_tag(rs, req, t))
 
 
 def _spectral_levels(rs: RootSystem, t_like: float, tol: float, level_cutoff: int | None):
@@ -261,14 +266,9 @@ _spectral_cache: dict = {}
 def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int | None):
     """Representation data for the retained dominant weights l.
 
-    Returns (lambda_l, d_l, orbit, d_l / V_G).  ``orbit`` is (index,
-    parities, reach): the weight coordinates of each Weyl orbit of l + rho
-    as ``orbit_index`` encodes them, shape (r - k + 1, L, |W|), the
-    parities of the Weyl images, and a bound on the coordinates' moduli.
-    The fold depth k is the largest with (2 reach + 1)^k <= min(L |W|,
-    _BLOCK): the folded power table costs no more entries than the orbit
-    table it serves, and stays cache-sized.  The cache keeps at most
-    ``_ORBIT_CAP`` orbit entries and drops the oldest tables to make room.
+    Returns (lambda_l, d_l, orbit, d_l / V_G), ``orbit`` the levels'
+    ``weyl.orbit_table``.  The cache keeps at most ``_ORBIT_CAP`` orbit
+    entries and drops the oldest tables to make room.
     """
     key = (rs.cache_key(), round(float(t_like), 12), tol, level_cutoff)
     cached = _spectral_cache.get(key)
@@ -290,43 +290,19 @@ def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int 
     nvecs = (labels + 1) @ rs.weights
     lam_l = (np.einsum("li,li->l", nvecs, nvecs) - rs.rho @ rs.rho) / rs.lam
     dims = np.prod(nvecs @ rs.positive_roots.T, axis=1) / np.prod(rs.positive_roots @ rs.rho)
-    # |coordinate j of w(l + rho)| <= sum_i (l_i + 1) max_w |W_w[i, j]|
-    reach = int(((labels + 1) @ np.abs(group.weight_matrices).max(axis=0)).max())
-    span, fold = 2 * reach + 1, 1
-    while fold < rs.rank and span ** (fold + 1) <= min(size, _BLOCK):
-        fold += 1
-    dtype = next(d for d in (np.uint16, np.uint32, np.uint64) if span**fold - 1 <= np.iinfo(d).max)
-    index = np.empty((rs.rank - fold + 1, len(labels), group.order), dtype=dtype)
-    step = max(1, _BLOCK // group.order)
-    for start in range(0, len(labels), step):
-        coords = weight_orbit(group, labels[start : start + step] + 1)
-        index[:, start : start + step] = orbit_index(coords, reach, fold)
-    data = (lam_l, dims, (index, group.parities.astype(complex), reach), dims / group_volume(rs))
+    data = (lam_l, dims, orbit_table(group, labels), dims / group_volume(rs))
     _spectral_cache[key] = data
     return data
 
 
-def _level_sums(rs: RootSystem, orbit, phi) -> tuple:
-    """Signed orbit sum of every level at phi, and the Weyl denominator.
-
-    Walks the levels in blocks of about ``_BLOCK`` orbit entries.  Each
-    level's signed sum is formed before any level weight multiplies it:
-    d_l exp(-lambda_l t) on the cancelling terms would lose digits.  The
-    fold depth is read off the table's shape.
-    """
-    index, parities, reach = orbit
-    terms, denom = orbit_quotient(rs, phi, reach, fold=rs.rank - len(index) + 1)
-    step = max(1, _BLOCK // len(parities))
-    sums = np.empty(index.shape[1], dtype=complex)
-    for start in range(0, len(sums), step):
-        sums[start : start + step] = terms(index[:, start : start + step]) @ parities
-    return sums, denom
-
-
 def compact_spectral(req: KernelRequest) -> KernelValue:
-    """Kernel on a compact group as the sum over unitary representations."""
-    if req.domain is not None or not req.phi.is_compact:
-        raise ArgumentError("compact_spectral needs a compact request (no domain)")
+    """Kernel on a compact group as the sum over unitary representations.
+
+    A domain with no imaginary axis is the compact group, as in
+    ``compact_pathsum``.
+    """
+    if not req.phi.is_compact:
+        raise ArgumentError("compact_spectral needs a point with no imaginary axis")
     if req.time.conditionally_convergent:
         raise ConvergenceError(
             "spectral series does not converge for real time with epsilon=0; "
@@ -334,32 +310,19 @@ def compact_spectral(req: KernelRequest) -> KernelValue:
         )
     rs = req.rs
     t = req.time.effective
-    x = np.asarray(req.phi.values, dtype=float)
     lam_l, _, orbit, weights = _spectral_data(rs, req.time.decay_scale(), req.tol, req.level_cutoff)
-    sums, denom = _level_sums(rs, orbit, x)
+    sums, denom = orbit_sums(rs, orbit, req.phi.values)
     value = complex((weights * np.exp(-1j * lam_l * t)) @ sums / denom)
     return KernelValue(value, ConvergenceTag.CONVERGENT)
 
 
-def noncompact_pathsum(req: KernelRequest) -> KernelValue:
-    """Kernel on a non-compact evolution domain by the restricted path sum."""
-    if req.domain is None:
-        raise ArgumentError("noncompact_pathsum needs an evolution domain")
-    rs = req.rs
-    t = req.time.effective
-    sub = domain_sublattice(winding_lattice(rs), req.domain)
-    points = enumerate_points(sub, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
-    value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t)
-
-    tag, warning = _noncompact_tag(rs, req, t)
-    return KernelValue(value, tag, warning)
-
-
-def _noncompact_tag(rs: RootSystem, req: KernelRequest, t: complex):
+def _pathsum_tag(rs: RootSystem, req: KernelRequest, t: complex):
+    """A path sum's convergence tag and warning; with no imaginary axis
+    (theta = 0) only the time decides them."""
     theta = req.phi.theta_vector()
     theta2 = float(theta @ theta)
     # real part of the theta-direction exponent i*lam*(-theta^2)/(4t)
-    growth = float(np.real(1j * rs.lam * (-theta2) / (4.0 * t)))
+    growth = (1j * rs.lam * (-theta2) / (4.0 * t)).real
     if req.time.mode is TimeMode.HEAT:
         if theta2 > 0 and growth > 0:
             return (

@@ -96,8 +96,8 @@ class RadialPoint:
         return np.where(mask, np.asarray(self.values), 0.0)
 
     def theta_vector(self) -> np.ndarray:
-        mask = np.array(self.signature) == IMAGINARY
-        return np.where(mask, np.asarray(self.values), 0.0)
+        """Imaginary parts as a full-rank vector (zeros on real axes)."""
+        return np.array([v if s == IMAGINARY else 0.0 for v, s in zip(self.values, self.signature)])
 
 
 @dataclass(frozen=True)

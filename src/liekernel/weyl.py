@@ -26,6 +26,10 @@ _CLOSURE_CAP = 10**6
 _MERGE_DECIMALS = 9
 _WALL_TOL = 1e-12
 
+# orbit entries per block of levels in ``orbit_table`` and ``orbit_sums``, and
+# the largest folded power table: the temporaries of one block stay cache-sized
+_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -147,18 +151,14 @@ def weight_orbit(group: WeylGroup, coords) -> np.ndarray:
 
 
 def character(rs: RootSystem, l, phi) -> complex:
-    """Weyl character chi_l(phi).
+    """Weyl character chi_l(phi): the one-level ``orbit_sums``.
 
-    On a Weyl wall the quotient is 0/0, and the value is its exact limit
-    (see ``orbit_quotient``); at phi=0 that is the representation dimension.
+    On a Weyl wall the quotient is 0/0, and the value is its exact limit;
+    at phi=0 that is the representation dimension.
     """
-    group = generate_weyl_group(rs)
-    # the orbit of the strictly dominant l + rho is free: |W| distinct terms
-    coords = weight_orbit(group, _check_dominant(l, rs.rank) + 1)
-    phi = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
-    reach = int(np.abs(coords).max())
-    terms, denom = orbit_quotient(rs, phi, reach)
-    return complex(terms(coords + reach) @ group.parities) / denom
+    levels = _check_dominant(l, rs.rank)[None]
+    sums, denom = orbit_sums(rs, orbit_table(generate_weyl_group(rs), levels), phi)
+    return complex(sums[0]) / denom
 
 
 def wall_denominator(rs: RootSystem, phi, direction=None) -> tuple:
@@ -203,40 +203,64 @@ def _permanent(data: bytes, k: int) -> float:
     return float((-1) ** k * ((-1.0) ** subsets.sum(axis=1) @ np.prod(subsets @ g.T, axis=1)))
 
 
-def orbit_index(coords, reach: int, fold: int) -> np.ndarray:
-    """Integer weight coordinates (r, ...), each of modulus at most
-    ``reach``, in the encoding that ``orbit_quotient`` reads: the leading
-    ``fold`` axes as one index sum_{j<fold} (c_j + reach) M^(fold-1-j),
-    M = 2 reach + 1, and each later axis as c_j + reach.  Shape
-    (r - fold + 1, ...); every entry is non-negative."""
-    shifted = np.asarray(coords, dtype=np.int64) + reach
-    lead = shifted[0]
-    for c in shifted[1:fold]:
-        lead = lead * (2 * reach + 1) + c
-    return np.concatenate([lead[None], shifted[fold:]])
+def orbit_table(group: WeylGroup, levels) -> tuple:
+    """Weyl orbits of l + rho for the dominant weights l, rows of ``levels``
+    (L, r), in the form ``orbit_sums`` reads: (index, parities, reach).
+
+    ``reach`` bounds the moduli of the orbits' weight coordinates c.  The
+    leading k axes share one index sum_{j<k} (c_j + reach) M^(k-1-j),
+    M = 2 reach + 1, and each later axis holds c_j + reach, so ``index`` is
+    (r - k + 1, L, |W|) in the narrowest unsigned dtype that fits.  The fold
+    depth k is the largest with M^k <= min(L |W|, _BLOCK): the folded power
+    table costs no more entries than the orbit table it serves, and stays
+    cache-sized.  The orbits are built in blocks of about ``_BLOCK`` entries.
+    """
+    levels = np.asarray(levels)
+    count, rank = levels.shape
+    # |coordinate j of w(l + rho)| <= sum_i (l_i + 1) max_w |W_w[i, j]|
+    reach = int(((levels + 1) @ np.abs(group.weight_matrices).max(axis=0)).max())
+    span, fold = 2 * reach + 1, 1
+    while fold < rank and span ** (fold + 1) <= min(count * group.order, _BLOCK):
+        fold += 1
+    dtype = next(d for d in (np.uint16, np.uint32, np.uint64) if span**fold - 1 <= np.iinfo(d).max)
+    index = np.empty((rank - fold + 1, count, group.order), dtype=dtype)
+    step = max(1, _BLOCK // group.order)
+    for start in range(0, count, step):
+        shifted = weight_orbit(group, levels[start : start + step] + 1) + reach
+        lead = shifted[0]
+        for c in shifted[1:fold]:
+            lead = lead * span + c
+        index[0, start : start + step] = lead
+        index[1:, start : start + step] = shifted[fold:]
+    return index, group.parities.astype(complex), reach
 
 
-def orbit_quotient(rs: RootSystem, phi, reach: int, fold: int = 1) -> tuple:
-    """Signed orbit sums at phi: a term map and the denominator
-    (2i)^p w(phi), by the wall rule without a direction, so that on a Weyl
-    wall the quotient of the two is its exact limit.
+def orbit_sums(rs: RootSystem, orbit, phi) -> tuple:
+    """Signed orbit sum of every level of an ``orbit_table`` at phi, and the
+    denominator (2i)^p w(phi), by the wall rule without a direction, so that
+    on a Weyl wall the quotient of the two is its exact limit.
 
-    ``terms(index)`` maps integer weight coordinates c, each of modulus at
-    most ``reach`` and encoded by ``orbit_index`` with this ``fold``, to
-    exp(i v.phi) with v = c @ weights.  As exp(i v.phi) = prod_j z_j^{c_j},
-    z_j = exp(i omega_j.phi), each term is a product of lookups into tables
-    of powers z_j^{-reach..reach}, so no term takes its own exp.  The
-    leading ``fold`` axes share one table of all their products, built as
-    the same left fold (z_0^a z_1^b) z_2^c that the per-axis lookups would
-    multiply out; a term costs r - fold + 1 lookups and is the same to the
-    bit for every fold.  phi may be complex.
+    Each term is exp(i v.phi) with v = c @ weights.  As exp(i v.phi) =
+    prod_j z_j^{c_j}, z_j = exp(i omega_j.phi), it is a product of lookups
+    into tables of powers z_j^{-reach..reach}, so no term takes its own exp.
+    The folded axes share one table of all their products, built as the same
+    left fold (z_0^a z_1^b) z_2^c that per-axis lookups would multiply out;
+    a term costs r - k + 1 lookups and is the same to the bit for every fold
+    depth k.  phi may be complex.
 
     On a wall each term gains prod_beta i beta.v, with beta.v = c @
     (weights @ beta).  The reflections in the wall roots fix exp(i v.phi)
     and flip the sign of that product, so the signed terms of one coset are
     equal and add up instead of cancelling, as the powers of v.d along one
     direction would.
+
+    The levels are walked in blocks of about ``_BLOCK`` orbit entries.  Each
+    level's signed sum is formed before any level weight multiplies it:
+    d_l exp(-lambda_l t) on the cancelling terms would lose digits.
     """
+    index, parities, reach = orbit
+    fold = rs.rank - len(index) + 1
+    phi = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
     roots, w = wall_denominator(rs, phi)
     span = 2 * reach + 1
     powers = np.exp(1j * np.multiply.outer(rs.weights @ phi, np.arange(-reach, reach + 1)))
@@ -245,26 +269,27 @@ def orbit_quotient(rs: RootSystem, phi, reach: int, fold: int = 1) -> tuple:
         folded = np.multiply.outer(folded, table).ravel()
     tables = [folded, *powers[fold:]]
     walls = 1j * (rs.weights @ roots.T).T
-
-    def terms(index):
-        out = tables[0].take(index[0])
-        for table, c in zip(tables[1:], index[1:]):
-            out *= table.take(c)
+    step = max(1, _BLOCK // len(parities))
+    sums = np.empty(index.shape[1], dtype=complex)
+    for start in range(0, len(sums), step):
+        block = index[:, start : start + step]
+        terms = tables[0].take(block[0])
+        for table, c in zip(tables[1:], block[1:]):
+            terms *= table.take(c)
         if len(walls):
             # the coordinates themselves: digits of the leading index
-            lead, digits = index[0].astype(np.int64), []
+            lead, digits = block[0].astype(np.int64), []
             for _ in range(fold):
                 lead, digit = np.divmod(lead, span)
                 digits.append(digit)
-            coords = np.stack([*digits[::-1], *index[1:].astype(np.int64)]) - reach
+            coords = np.stack([*digits[::-1], *block[1:].astype(np.int64)]) - reach
             # one batched product; each wall row takes the vector-matrix
             # route a single wall would, so the factors round the same
             factors = walls[:, None] @ coords.reshape(len(coords), -1)
             for factor in factors.reshape(len(walls), *coords.shape[1:]):
-                out *= factor
-        return out
-
-    return terms, (2j) ** rs.p * w
+                terms *= factor
+        sums[start : start + step] = terms @ parities
+    return sums, (2j) ** rs.p * w
 
 
 def dimension(rs: RootSystem, l) -> int:

@@ -99,6 +99,7 @@ def test_kernel_su2_grid_through_both_walls(capsys):
     (["--point", "0.3,abc"], "--point"),
     (["--point", "nan,0.3"], "finite"),
     (["--point", "0.3,0.5", "--level-cutoff", "-1"], "level_cutoff"),
+    (["--grid", "0.1:1:3", "--theta-grid", "0.1:1:3"], "--theta-grid"),
 ])
 def test_kernel_bad_point_axis_or_cutoff_is_usage_error(capsys, flags, message):
     code, out, err = run(capsys, "kernel", "SU3", "--heat", "0.5", *flags)
@@ -145,6 +146,22 @@ def test_kernel_eps_in_heat_mode_is_usage_error(capsys):
     assert code == 0 and json.loads(out)["epsilon"] == 0.0
 
 
+@pytest.mark.parametrize("route", ["spectral", "both"])
+@pytest.mark.parametrize("eps", [[], ["--eps", "0"]])
+def test_kernel_spectral_route_in_undamped_real_time_is_usage_error(capsys, route, eps):
+    code, out, err = run(capsys, "kernel", "SU3", "--t", "1", *eps, "--route", route, "--point", "0.3,0.5")
+    assert code == 2
+    assert out == "" and "--eps" in err and "Traceback" not in err
+
+
+def test_kernel_all_real_domain_is_the_compact_group(capsys):
+    argv = ["--heat", "0.5", "--route", "both", "--grid", "0.2:2.2:7", "--point", "0,0.5"]
+    _, compact, _ = run(capsys, "kernel", "SU3", *argv)
+    code, domain, _ = run(capsys, "kernel", "SU21", "--domain", "D2", *argv)
+    assert code == 0
+    assert json.loads(domain)["records"] == json.loads(compact)["records"]
+
+
 def test_kernel_spectral_route_rejected_off_compact(capsys):
     code, _, err = run(
         capsys, "kernel", "SU11", "--domain", "D0", "--t", "1.0", "--grid", "0.2:1:3",
@@ -189,8 +206,24 @@ def test_domains_classify_matrix_file(capsys, tmp_path):
     assert data["residual"] < 1e-9
 
 
+def test_domains_classify_reads_every_matrix_layout(capsys, tmp_path):
+    c, s = np.cosh(0.4), np.sinh(0.4)
+    g = np.array([[c, s], [s, c]])
+    layouts = [g.tolist(), np.stack([g, 0.0 * g], axis=-1).tolist(), [[x, 0.0] for x in g.ravel()]]
+    outs = []
+    for layout in layouts:
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps(layout))
+        code, out, _ = run(capsys, "domains", "classify", "SU11", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2] and json.loads(outs[0])["domain"] == "D0"
+
+
 @pytest.mark.parametrize("text,message", [
     ("[[1, 2], [3, 4], [5, 6]]", "square"),  # three [re, im] pairs
+    ("[[1, 2, 3], [4, 5, 6]]", "(2, 2, 2)"),
+    ("[[[1, 2], [3, 4]]]", "(4, 2)"),
     ("[[1, 2], [3]]", "numeric"),
     ('[["a", "b"], ["c", "d"]]', "numeric"),
     ("[[1, 2], [3, 4]", "JSON"),

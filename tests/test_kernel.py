@@ -29,10 +29,10 @@ from liekernel import (
     su11_resolvent_d0,
     winding_lattice,
 )
-from liekernel import checks, kernel
+from liekernel import checks, kernel, weyl
 from liekernel.domains import enumerate_domains, root_system_of
-from liekernel.kernel import _level_sums, _spectral_data, _spectral_levels
-from liekernel.weyl import character, orbit_index, wall_denominator, weight_orbit
+from liekernel.kernel import _spectral_data, _spectral_levels
+from liekernel.weyl import character, orbit_sums, wall_denominator, weight_orbit
 
 RNG = np.random.default_rng(92)
 
@@ -345,11 +345,11 @@ def test_level_sums_from_power_tables_match_direct_exponentials(family, rank, ta
     labels = _spectral_levels(rs, tau, 1e-14, None)
     orbit = _spectral_data(rs, tau, 1e-14, None)[2]
     if (family, rank) == ("D", 4):
-        assert orbit[0][0].size > 8 * kernel._BLOCK
+        assert orbit[0][0].size > 8 * weyl._BLOCK
     rng = np.random.default_rng(rank * 31 + ord(family))
     for _ in range(3):
         phi = rng.uniform(-3.0, 3.0, rank)
-        sums, denom = _level_sums(rs, orbit, phi)
+        sums, denom = orbit_sums(rs, orbit, phi)
         assert np.abs(sums - _direct_level_sums(rs, labels, phi)).max() <= 1e-13 * order
         assert abs(denom - (2j) ** rs.p * np.prod(np.sin(rs.positive_roots @ phi / 2.0))) <= 1e-13
 
@@ -374,10 +374,18 @@ def _left_fold_terms(rs, coords, phi):
 
 
 def _left_fold_sums(rs, coords, phi, parities):
-    """Level sums over the same blocks of levels as ``_level_sums``."""
-    step = max(1, kernel._BLOCK // len(parities))
+    """Level sums over the same blocks of levels as ``orbit_sums``."""
+    step = max(1, weyl._BLOCK // len(parities))
     return np.concatenate([_left_fold_terms(rs, coords[:, s : s + step], phi) @ parities
                            for s in range(0, coords.shape[1], step)])
+
+
+def _encode(coords, reach, fold):
+    """Orbit coordinates (r, ...) in the layout of ``weyl.orbit_table`` at
+    fold depth ``fold``: the leading axes as one base-(2 reach + 1) index."""
+    span = 2 * reach + 1
+    lead = sum((coords[j] + reach) * span ** (fold - 1 - j) for j in range(fold))
+    return np.concatenate([lead[None], coords[fold:] + reach])
 
 
 def _wall_point(rs, rng):
@@ -398,17 +406,16 @@ def test_folded_level_sums_equal_per_axis_left_fold(family, rank, tau):
     index, parities, reach = table
     fold, span = rank - len(index) + 1, 2 * reach + 1
     # the deepest fold whose table fits both bounds
-    bound = min(index[0].size, kernel._BLOCK)
+    bound = min(index[0].size, weyl._BLOCK)
     assert span**fold <= bound and (fold == rank or span ** (fold + 1) > bound)
     assert fold == {("A", 2, 1.0): 1, ("A", 4, 2.0): 2}.get((family, rank, tau), 3)
-    lead = sum((coords[j] + reach) * span ** (fold - 1 - j) for j in range(fold))
-    assert (index[0] == lead).all() and (index[1:] == coords[fold:] + reach).all()
-    tables = [table] + [(orbit_index(coords, reach, k), parities, reach) for k in range(1, min(3, rank) + 1)]
+    assert (index == _encode(coords, reach, fold)).all()
+    tables = [table] + [(_encode(coords, reach, k), parities, reach) for k in range(1, min(3, rank) + 1)]
     rng = np.random.default_rng(rank * 7 + int(tau))
     for phi in (rng.uniform(-3.0, 3.0, rank), _wall_point(rs, rng), np.zeros(rank)):
         want = _left_fold_sums(rs, coords, phi, parities)
         for orbit in tables:
-            assert (_level_sums(rs, orbit, phi)[0] == want).all()
+            assert (orbit_sums(rs, orbit, phi)[0] == want).all()
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 4), ("D", 4)])
@@ -431,7 +438,7 @@ def test_orbit_coordinates_beyond_int16_do_not_wrap():
     # coordinates -40001..40001 are stored shifted by reach, as 0..2 * 40001
     assert index.min() == 0 and index.max() == 2 * 40001
     phi = np.array([0.37])
-    sums, _ = _level_sums(A1, orbit, phi)
+    sums, _ = orbit_sums(A1, orbit, phi)
     labels = _spectral_levels(A1, 1.0, 1e-14, 40000)
     # phases reach 4e4 rad, where each exponent carries ~1e-11 of rounding
     assert np.abs(sums - _direct_level_sums(A1, labels, phi)).max() <= 1e-10
@@ -551,6 +558,36 @@ def test_d1_kernel_identical_to_compact():
     times = (TimeParameter.heat(0.4), TimeParameter.real(0.8), TimeParameter.real(1.3, 0.01))
     # absolute, so at least as tight as 1e-12 * max(1, |K|)
     assert checks.d1_identity((0.5, 2.0, 4.4), times) < 1e-12
+
+
+ALL_REAL_DOMAINS = [(name, d.label) for name in ("SU(1,1)", *checks.CATALOGUED_DOMAIN_COUNTS)
+                    for d in enumerate_domains(parse_group(name)) if "I" not in d.signature]
+
+
+def _outcome(route, req):
+    """A route's value bits, tag and warning, or the type of error it raised."""
+    try:
+        kv = route(req)
+    except ConvergenceError as exc:
+        return type(exc)
+    return np.complex128(kv.value).tobytes(), kv.tag, kv.warning
+
+
+@pytest.mark.parametrize("name,label", ALL_REAL_DOMAINS)
+def test_all_real_domain_is_the_compact_group(name, label):
+    dom = _domain(name, label)
+    rs = root_system_of(dom.family)
+    rng = np.random.default_rng(len(name) * 17 + rs.rank)
+    times = (TimeParameter.heat(1.0), TimeParameter.real(1.0, 0.1), TimeParameter.real(1.0))
+    for _ in range(2):
+        phi = RadialPoint.real(rng.uniform(0.1, 2.0, rs.rank))
+        for time in times:
+            compact = KernelRequest(rs=rs, phi=phi, time=time)
+            on_domain = KernelRequest(rs=rs, phi=phi, time=time, domain=dom)
+            want = _outcome(compact_pathsum, compact)
+            assert _outcome(compact_pathsum, on_domain) == want
+            assert _outcome(noncompact_pathsum, on_domain) == want
+            assert _outcome(compact_spectral, on_domain) == _outcome(compact_spectral, compact)
 
 
 def test_d0_kernel_matches_closed_form():

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used, and
+every module-level private name is read by some module of the package."""
 
 import ast
 import pathlib
@@ -37,3 +38,46 @@ def test_scan_finds_unused_imports():
 def test_module_imports_are_used(path):
     # __init__.py imports to re-export, so it is not scanned
     assert unused_imports((SRC / path).read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict) -> list:
+    """Module-level private names (one leading underscore) that no module of
+    ``sources``, a map from module name to source, reads by name, by
+    attribute or by import: (module, line, name)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [(module, node.lineno, name) for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(dead)
+
+
+def test_scan_finds_dead_private_names():
+    sources = {
+        "a.py": ("_used = 1\n_dead = 2\n__version__ = '1'\ndef _helper():\n    return _used\n"
+                 "class _Gone:\n    pass\ndef public(m):\n    return m._field\n"),
+        "b.py": "from .a import _helper\n_cache: dict = {}\n_field = 0\n",
+    }
+    assert dead_private_names(sources) == [("a.py", 2, "_dead"), ("a.py", 6, "_Gone"), ("b.py", 2, "_cache")]
+
+
+def test_module_private_names_are_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert dead_private_names(sources) == []
