@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -33,11 +34,14 @@ from .lattice import (
     IMAGINARY,
     REAL,
     RadialPoint,
+    WindingLattice,
     _hermite_normal_form,
-    _inverse,
+    _kernel,
     _lcm_denominators,
     _rationalize,
+    _signature_preserving,
     _transpose,
+    reduce_lexmax,
 )
 from .rootsys import RootSystem, build_root_system
 from .weyl import _close_group, generate_weyl_group
@@ -342,16 +346,17 @@ def _dual_integral_basis(weights: np.ndarray) -> np.ndarray:
             scales[j] = nz.min()
     fracs = [[_rationalize(x) for x in row] for row in weights / scales]
     denom = _lcm_denominators(f for row in fracs for f in row)
-    basis_cols = _hermite_normal_form(_transpose([[int(f * denom) for f in row] for row in fracs]))
-    if len(basis_cols[0]) != r:
+    basis = _hermite_normal_form(_transpose([[int(f * denom) for f in row] for row in fracs]))
+    if len(basis[0]) != r:
         raise InternalError("defining weights do not span the root space")
-    # rows of basis_cols^T span the integer row lattice of the scaled weights,
-    # so the columns of denom * (basis_cols^T)^-1 generate the dual lattice
-    dual_cols = [[denom * x for x in row] for row in _inverse(_transpose(basis_cols))]
-    # canonical integer HNF form of the (possibly rational) dual basis
-    dd = _lcm_denominators(x for row in dual_cols for x in row)
-    canon = _hermite_normal_form([[int(x * dd) for x in row] for row in dual_cols])
-    gens_scaled = np.array(_transpose(canon), dtype=float) / float(dd)
+    # the rows of basis^T span the integer row lattice of the scaled weights,
+    # so the dual is {m : basis^T @ m in denom Z^r}; basis is triangular, so
+    # c = det * m is integral, and the c are the first r coordinates of the
+    # integer kernel of [basis^T | -denom det I_r]
+    det = math.prod(basis[j][j] for j in range(r))
+    rows = [row + [-denom * det * (i == k) for k in range(r)] for i, row in enumerate(_transpose(basis))]
+    canon = _hermite_normal_form(_transpose([vec[:r] for vec in _kernel(rows)]))
+    gens_scaled = np.array(_transpose(canon), dtype=float) / float(det)
     return gens_scaled / scales[None, :]
 
 
@@ -364,8 +369,6 @@ def classification_lattice(family: GroupFamily):
     the six-dimensional systems), where radial parameters are only defined
     modulo this lattice.
     """
-    from .lattice import WindingLattice
-
     gens = _dual_integral_basis(_system(family).weights)
     return WindingLattice(generators=gens, coeffs=np.eye(len(gens), dtype=int))
 
@@ -383,8 +386,6 @@ def canonical_radial(family: GroupFamily, point: RadialPoint) -> RadialPoint:
     trip's rounding may land on another representative, with the same domain
     and eigenvalue multiset.
     """
-    from .lattice import reduce_lexmax
-
     sys = _system(family)
     group = sys.eigen_group or generate_weyl_group(sys.rs)
     reduced, _, _ = reduce_lexmax(group, classification_lattice(family), point)
@@ -769,27 +770,13 @@ def predicted_eigenvalues(family: GroupFamily, point: RadialPoint) -> np.ndarray
 
 def domain_of_radial(family: GroupFamily, point: RadialPoint) -> EvolutionDomain:
     """The unique domain whose mask matches up to a Weyl permutation of axes."""
-    sys = _system(family)
-    rs = sys.rs
-    group = generate_weyl_group(rs)
-    proj_point = _span_projector(point.signature)
+    group = generate_weyl_group(_system(family).rs)
     for dom in enumerate_domains(family):
-        if dom.signature == point.signature:
+        if dom.b == len(point.imag_axes) and _signature_preserving(group, point.signature, dom.signature):
             return dom
-        if dom.b != len(point.imag_axes):
-            continue
-        proj_dom = _span_projector(dom.signature)
-        for elem in group:
-            if np.allclose(elem.matrix @ proj_point @ elem.matrix.T, proj_dom, atol=1e-9):
-                return dom
     raise ArgumentError(
         f"signature {''.join(point.signature)} matches no evolution domain of {family.name}"
     )
-
-
-def _span_projector(signature) -> np.ndarray:
-    diag = [1.0 if s == IMAGINARY else 0.0 for s in signature]
-    return np.diag(diag)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,7 @@ class RadialPoint:
 
     def phi_vector(self) -> np.ndarray:
         """Real parts as a full-rank vector (zeros on imaginary axes)."""
-        mask = np.array(self.signature) == REAL
-        return np.where(mask, np.asarray(self.values), 0.0)
+        return np.array([v if s == REAL else 0.0 for v, s in zip(self.values, self.signature)])
 
     def theta_vector(self) -> np.ndarray:
         """Imaginary parts as a full-rank vector (zeros on real axes)."""
@@ -203,53 +202,22 @@ def _hermite_normal_form(mat) -> list:
     return [row[k:] for row in a]
 
 
-def _rref(mat) -> tuple:
-    """Reduced row echelon form over the rationals, with its pivot columns."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    pivots = []
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        p = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i, row in enumerate(a):
-            if i != r and row[c]:
-                f = row[c]
-                a[i] = [x - f * y for x, y in zip(row, a[r])]
-        pivots.append(c)
-    return a, pivots
+def _kernel(mat) -> list:
+    """Basis of the integer kernel {c in Z^n : mat @ c = 0}, one vector per row.
 
-
-def _nullspace(mat) -> list:
-    """Integer nullspace basis: one vector per free column of the RREF.
-
-    Each vector carries 1 at its free column and minus that column of the
-    RREF at the pivots, scaled to primitive integers.  This is the rational
-    basis itself, not the saturated kernel lattice.
+    Each row of ``mat`` (ints or Fractions) is scaled to integers.  The column
+    Hermite normal form of the identity stacked above ``mat`` clears the
+    bottom rows first, so the columns left without a pivot there vanish on
+    ``mat``.  The column operations are unimodular, so the identity part of
+    those columns is a basis of the whole kernel lattice: saturated by
+    construction.
     """
-    red, pivots = _rref(mat)
-    n = len(red[0])
-    basis = []
-    for free in (c for c in range(n) if c not in pivots):
-        vec = [Fraction(int(c == free)) for c in range(n)]
-        for row, c in zip(red, pivots):
-            vec[c] = -row[free]
-        mult = _lcm_denominators(vec)
-        ints = [int(x * mult) for x in vec]
-        g = math.gcd(*ints)
-        basis.append([x // g for x in ints])
-    return basis
-
-
-def _inverse(mat) -> list:
-    """Exact rational inverse of a square matrix."""
-    n = len(mat)
-    red, pivots = _rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)])
-    if pivots[:n] != list(range(n)):
-        raise InternalError("matrix is singular")
-    return [row[n:] for row in red]
+    n = len(mat[0])
+    stacked = [[int(i == j) for j in range(n)] for i in range(n)]
+    for row in mat:
+        mult = _lcm_denominators(row)
+        stacked.append([int(x * mult) for x in row])
+    return [col[:n] for col in _transpose(_hermite_normal_form(stacked)) if not any(col[n:])]
 
 
 def domain_sublattice(lat: WindingLattice, domain) -> WindingLattice:
@@ -279,7 +247,7 @@ def _sublattice(lat: WindingLattice, signature: tuple) -> WindingLattice:
         nonzero = [abs(x) for x in row if abs(x) > 1e-12]
         scale = min(nonzero) if nonzero else 1.0
         rows.append([_rationalize(x / scale) for x in row])
-    basis = _nullspace(rows)
+    basis = _kernel(rows)
     if not basis:
         return WindingLattice(
             generators=np.zeros((0, lat.rank)), coeffs=np.zeros((0, lat.coeffs.shape[1]), dtype=int)
@@ -467,13 +435,19 @@ def _canonicalize_compact(rs: RootSystem, lat: WindingLattice, phi: RadialPoint)
     )
 
 
-def _signature_preserving(group: WeylGroup, signature) -> list:
-    """Weyl elements mapping the real and imaginary axis spans to themselves."""
-    real_axes = [j for j, s in enumerate(signature) if s == REAL]
+def _signature_preserving(group: WeylGroup, signature, target=None) -> list:
+    """Weyl elements mapping the imaginary axes of ``signature`` onto those of ``target``.
+
+    ``target`` (by default ``signature`` itself) must have as many imaginary
+    axes.  An element qualifies when its (target-real, source-imaginary)
+    block vanishes.
+    """
+    target = signature if target is None else target
+    real_axes = [j for j, s in enumerate(target) if s == REAL]
     imag_axes = [j for j, s in enumerate(signature) if s == IMAGINARY]
     if not real_axes or not imag_axes:
         return list(group.elements)
-    blocks = group.matrices[:, imag_axes][:, :, real_axes]
+    blocks = group.matrices[:, real_axes][:, :, imag_axes]
     mask = np.abs(blocks).max(axis=(1, 2)) <= 1e-10
     return [e for e, ok in zip(group.elements, mask) if ok]
 

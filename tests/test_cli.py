@@ -26,6 +26,17 @@ def test_roots_a2(capsys):
     assert data["cartan_matrix"] == [[2, -1], [-1, 2]]
 
 
+def test_roots_takes_a_group_name_and_a_rescale(capsys):
+    _, by_system, _ = run(capsys, "roots", "A2")
+    code, by_group, _ = run(capsys, "roots", "SU(2,1)")
+    assert code == 0 and by_group == by_system
+    code, out, _ = run(capsys, "roots", "A2", "--rescale", "2")
+    data, base = json.loads(out), json.loads(by_system)
+    assert code == 0
+    assert data["lambda"] == 4.0 * base["lambda"]
+    assert data["simple_roots"] == [[2.0 * x for x in row] for row in base["simple_roots"]]
+
+
 def test_volume_a1(capsys):
     code, out, _ = run(capsys, "volume", "A1")
     data = json.loads(out)
@@ -100,9 +111,24 @@ def test_kernel_su2_grid_through_both_walls(capsys):
     (["--point", "nan,0.3"], "finite"),
     (["--point", "0.3,0.5", "--level-cutoff", "-1"], "level_cutoff"),
     (["--grid", "0.1:1:3", "--theta-grid", "0.1:1:3"], "--theta-grid"),
+    (["--t", "1", "--point", "0.3,0.5"], "one of --heat and --t"),
+    (["--point", "0.3"], "--point needs 2"),
+    ([], "provide --grid"),
+    (["--grid", "0.1:1"], "bad grid spec"),
+    (["--grid", "a:b:3"], "bad grid spec"),
 ])
 def test_kernel_bad_point_axis_or_cutoff_is_usage_error(capsys, flags, message):
     code, out, err = run(capsys, "kernel", "SU3", "--heat", "0.5", *flags)
+    assert code == 2
+    assert out == "" and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--domain", "D9"], "no domain D9"),
+    ([], "--domain"),  # a non-compact group needs a domain
+])
+def test_kernel_domain_refusals_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, "kernel", "SU21", *argv, "--heat", "0.5", "--point", "0.3,0.5")
     assert code == 2
     assert out == "" and message in err and "Traceback" not in err
 

@@ -18,6 +18,7 @@ from liekernel import (
     parse_group,
 )
 from liekernel.domains import (
+    GroupFamily,
     GroupKind,
     _pairing_residual,
     canonical_radial,
@@ -47,6 +48,11 @@ def test_parse_group_spellings():
         parse_group("G2")
     with pytest.raises(ConfigurationError):
         parse_group("USp(3,2)")  # odd arguments
+    for name in ("SP5R", "SL(3,2)", "SU3R", "XX3"):  # odd Sp size, two SL integers, stray R, no family
+        with pytest.raises(ConfigurationError):
+            parse_group(name)
+    with pytest.raises(ConfigurationError):
+        GroupFamily(GroupKind.SU, 0, 1)
 
 
 def test_rank_formulas():

@@ -6,6 +6,8 @@ reference pipelines below are the sympy code the lattices were first built
 with, kept here so that the tables they feed stay bit-identical.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +25,9 @@ from liekernel.domains import (
 from liekernel.lattice import (
     IMAGINARY,
     _hermite_normal_form,
-    _inverse,
-    _nullspace,
+    _kernel,
     _rationalize,
+    _transpose,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -71,19 +73,29 @@ def test_hnf_matches_sympy(rows, cols, rank):
 
 @pytest.mark.parametrize("rows,cols,rank", SHAPES)
 def test_nullspace_matches_sympy(rows, cols, rank):
+    """_kernel spans sympy's nullspace over the integers, and is saturated."""
     for _ in range(25):
-        mat = _random_rational_matrix(rows, cols, rank)
-        assert _nullspace(mat) == _sympy_nullspace(sympy.Matrix(mat))
-
-
-def test_inverse_matches_sympy():
-    for n in (1, 2, 3, 4):
-        for _ in range(25):
-            mat = _random_rational_matrix(n, n, n)
-            if sympy.Matrix(mat).det() == 0:
+        for mat in (_random_int_matrix(rows, cols, rank), _random_rational_matrix(rows, cols, rank)):
+            basis = _kernel(mat)
+            assert len(basis) == cols - sympy.Matrix(mat).rank()
+            assert all(sum(x * c for x, c in zip(row, vec)) == 0 for row in mat for vec in basis)
+            if not basis:
                 continue
-            expected = sympy.Matrix(mat).inv()
-            assert _inverse(mat) == [[Fraction(int(x.p), int(x.q)) for x in row] for row in expected.tolist()]
+            span = sympy.Matrix(basis).T
+            for vec in _sympy_nullspace(sympy.Matrix(mat)):
+                coords = (span.T * span).inv() * span.T * sympy.Matrix(vec)
+                assert all(x.is_integer for x in coords)
+            # saturated: the maximal minors of the basis are coprime
+            minors = [span[list(sub), :].det() for sub in itertools.combinations(range(cols), len(basis))]
+            assert math.gcd(*(int(m) for m in minors)) == 1
+
+
+def test_kernel_of_a_row_with_a_common_factor():
+    # the rational nullspace basis (-1, 2, 0), (-1, 0, 2) spans an index-2
+    # sublattice; (0, 1, -1) is a kernel vector outside it
+    basis = _kernel([[2, 1, 1]])
+    expected = [[0, 1, -1], [1, -2, 0]]
+    assert _hermite_normal_form(_transpose(basis)) == _hermite_normal_form(_transpose(expected))
 
 
 def _lattice_cases():
