@@ -38,10 +38,10 @@ from .lattice import (
     _hermite_normal_form,
     _kernel,
     _lcm_denominators,
+    _lexmax_image,
     _rationalize,
     _signature_preserving,
     _transpose,
-    reduce_lexmax,
 )
 from .rootsys import RootSystem, build_root_system
 from .weyl import _close_group, generate_weyl_group
@@ -330,21 +330,26 @@ def root_system_of(family: GroupFamily) -> RootSystem:
     return _system(family).rs
 
 
-def _dual_integral_basis(weights: np.ndarray) -> np.ndarray:
-    """Basis rows of {m : mu_k . m integer for every weight row mu_k}.
-
-    Columns are scaled by their smallest nonzero magnitude so entries become
-    rational; the scaled problem is solved exactly over the integers and the
-    basis is unscaled at the end.
-    """
-    r = weights.shape[1]
-    scales = np.ones(r)
-    for j in range(r):
+def _rational_columns(weights: np.ndarray) -> tuple:
+    """(rows of Fractions, column scales): each column of ``weights`` divided
+    by its smallest nonzero magnitude, which makes the entries rational."""
+    scales = np.ones(weights.shape[1])
+    for j in range(weights.shape[1]):
         nz = np.abs(weights[:, j])
         nz = nz[nz > 1e-12]
         if len(nz):
             scales[j] = nz.min()
-    fracs = [[_rationalize(x) for x in row] for row in weights / scales]
+    return [[_rationalize(x) for x in row] for row in weights / scales], scales
+
+
+def _dual_integral_basis(weights: np.ndarray) -> np.ndarray:
+    """Basis rows of {m : mu_k . m integer for every weight row mu_k}.
+
+    The column-scaled problem is solved exactly over the integers and the
+    basis is unscaled at the end.
+    """
+    r = weights.shape[1]
+    fracs, scales = _rational_columns(weights)
     denom = _lcm_denominators(f for row in fracs for f in row)
     basis = _hermite_normal_form(_transpose([[int(f * denom) for f in row] for row in fracs]))
     if len(basis[0]) != r:
@@ -388,8 +393,7 @@ def canonical_radial(family: GroupFamily, point: RadialPoint) -> RadialPoint:
     """
     sys = _system(family)
     group = sys.eigen_group or generate_weyl_group(sys.rs)
-    reduced, _, _ = reduce_lexmax(group, classification_lattice(family), point)
-    return reduced
+    return _lexmax_image(group, classification_lattice(family), point)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +625,30 @@ def _unit_class(eigenvalues: np.ndarray) -> np.ndarray:
     return mods <= _UNIT_TOL
 
 
+def _relations(rows: list, order: list) -> tuple:
+    """Per search depth d, the integer relation among the rows of slots
+    order[:d+1] that depth d adds, or None when it adds none.
+
+    A relation is ``(terms, l1)``: terms are (depth, c) pairs with
+    sum c rows[order[depth]] = 0 and c nonzero at d itself.  The relations up
+    to depth d span all relations among those rows, so checking each one as
+    it appears checks them all.  Without columns every row vanishes, and each
+    depth relates its row to nothing else.
+    """
+    out = []
+    for d in range(len(order)):
+        if not rows[0]:
+            out.append((((d, 1),), 1))
+            continue
+        found = [c for c in _kernel(_transpose([rows[s] for s in order[: d + 1]])) if c[d]]
+        if not found:
+            out.append(None)
+            continue
+        c = min(found, key=lambda c: (sum(map(bool, c)), sum(map(abs, c))))
+        out.append((tuple((p, k) for p, k in enumerate(c) if k), sum(map(abs, c))))
+    return tuple(out)
+
+
 @functools.cache
 def _matcher(dom: EvolutionDomain) -> dict:
     from scipy.linalg import qr
@@ -637,11 +665,17 @@ def _matcher(dom: EvolutionDomain) -> dict:
         a_sub_inv = np.linalg.inv(w_r[sub_rows])
     else:
         sub_rows, a_sub_inv = [], None
-    offsets = [
-        2.0 * np.pi * np.array(offs)
-        for offs in itertools.product((-1, 0, 1), repeat=len(sub_rows))
-    ]
+    offsets = 2.0 * np.pi * np.array(list(itertools.product((-1, 0, 1), repeat=len(sub_rows))))
     pinv_wi = np.linalg.pinv(-w_i) if imag_axes else None
+    # the search visits unit slots first, as the permutation order does
+    order = np.flatnonzero(slot_unit).tolist() + np.flatnonzero(~slot_unit).tolist()
+    exact, _ = _rational_columns(weights)
+    relations = {}
+    for key, axes, w in (("modulus", imag_axes, w_i), ("phase", real_axes, w_r)):
+        relations[key] = _relations([[row[j] for j in axes] for row in exact], order)
+        for rel in filter(None, relations[key]):
+            if np.abs(sum(c * w[order[p]] for p, c in rel[0])).max(initial=0.0) > 1e-12:
+                raise InternalError("integer weight relation does not hold in floating point")
     return {
         "real_axes": real_axes,
         "imag_axes": imag_axes,
@@ -652,7 +686,60 @@ def _matcher(dom: EvolutionDomain) -> dict:
         "a_sub_inv": a_sub_inv,
         "offsets": offsets,
         "pinv_wi": pinv_wi,
+        "order": order,
+        "unit_depth": int(slot_unit.sum()),
+        "relations": relations,
     }
+
+
+def _assignments(m: dict, eig_unit: np.ndarray, mods: np.ndarray, args: np.ndarray, tol: float):
+    """Slot assignments (eigenvalue index per slot, by search depth) in the
+    order of ``itertools.permutations`` over unit slots then the rest.
+
+    A prefix is cut only where no completion can pass ``_match_domain``'s two
+    tests.  Those tests need |L_k + (w_i y)_k| <= 1e-7 (L the log-moduli) and
+    |exp(i (w_r x)_k - (w_i y)_k) - eig_k| <= tol for every slot k.  So an
+    integer relation c among the w_i rows of assigned slots bounds
+    |sum c_k L_k| by |c|_1 1e-7, and one among their w_r rows puts
+    sum c_k arg(eig_k) within sum |c_k| delta_k of 2 pi Z, delta_k the phase
+    error that 2 tol allows an eigenvalue of modulus |eig_k|.  Both bounds
+    carry a margin far above rounding.  The yielded list is reused.
+    """
+    order, unit_depth = m["order"], m["unit_depth"]
+    nw = len(order)
+    mod_rel, phase_rel = m["relations"]["modulus"], m["relations"]["phase"]
+    log_mod = np.log(mods)
+    logs, phases = log_mod.tolist(), args.tolist()
+    mod_bound = 1e-7 + 1e-9 * (1.0 + float(np.abs(log_mod).max()))
+    # a modulus within 2 tol of 0 leaves the phase free: spread pi
+    spread = (2.0 * np.arcsin(1.001 * tol / np.maximum(mods, 1.001 * tol))).tolist()
+    unit = np.flatnonzero(eig_unit).tolist()
+    free = [True] * nw
+    pos = [0] * nw
+
+    def fits(d):
+        rel = mod_rel[d]
+        if rel is not None and abs(sum(c * logs[pos[p]] for p, c in rel[0])) > rel[1] * mod_bound:
+            return False
+        rel = phase_rel[d]
+        if rel is None:
+            return True
+        drift = abs(math.remainder(sum(c * phases[pos[p]] for p, c in rel[0]), 2.0 * math.pi))
+        return drift <= sum(abs(c) * spread[pos[p]] for p, c in rel[0]) + 1e-9
+
+    def walk(d):
+        if d == nw:
+            yield pos
+            return
+        for e in unit if d < unit_depth else range(nw):
+            if free[e]:
+                pos[d] = e
+                if fits(d):
+                    free[e] = False
+                    yield from walk(d + 1)
+                    free[e] = True
+
+    return walk(0)
 
 
 def _match_domain(sys: _System, dom: EvolutionDomain, eig: np.ndarray):
@@ -660,62 +747,66 @@ def _match_domain(sys: _System, dom: EvolutionDomain, eig: np.ndarray):
 
     Slots of weights that vanish on the imaginary axes need unit-modulus
     eigenvalues; the other slots take the rest, which may include unit ones
-    (a zero imaginary parameter).
+    (a zero imaginary parameter).  The first assignment of eigenvalues to
+    slots, in permutation order, that passes both tests wins, with the first
+    lattice offset of its phases that does.
     """
     m = _matcher(dom)
     nw = len(sys.weights)
     slot_unit = m["slot_unit"]
     eig_unit = _unit_class(eig)
-    if slot_unit.sum() > eig_unit.sum():
+    mods = np.abs(eig)
+    # exp(i W phi) has no eigenvalue 0
+    if slot_unit.sum() > eig_unit.sum() or not mods.all():
         return None
 
-    unit_slots = np.where(slot_unit)[0]
-    nonunit_slots = np.where(~slot_unit)[0]
-    unit_eigs = np.where(eig_unit)[0].tolist()
-    log_mod = np.log(np.abs(eig))
+    log_mod = np.log(mods)
     args = np.angle(eig)
     w_r, w_i = m["w_r"], m["w_i"]
-    scale = max(1.0, float(np.abs(eig).max()))
+    scale = max(1.0, float(mods.max()))
+    tol = 1e-8 * scale
 
     def verify(x, y, assign):
         phase = w_r @ x if w_r.shape[1] else np.zeros(nw)
         damp = w_i @ y if w_i.shape[1] else np.zeros(nw)
         pred = np.exp(1j * phase - damp)
-        return bool(np.abs(pred - eig[assign]).max() <= 1e-8 * scale)
+        return bool(np.abs(pred - eig[assign]).max() <= tol)
 
     assign = np.empty(nw, dtype=int)
-    for perm_u in itertools.permutations(unit_eigs, len(unit_slots)):
-        assign[unit_slots] = perm_u
-        rest = [k for k in range(nw) if k not in perm_u]
-        for perm_n in itertools.permutations(rest):
-            assign[nonunit_slots] = perm_n
-            if m["imag_axes"]:
-                y = m["pinv_wi"] @ log_mod[assign]
-                if np.abs(w_i @ y + log_mod[assign]).max() > 1e-7:
-                    continue
-            else:
-                if np.abs(log_mod[assign]).max() > 1e-7:
-                    continue
-                y = np.zeros(0)
-            x = None
-            if not m["sub_rows"]:
-                if verify(np.zeros(0), y, assign):
-                    x = np.zeros(0)
-            else:
-                base = args[assign][m["sub_rows"]]
-                for off in m["offsets"]:
-                    cand = m["a_sub_inv"] @ (base + off)
-                    if verify(cand, y, assign):
-                        x = cand
-                        break
-            if x is None:
+    for pos in _assignments(m, eig_unit, mods, args, tol):
+        assign[m["order"]] = pos
+        if m["imag_axes"]:
+            y = m["pinv_wi"] @ log_mod[assign]
+            if np.abs(w_i @ y + log_mod[assign]).max() > 1e-7:
                 continue
-            values = np.zeros(len(dom.signature))
-            for idx, j in enumerate(m["real_axes"]):
-                values[j] = x[idx]
-            for idx, j in enumerate(m["imag_axes"]):
-                values[j] = y[idx]
-            return values
+        else:
+            if np.abs(log_mod[assign]).max() > 1e-7:
+                continue
+            y = np.zeros(0)
+        x = None
+        if not m["sub_rows"]:
+            if verify(np.zeros(0), y, assign):
+                x = np.zeros(0)
+        else:
+            base = args[assign][m["sub_rows"]]
+            # every offset at once, with a margin over the rounding by which
+            # these products differ from verify's; verify decides, in order
+            cands = (base + m["offsets"]) @ m["a_sub_inv"].T
+            damp = w_i @ y if w_i.shape[1] else 0.0
+            miss = np.abs(np.exp(1j * (cands @ w_r.T) - damp) - eig[assign]).max(axis=1)
+            for k in np.flatnonzero(miss <= 1.001 * tol):
+                cand = m["a_sub_inv"] @ (base + m["offsets"][k])
+                if verify(cand, y, assign):
+                    x = cand
+                    break
+        if x is None:
+            continue
+        values = np.zeros(len(dom.signature))
+        for idx, j in enumerate(m["real_axes"]):
+            values[j] = x[idx]
+        for idx, j in enumerate(m["imag_axes"]):
+            values[j] = y[idx]
+        return values
     return None
 
 
@@ -755,11 +846,64 @@ def _eigen_multiset_close(sys: _System, point: RadialPoint, eig: np.ndarray, tol
 
 def _pairing_residual(pred: np.ndarray, eig: np.ndarray) -> float:
     """Largest |pred - eig| under the one-to-one pairing of least total distance."""
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.abs(pred[:, None] - eig[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return float(cost[np.arange(len(cost)), _least_cost_pairing(cost.tolist())].max())
+
+
+def _least_cost_pairing(cost: list) -> list:
+    """Column of each row in a pairing of least total cost.
+
+    Shortest augmenting paths with dual potentials (Crouse 2016), one row at a
+    time, in the order of operations and the tie rules of
+    ``scipy.optimize.linear_sum_assignment``: columns are scanned from the
+    last, and among equally short paths one ending at a free column wins.  So
+    among several least-cost pairings it picks scipy's, and the residual does
+    not depend on which module pairs.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col = [-1] * n, [-1] * n
+    path = [-1] * n
+    for cur in range(n):
+        spc = [math.inf] * n  # shortest path cost to each column
+        in_rows, in_cols = [False] * n, [False] * n
+        remaining = list(range(n - 1, -1, -1))
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            in_rows[i] = True
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < spc[j]:
+                    path[j], spc[j] = i, r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, spc[j]
+            if lowest == math.inf:
+                raise ValueError("cost matrix has no finite pairing")
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(n):
+            if in_rows[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(n):
+            if in_cols[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:  # flip the augmenting path
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def predicted_eigenvalues(family: GroupFamily, point: RadialPoint) -> np.ndarray:

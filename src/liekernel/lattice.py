@@ -463,6 +463,15 @@ def reduce_lexmax(group: WeylGroup, lat: WindingLattice, phi: RadialPoint):
     Returns ``(canonical, sigma, m)`` with canonical = sigma(phi + 2 pi m),
     m in integer coordinates over ``lat``'s basis.
     """
+    canonical, elem, shift = _lexmax_image(group, lat, phi)
+    # m is applied before sigma: canonical = sigma(phi + 2 pi m)
+    mcoeffs = _coeffs_of(lat, elem.matrix.T @ (shift @ lat.generators))
+    return canonical, elem, mcoeffs
+
+
+def _lexmax_image(group: WeylGroup, lat: WindingLattice, phi: RadialPoint) -> tuple:
+    """``reduce_lexmax``'s representative and Weyl element, with its shift in
+    coordinates over ``lat``'s basis applied after sigma, left undecoded."""
     sub = domain_sublattice(lat, phi.signature)
     elems = _signature_preserving(group, phi.signature)
     ys = np.stack([e.matrix for e in elems]) @ np.asarray(phi.values, dtype=float)
@@ -476,7 +485,4 @@ def reduce_lexmax(group: WeylGroup, lat: WindingLattice, phi: RadialPoint):
         ys = ys + 2.0 * np.pi * (shifts[:, None] @ gens)[:, 0]
     keys = np.round(ys, 10)
     best = max(range(len(elems)), key=lambda i: tuple(keys[i]))
-    y, elem, full = ys[best], elems[best], shifts[best] @ sub.coeffs
-    # m is applied before sigma: canonical = sigma(phi + 2 pi m)
-    mcoeffs = _coeffs_of(lat, elem.matrix.T @ (full @ lat.generators))
-    return RadialPoint(tuple(y), phi.signature), elem, mcoeffs
+    return RadialPoint(tuple(ys[best]), phi.signature), elems[best], shifts[best] @ sub.coeffs

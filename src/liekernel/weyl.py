@@ -4,6 +4,7 @@ intertwining operator, all on integer weight-orbit coordinates."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,14 +133,19 @@ def weyl_function(rs: RootSystem, phi) -> complex:
     return complex(np.prod(np.sin(half)))
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _check_dominant(l, rank) -> np.ndarray:
     l = np.asarray(l)
     if l.shape != (rank,):
         raise ArgumentError(f"weight vector must have length {rank}, got shape {l.shape}")
-    li = np.round(l).astype(int)
-    if not np.allclose(l, li) or (li < 0).any():
+    # on Python scalars, within np.allclose's tolerance of the nearest int64
+    vals = l.tolist()
+    li = [round(x) if isinstance(x, (int, float)) and math.isfinite(x) else -1 for x in vals]
+    if any(not 0 <= k <= _INT64_MAX or abs(x - k) > 1e-8 + 1e-5 * k for x, k in zip(vals, li)):
         raise ArgumentError(f"dominant weight must be componentwise nonnegative integers, got {l}")
-    return li
+    return np.array(li)
 
 
 def weight_orbit(group: WeylGroup, coords) -> np.ndarray:

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,18 @@ def test_domains_classify_malformed_matrix_is_usage_error(capsys, tmp_path, text
     assert out == "" and message in err
 
 
+def test_domains_classify_singular_matrix_matches_no_domain(capsys, tmp_path):
+    """An eigenvalue 0 is no exponential's; the defining relation's tolerance,
+    which grows with the entries, lets this singular matrix through to it."""
+    path = tmp_path / "mat.json"
+    path.write_text("[[1e4, 0], [0, 0]]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "domains", "classify", "SL2R", str(path))
+    assert code == 1
+    assert out == "" and "match no evolution domain" in err
+
+
 def test_domains_classify_requires_matrix(capsys):
     code, _, err = run(capsys, "domains", "classify", "SU11")
     assert code == 2
@@ -396,3 +409,23 @@ def test_cli_loads_no_scipy_or_sympy():
     )
     loaded = json.loads(proc.stdout)
     assert loaded == {name: [] for name in loaded} and len(loaded) == len(LEAN_COMMANDS) + 1
+
+
+def test_domains_classify_leaves_scipy_optimize_unloaded(tmp_path):
+    """Classification pairs eigenvalues itself; of scipy it loads only linalg."""
+    from liekernel import RadialPoint, build_element, enumerate_domains, parse_group
+
+    fam = parse_group("Sp6R")
+    dom = enumerate_domains(fam)[0]
+    g = build_element(fam, RadialPoint((0.4, 0.75, 1.1), dom.signature))
+    path = tmp_path / "sp6r.json"
+    path.write_text(json.dumps(g.real.tolist()))
+    argv = ["domains", "classify", "Sp6R", str(path)]
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps([argv])],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    loaded = json.loads(proc.stdout)[" ".join(argv)]
+    assert "scipy.linalg" in loaded and "scipy.optimize" not in loaded

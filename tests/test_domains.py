@@ -20,7 +20,12 @@ from liekernel import (
 from liekernel.domains import (
     GroupFamily,
     GroupKind,
+    _least_cost_pairing,
+    _match_domain,
+    _matcher,
     _pairing_residual,
+    _system,
+    _unit_class,
     canonical_radial,
     check_defining_relation,
     classification_lattice,
@@ -429,3 +434,169 @@ def test_build_element_verifies_itself():
     g = build_element(fam, pt)
     assert g.shape == (6, 6)
     check_defining_relation(fam, g)
+
+
+def _match_by_permutations(sys, dom, eig):
+    """The exhaustive matcher that ``_match_domain`` prunes: every assignment
+    in ``itertools.permutations`` order, each tested in full, every offset
+    by its own ``verify``."""
+    m = _matcher(dom)
+    nw = len(sys.weights)
+    slot_unit = m["slot_unit"]
+    eig_unit = _unit_class(eig)
+    if slot_unit.sum() > eig_unit.sum():
+        return None
+    unit_slots = np.where(slot_unit)[0]
+    nonunit_slots = np.where(~slot_unit)[0]
+    unit_eigs = np.where(eig_unit)[0].tolist()
+    log_mod = np.log(np.abs(eig))
+    args = np.angle(eig)
+    w_r, w_i = m["w_r"], m["w_i"]
+    scale = max(1.0, float(np.abs(eig).max()))
+
+    def verify(x, y, assign):
+        phase = w_r @ x if w_r.shape[1] else np.zeros(nw)
+        damp = w_i @ y if w_i.shape[1] else np.zeros(nw)
+        pred = np.exp(1j * phase - damp)
+        return bool(np.abs(pred - eig[assign]).max() <= 1e-8 * scale)
+
+    assign = np.empty(nw, dtype=int)
+    for perm_u in itertools.permutations(unit_eigs, len(unit_slots)):
+        assign[unit_slots] = perm_u
+        rest = [k for k in range(nw) if k not in perm_u]
+        for perm_n in itertools.permutations(rest):
+            assign[nonunit_slots] = perm_n
+            if m["imag_axes"]:
+                y = m["pinv_wi"] @ log_mod[assign]
+                if np.abs(w_i @ y + log_mod[assign]).max() > 1e-7:
+                    continue
+            else:
+                if np.abs(log_mod[assign]).max() > 1e-7:
+                    continue
+                y = np.zeros(0)
+            x = None
+            if not m["sub_rows"]:
+                if verify(np.zeros(0), y, assign):
+                    x = np.zeros(0)
+            else:
+                base = args[assign][m["sub_rows"]]
+                for off in m["offsets"]:
+                    cand = m["a_sub_inv"] @ (base + off)
+                    if verify(cand, y, assign):
+                        x = cand
+                        break
+            if x is None:
+                continue
+            values = np.zeros(len(dom.signature))
+            for idx, j in enumerate(m["real_axes"]):
+                values[j] = x[idx]
+            for idx, j in enumerate(m["imag_axes"]):
+                values[j] = y[idx]
+            return values
+    return None
+
+
+def _assert_same_match(fam, g, rng=None):
+    """``_match_domain`` equals the exhaustive matcher, bit for bit, on every
+    domain ``classify_element`` tries for g: its own and each one before it.
+
+    With ``rng``, each eigenvalue first moves by up to 3e-9 relative in phase
+    and, off the unit circle, in modulus: inside the matcher's tolerances, so
+    a pruning rule stricter than they are shows up as a missed match.
+    """
+    sys, eig = _system(fam), np.linalg.eigvals(np.asarray(g, dtype=complex))
+    if rng is not None:
+        off_unit = np.abs(np.abs(eig) - 1.0) > 1e-6
+        eig = eig * np.exp(3e-9 * (1j * rng.uniform(-1, 1, len(eig)) + off_unit * rng.uniform(-1, 1, len(eig))))
+    for dom in enumerate_domains(fam):
+        got, want = _match_domain(sys, dom, eig), _match_by_permutations(sys, dom, eig)
+        assert (got is None) == (want is None), (fam.name, dom.label)
+        if got is not None:
+            assert got.tobytes() == want.tobytes(), (fam.name, dom.label, got, want)
+            return
+    raise AssertionError(f"{fam.name} element matches no domain")
+
+
+@pytest.mark.parametrize("name", ["SU(1,1)"] + CATALOGUE_GROUPS)
+def test_pruned_match_equals_permutation_search(name):
+    fam = parse_group(name)
+    rng = np.random.default_rng(808)
+    _assert_same_match(fam, np.eye(fam.matrix_dim))
+    for dom in enumerate_domains(fam):
+        for _ in range(3):
+            vals = rng.uniform(0.12, 1.55, fam.rank)
+            g = build_element(fam, canonical_radial(fam, RadialPoint(tuple(vals), dom.signature)))
+            _assert_same_match(fam, g)
+            _assert_same_match(fam, g, rng)
+
+
+@pytest.mark.parametrize("values", [(0.0, 0.7, 0.0), (0.7, 0.0, 0.7)])
+def test_pruned_match_ties_zero_parameters_as_permutation_search(values):
+    # degenerate eigenvalues: many assignments pass, and the order picks one
+    fam = parse_group("SO(3,3)")
+    dom = next(d for d in enumerate_domains(fam) if d.label == "D0")
+    _assert_same_match(fam, build_element(fam, canonical_radial(fam, RadialPoint(values, dom.signature))))
+
+
+def test_pruned_match_refuses_the_guard_band_as_permutation_search():
+    fam = parse_group("SU(1,1)")
+    theta = 2e-8
+    c, s = np.cosh(theta / 2), np.sinh(theta / 2)
+    eig = np.linalg.eigvals(np.array([[c, s], [s, c]], dtype=complex))
+    dom = enumerate_domains(fam)[0]
+    for match in (_match_domain, _match_by_permutations):
+        with pytest.raises(ClassificationError, match="guard band"):
+            match(_system(fam), dom, eig)
+
+
+@pytest.mark.parametrize("name", ["SO(5,4)", "Sp(8,R)"])
+def test_roundtrip_rank4_domains(name):
+    # out of reach of the permutation search, which took seconds per element
+    fam = parse_group(name)
+    rng = np.random.default_rng(909)
+    for dom in enumerate_domains(fam):
+        for _ in range(2):
+            vals = rng.uniform(0.15, 1.5, fam.rank)
+            canon = canonical_radial(fam, RadialPoint(tuple(vals), dom.signature))
+            g = build_element(fam, canon)
+            dom2, pt2 = classify_element(fam, g)
+            assert dom2 == dom
+            assert np.abs(np.array(pt2.values) - np.array(canon.values)).max() < 1e-8
+
+
+def test_least_cost_pairing_matches_linear_sum_assignment():
+    """The same pairing as scipy's, also where several pairings cost least."""
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(1010)
+    for n in range(1, 10):
+        for k in range(60):
+            # small integer costs tie often, a constant matrix everywhere
+            cost = (rng.random((n, n)), rng.integers(0, 4, (n, n)).astype(float),
+                    rng.integers(0, 2, (n, n)).astype(float), np.full((n, n), 1.5))[k % 4]
+            assert _least_cost_pairing(cost.tolist()) == linear_sum_assignment(cost)[1].tolist()
+
+
+def test_pairing_residual_matches_linear_sum_assignment():
+    """Bit for bit, also where least-cost pairings tie with other maxima."""
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(1111)
+    e = 0.125
+    # totals 6e both ways, maxima 5e or 4e
+    tied = [(np.array([-e, -2 * e]) + 0j, np.array([0, 3 * e]) + 0j)]
+    for n in range(1, 10):
+        for k in range(30):
+            eig = rng.normal(size=n) + 1j * rng.normal(size=n)
+            if k % 3 == 0:
+                pred = eig[rng.permutation(n)] + 1e-3 * rng.normal(size=n)
+            elif k % 3 == 1:
+                pred = rng.normal(size=n) + 0j
+            else:  # collinear points on a grid: many pairings of least total
+                eig, pred = (rng.integers(-3, 4, n) * e + 0j for _ in range(2))
+            tied.append((pred, eig))
+    for pred, eig in tied:
+        cost = np.abs(pred[:, None] - eig[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert _pairing_residual(pred, eig) == cost[rows, cols].max()
+    assert _pairing_residual(*tied[0]) == 5 * e

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from liekernel import (
+    ArgumentError,
     build_root_system,
     casimir_eigenvalue,
     character,
@@ -105,6 +106,34 @@ def test_character_complex_argument():
     rs = build_root_system("A", 2)
     val = character(rs, [1, 0], np.array([0.4 + 0.0j, 0.9j]))
     assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+@pytest.mark.parametrize(
+    "l, message",
+    [
+        ([1, 0, 0], "must have length 2"),
+        ([[1, 0]], "must have length 2"),
+        (3, "must have length 2"),
+        ([0.5, 1], "nonnegative integers"),
+        ([1, np.nan], "nonnegative integers"),
+        ([-1, 2], "nonnegative integers"),
+        ([1.0, -1e-3], "nonnegative integers"),
+        # integral, but past int64: the orbit code could not hold it
+        ([1e20, 0], "nonnegative integers"),
+        ([2**63, 0], "nonnegative integers"),
+    ],
+)
+def test_dominant_weight_refusals(l, message):
+    rs = build_root_system("A", 2)
+    for fn in (lambda: character(rs, l, np.array([0.3, 0.4])), lambda: dimension(rs, l),
+               lambda: casimir_eigenvalue(rs, l)):
+        with pytest.raises(ArgumentError, match=message):
+            fn()
+
+
+def test_dominant_weight_accepts_integral_floats():
+    rs = build_root_system("A", 2)
+    assert dimension(rs, [1.0, 1 + 1e-12]) == dimension(rs, np.array([1, 1])) == 8
 
 
 def test_dimension_rank1_and_casimir():
