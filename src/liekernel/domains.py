@@ -550,19 +550,23 @@ def _even_so_masks(family: GroupFamily, sys: _System) -> list:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _eta(family: GroupFamily) -> np.ndarray:
-    k = family.kind
-    if k in (GroupKind.SU, GroupKind.SO):
-        return np.diag([1.0] * family.p + [-1.0] * family.q)
-    if k is GroupKind.USP:
-        n = family.p + family.q
-        eta_n = [1.0] * family.p + [-1.0] * family.q
-        return np.diag(eta_n + eta_n)
-    raise InternalError("eta undefined for this family")
+    signs = [1.0] * family.p + [-1.0] * family.q
+    if family.kind is GroupKind.USP:
+        signs += signs
+    elif family.kind not in (GroupKind.SU, GroupKind.SO):
+        raise InternalError("eta undefined for this family")
+    eta = np.diag(signs)
+    eta.flags.writeable = False
+    return eta
 
 
+@functools.cache
 def _zeta(n: int) -> np.ndarray:
-    return np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    zeta = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    zeta.flags.writeable = False
+    return zeta
 
 
 def check_defining_relation(family: GroupFamily, g: np.ndarray) -> None:
@@ -651,22 +655,24 @@ def _relations(rows: list, order: list) -> tuple:
 
 @functools.cache
 def _matcher(dom: EvolutionDomain) -> dict:
-    from scipy.linalg import qr
+    """What ``_match_domain`` needs of a domain, built once.
 
+    The weight columns of its real (w_r) and imaginary (w_i) axes; the slots
+    whose weights vanish on the imaginary axes, which take unit-modulus
+    eigenvalues; the search order (those slots first); and, per search depth,
+    the integer relations that the depth's row adds among the w_i rows and
+    among the w_r rows of the slots before it.  The phase rows are the slots
+    whose w_r row adds no relation: an exact basis of w_r's row space, one per
+    real axis, which ``a_sub_inv`` solves for the real parameters, with every
+    lattice offset of their phases in ``offsets``.  Without real or imaginary
+    axes the arrays are empty, and their products are zeros.
+    """
     weights = _system(dom.family).weights
     real_axes = [j for j, s in enumerate(dom.signature) if s == REAL]
     imag_axes = [j for j, s in enumerate(dom.signature) if s == IMAGINARY]
     w_r = weights[:, real_axes]
     w_i = weights[:, imag_axes]
     slot_unit = np.array([np.allclose(w_i[k], 0.0, atol=1e-12) for k in range(len(weights))])
-    if w_r.shape[1]:
-        _, _, piv = qr(w_r.T, pivoting=True)
-        sub_rows = list(piv[: w_r.shape[1]])
-        a_sub_inv = np.linalg.inv(w_r[sub_rows])
-    else:
-        sub_rows, a_sub_inv = [], None
-    offsets = 2.0 * np.pi * np.array(list(itertools.product((-1, 0, 1), repeat=len(sub_rows))))
-    pinv_wi = np.linalg.pinv(-w_i) if imag_axes else None
     # the search visits unit slots first, as the permutation order does
     order = np.flatnonzero(slot_unit).tolist() + np.flatnonzero(~slot_unit).tolist()
     exact, _ = _rational_columns(weights)
@@ -676,6 +682,10 @@ def _matcher(dom: EvolutionDomain) -> dict:
         for rel in filter(None, relations[key]):
             if np.abs(sum(c * w[order[p]] for p, c in rel[0])).max(initial=0.0) > 1e-12:
                 raise InternalError("integer weight relation does not hold in floating point")
+    sub_rows = [order[d] for d, rel in enumerate(relations["phase"]) if rel is None]
+    if len(sub_rows) != len(real_axes):
+        raise InternalError("the weights do not span the real axes")
+    offsets = 2.0 * np.pi * np.array(list(itertools.product((-1, 0, 1), repeat=len(sub_rows))))
     return {
         "real_axes": real_axes,
         "imag_axes": imag_axes,
@@ -683,9 +693,9 @@ def _matcher(dom: EvolutionDomain) -> dict:
         "w_i": w_i,
         "slot_unit": slot_unit,
         "sub_rows": sub_rows,
-        "a_sub_inv": a_sub_inv,
+        "a_sub_inv": np.linalg.inv(w_r[sub_rows]),
         "offsets": offsets,
-        "pinv_wi": pinv_wi,
+        "pinv_wi": np.linalg.pinv(-w_i),
         "order": order,
         "unit_depth": int(slot_unit.sum()),
         "relations": relations,
@@ -767,45 +777,32 @@ def _match_domain(sys: _System, dom: EvolutionDomain, eig: np.ndarray):
     tol = 1e-8 * scale
 
     def verify(x, y, assign):
-        phase = w_r @ x if w_r.shape[1] else np.zeros(nw)
-        damp = w_i @ y if w_i.shape[1] else np.zeros(nw)
-        pred = np.exp(1j * phase - damp)
+        pred = np.exp(1j * (w_r @ x) - w_i @ y)
         return bool(np.abs(pred - eig[assign]).max() <= tol)
 
     assign = np.empty(nw, dtype=int)
     for pos in _assignments(m, eig_unit, mods, args, tol):
         assign[m["order"]] = pos
-        if m["imag_axes"]:
-            y = m["pinv_wi"] @ log_mod[assign]
-            if np.abs(w_i @ y + log_mod[assign]).max() > 1e-7:
-                continue
-        else:
-            if np.abs(log_mod[assign]).max() > 1e-7:
-                continue
-            y = np.zeros(0)
+        y = m["pinv_wi"] @ log_mod[assign]
+        damp = w_i @ y
+        if np.abs(damp + log_mod[assign]).max() > 1e-7:
+            continue
+        base = args[assign][m["sub_rows"]]
+        # every offset at once, with a margin over the rounding by which
+        # these products differ from verify's; verify decides, in order
+        cands = (base + m["offsets"]) @ m["a_sub_inv"].T
+        miss = np.abs(np.exp(1j * (cands @ w_r.T) - damp) - eig[assign]).max(axis=1)
         x = None
-        if not m["sub_rows"]:
-            if verify(np.zeros(0), y, assign):
-                x = np.zeros(0)
-        else:
-            base = args[assign][m["sub_rows"]]
-            # every offset at once, with a margin over the rounding by which
-            # these products differ from verify's; verify decides, in order
-            cands = (base + m["offsets"]) @ m["a_sub_inv"].T
-            damp = w_i @ y if w_i.shape[1] else 0.0
-            miss = np.abs(np.exp(1j * (cands @ w_r.T) - damp) - eig[assign]).max(axis=1)
-            for k in np.flatnonzero(miss <= 1.001 * tol):
-                cand = m["a_sub_inv"] @ (base + m["offsets"][k])
-                if verify(cand, y, assign):
-                    x = cand
-                    break
+        for k in np.flatnonzero(miss <= 1.001 * tol):
+            cand = m["a_sub_inv"] @ (base + m["offsets"][k])
+            if verify(cand, y, assign):
+                x = cand
+                break
         if x is None:
             continue
         values = np.zeros(len(dom.signature))
-        for idx, j in enumerate(m["real_axes"]):
-            values[j] = x[idx]
-        for idx, j in enumerate(m["imag_axes"]):
-            values[j] = y[idx]
+        values[m["real_axes"]] = x
+        values[m["imag_axes"]] = y
         return values
     return None
 
@@ -916,7 +913,7 @@ def domain_of_radial(family: GroupFamily, point: RadialPoint) -> EvolutionDomain
     """The unique domain whose mask matches up to a Weyl permutation of axes."""
     group = generate_weyl_group(_system(family).rs)
     for dom in enumerate_domains(family):
-        if dom.b == len(point.imag_axes) and _signature_preserving(group, point.signature, dom.signature):
+        if dom.b == len(point.imag_axes) and len(_signature_preserving(group, point.signature, dom.signature)):
             return dom
     raise ArgumentError(
         f"signature {''.join(point.signature)} matches no evolution domain of {family.name}"

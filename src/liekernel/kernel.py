@@ -270,7 +270,7 @@ def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int 
     ``weyl.orbit_table``.  The cache keeps at most ``_ORBIT_CAP`` orbit
     entries and drops the oldest tables to make room.
     """
-    key = (rs.cache_key(), round(float(t_like), 12), tol, level_cutoff)
+    key = (rs, round(float(t_like), 12), tol, level_cutoff)
     cached = _spectral_cache.get(key)
     if cached is not None:
         return cached

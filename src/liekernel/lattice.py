@@ -435,8 +435,9 @@ def _canonicalize_compact(rs: RootSystem, lat: WindingLattice, phi: RadialPoint)
     )
 
 
-def _signature_preserving(group: WeylGroup, signature, target=None) -> list:
-    """Weyl elements mapping the imaginary axes of ``signature`` onto those of ``target``.
+def _signature_preserving(group: WeylGroup, signature, target=None) -> np.ndarray:
+    """Indices of the Weyl elements mapping the imaginary axes of
+    ``signature`` onto those of ``target``, ascending.
 
     ``target`` (by default ``signature`` itself) must have as many imaginary
     axes.  An element qualifies when its (target-real, source-imaginary)
@@ -446,10 +447,9 @@ def _signature_preserving(group: WeylGroup, signature, target=None) -> list:
     real_axes = [j for j, s in enumerate(target) if s == REAL]
     imag_axes = [j for j, s in enumerate(signature) if s == IMAGINARY]
     if not real_axes or not imag_axes:
-        return list(group.elements)
+        return np.arange(group.order)
     blocks = group.matrices[:, real_axes][:, :, imag_axes]
-    mask = np.abs(blocks).max(axis=(1, 2)) <= 1e-10
-    return [e for e, ok in zip(group.elements, mask) if ok]
+    return np.flatnonzero(np.abs(blocks).max(axis=(1, 2)) <= 1e-10)
 
 
 def reduce_lexmax(group: WeylGroup, lat: WindingLattice, phi: RadialPoint):
@@ -473,9 +473,9 @@ def _lexmax_image(group: WeylGroup, lat: WindingLattice, phi: RadialPoint) -> tu
     """``reduce_lexmax``'s representative and Weyl element, with its shift in
     coordinates over ``lat``'s basis applied after sigma, left undecoded."""
     sub = domain_sublattice(lat, phi.signature)
-    elems = _signature_preserving(group, phi.signature)
-    ys = np.stack([e.matrix for e in elems]) @ np.asarray(phi.values, dtype=float)
-    shifts = np.zeros((len(elems), sub.dim), dtype=int)
+    idx = _signature_preserving(group, phi.signature)
+    ys = group.matrices[idx] @ np.asarray(phi.values, dtype=float)
+    shifts = np.zeros((len(idx), sub.dim), dtype=int)
     if sub.dim:
         gens = sub.generators
         # stacked matrix-vector products and solves, each the same call per
@@ -483,6 +483,8 @@ def _lexmax_image(group: WeylGroup, lat: WindingLattice, phi: RadialPoint) -> tu
         center = np.linalg.solve((gens @ gens.T)[None], gens[None] @ ys[..., None])[..., 0]
         shifts = -np.round(center / (2.0 * np.pi)).astype(int)
         ys = ys + 2.0 * np.pi * (shifts[:, None] @ gens)[:, 0]
+    # the first of the lexicographically largest rounded images: the last in
+    # ascending order of (keys, -index)
     keys = np.round(ys, 10)
-    best = max(range(len(elems)), key=lambda i: tuple(keys[i]))
-    return RadialPoint(tuple(ys[best]), phi.signature), elems[best], shifts[best] @ sub.coeffs
+    best = np.lexsort((-np.arange(len(idx)), *keys.T[::-1]))[-1]
+    return RadialPoint(tuple(ys[best]), phi.signature), group.elements[idx[best]], shifts[best] @ sub.coeffs

@@ -85,9 +85,6 @@ class RootSystem:
     def _key(self) -> tuple:
         return (self.family, self.rank, self.simple_roots.round(12).tobytes())
 
-    def cache_key(self):
-        return self._key
-
     def __eq__(self, other):
         return isinstance(other, RootSystem) and self._key == other._key
 

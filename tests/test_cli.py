@@ -412,7 +412,7 @@ def test_cli_loads_no_scipy_or_sympy():
 
 
 def test_domains_classify_leaves_scipy_optimize_unloaded(tmp_path):
-    """Classification pairs eigenvalues itself; of scipy it loads only linalg."""
+    """Classification pairs eigenvalues and picks its phase rows itself: it loads no scipy module."""
     from liekernel import RadialPoint, build_element, enumerate_domains, parse_group
 
     fam = parse_group("Sp6R")
@@ -428,4 +428,4 @@ def test_domains_classify_leaves_scipy_optimize_unloaded(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     loaded = json.loads(proc.stdout)[" ".join(argv)]
-    assert "scipy.linalg" in loaded and "scipy.optimize" not in loaded
+    assert "scipy.optimize" not in loaded and loaded == []

@@ -517,7 +517,9 @@ def _assert_same_match(fam, g, rng=None):
     raise AssertionError(f"{fam.name} element matches no domain")
 
 
-@pytest.mark.parametrize("name", ["SU(1,1)"] + CATALOGUE_GROUPS)
+# SU(4), SO(4,2) and USp(2,4) have domains whose phase rows differ from a
+# pivoted QR's
+@pytest.mark.parametrize("name", ["SU(1,1)"] + CATALOGUE_GROUPS + ["SU(4)", "SO(4,2)", "USp(2,4)"])
 def test_pruned_match_equals_permutation_search(name):
     fam = parse_group(name)
     rng = np.random.default_rng(808)

@@ -321,7 +321,8 @@ def _reduce_lexmax_by_loop(group, lat, phi):
     sub = domain_sublattice(lat, phi.signature)
     values = np.asarray(phi.values, dtype=float)
     candidates = []
-    for elem in _signature_preserving(group, phi.signature):
+    for i in _signature_preserving(group, phi.signature):
+        elem = group.elements[i]
         y = elem.matrix @ values
         if sub.dim:
             center = np.linalg.solve(sub.generators @ sub.generators.T, sub.generators @ y)

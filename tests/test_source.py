@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used, and
-every module-level private name is read by some module of the package."""
+"""Source hygiene: every name a module of the package imports is used,
+every module-level private name is read by some module of the package, and
+scipy is imported only inside the rank-1 oracles."""
 
 import ast
 import pathlib
@@ -81,3 +82,43 @@ def test_scan_finds_dead_private_names():
 def test_module_private_names_are_used():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+# the functions whose bodies may import scipy, by module: the rank-1 oracles
+SCIPY_ORACLES = {"kernel.py": {"su2_resolvent_poles", "radial_convolve", "integrate_central_su2"}}
+
+
+def misplaced_scipy_imports(sources: dict) -> list:
+    """scipy imports, given a map from module name to source, that are not in
+    the body of one of ``SCIPY_ORACLES``: (module, line)."""
+    misplaced = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in SCIPY_ORACLES.get(module, ()):
+                allowed |= {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names) and id(node) not in allowed:
+                misplaced.append((module, node.lineno))
+    return sorted(misplaced)
+
+
+def test_scan_finds_misplaced_scipy_imports():
+    oracle = "def radial_convolve():\n    from scipy.integrate import simpson\n    return simpson\n"
+    sources = {
+        "kernel.py": "import scipy.special\n" + oracle + "def other():\n    from scipy import linalg\n",
+        "domains.py": "from .kernel import radial_convolve\n" + oracle,
+    }
+    assert misplaced_scipy_imports(sources) == [("domains.py", 3), ("kernel.py", 1), ("kernel.py", 6)]
+
+
+def test_scipy_is_imported_only_by_rank1_oracles():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert misplaced_scipy_imports(sources) == []
