@@ -28,7 +28,7 @@ from .lattice import REAL, RadialPoint, domain_sublattice, enumerate_points, win
 from .lattice import _ellipsoid_points
 from .rootsys import RootSystem
 from .volumes import coset_volume, group_volume
-from .weyl import generate_weyl_group, orbit_sums, orbit_table, wall_denominator
+from .weyl import generate_weyl_group, orbit_sums, split_levels, wall_denominator
 
 __all__ = [
     "TimeMode",
@@ -49,9 +49,7 @@ __all__ = [
     "integrate_central_su2",
 ]
 
-# largest spectral table, in levels x Weyl images; each entry holds at most
-# rank non-negative integers (uint16 where they fit).  It also bounds the
-# entries that the spectral cache keeps resident.
+# most terms of a spectral sum, in levels x Weyl images
 _ORBIT_CAP = 3 * 10**7
 
 # grid x quadrature entries per block of radial_convolve
@@ -260,39 +258,23 @@ def _spectral_levels(rs: RootSystem, t_like: float, tol: float, level_cutoff: in
     return labels
 
 
-_spectral_cache: dict = {}
-
-
+# (system, time) pairs whose spectral data stay resident, the time rounded to
+# 12 decimals by ``compact_spectral``; a compact grid over ten systems holds 30
+@functools.lru_cache(maxsize=64)
 def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int | None):
-    """Representation data for the retained dominant weights l.
-
-    Returns (lambda_l, d_l, orbit, d_l / V_G), ``orbit`` the levels'
-    ``weyl.orbit_table``.  The cache keeps at most ``_ORBIT_CAP`` orbit
-    entries and drops the oldest tables to make room.
-    """
-    key = (rs, round(float(t_like), 12), tol, level_cutoff)
-    cached = _spectral_cache.get(key)
-    if cached is not None:
-        return cached
+    """Representation data for the retained dominant weights l: (lambda_l,
+    d_l, split, d_l / V_G), ``split`` the levels' ``weyl.split_levels``."""
     group = generate_weyl_group(rs)
     labels = _spectral_levels(rs, t_like, tol, level_cutoff)
-    size = len(labels) * group.order
-    if size > _ORBIT_CAP:
+    if len(labels) * group.order > _ORBIT_CAP:
         raise ResourceError(
             f"spectral table needs {len(labels)} levels x {group.order} Weyl images "
             f"(> {_ORBIT_CAP} orbit entries); use the path sum"
         )
-    # drop the oldest tables until this one fits under the cap
-    resident = [orbit[0][0].size for _, _, orbit, _ in _spectral_cache.values()]
-    while resident and size + sum(resident) > _ORBIT_CAP:
-        del _spectral_cache[next(iter(_spectral_cache))]
-        resident.pop(0)
     nvecs = (labels + 1) @ rs.weights
     lam_l = (np.einsum("li,li->l", nvecs, nvecs) - rs.rho @ rs.rho) / rs.lam
     dims = np.prod(nvecs @ rs.positive_roots.T, axis=1) / np.prod(rs.positive_roots @ rs.rho)
-    data = (lam_l, dims, orbit_table(group, labels), dims / group_volume(rs))
-    _spectral_cache[key] = data
-    return data
+    return lam_l, dims, split_levels(group, labels), dims / group_volume(rs)
 
 
 def compact_spectral(req: KernelRequest) -> KernelValue:
@@ -310,8 +292,8 @@ def compact_spectral(req: KernelRequest) -> KernelValue:
         )
     rs = req.rs
     t = req.time.effective
-    lam_l, _, orbit, weights = _spectral_data(rs, req.time.decay_scale(), req.tol, req.level_cutoff)
-    sums, denom = orbit_sums(rs, orbit, req.phi.values)
+    lam_l, _, split, weights = _spectral_data(rs, round(req.time.decay_scale(), 12), req.tol, req.level_cutoff)
+    sums, denom = orbit_sums(rs, split, req.phi.values)
     value = complex((weights * np.exp(-1j * lam_l * t)) @ sums / denom)
     return KernelValue(value, ConvergenceTag.CONVERGENT)
 

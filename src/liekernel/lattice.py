@@ -317,8 +317,8 @@ def _window_offsets(lat: WindingLattice, window: float) -> tuple:
     The closest lattice point is therefore within R of the minimizer, every
     point the window keeps within sqrt(R^2 + window) of it, and so within
     the offsets' reach of the rounded point.  The offsets come in
-    lexicographic order, with the projection (gens gens^T)^-1 gens onto the
-    coordinates.
+    lexicographic order, with their norms |2 pi c @ gens| in single
+    precision and the projection (gens gens^T)^-1 gens onto the coordinates.
     """
     gens = lat.generators
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=lat.dim)))
@@ -326,10 +326,10 @@ def _window_offsets(lat: WindingLattice, window: float) -> tuple:
     reach = cell + math.sqrt(cell**2 + window)
     # the margin covers the rounding of the distances; extra offsets only
     # cost candidates that the distance test drops
-    coeffs, _ = _ellipsoid_points(gens, np.zeros(lat.rank), 2.0 * np.pi, reach**2 * (1.0 + 1e-9))
+    coeffs, d2 = _ellipsoid_points(gens, np.zeros(lat.rank), 2.0 * np.pi, reach**2 * (1.0 + 1e-9))
     bound = int(np.abs(coeffs).max())
     dtype = next(d for d in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
-    return coeffs.astype(dtype), np.linalg.solve(gens @ gens.T, gens)
+    return coeffs.astype(dtype), np.sqrt(d2).astype(np.float32), np.linalg.solve(gens @ gens.T, gens)
 
 
 def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: float = 1.0) -> np.ndarray:
@@ -338,9 +338,10 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     A point m is kept while exp(-lam |phi + 2 pi m|^2 / (4 t_like)) is at
     least ``tol`` times the largest such weight.  Points come back sorted by
     distance then lexicographically.  The candidates are the window's cached
-    offsets around the rounded minimizer; each distance comes from the
-    point's absolute coefficients, so the rounding of the centre does not
-    change the result.
+    offsets around the rounded minimizer, out to the norm d0 + sqrt(d0^2 +
+    window) that a kept point's offset cannot pass, d0 the rounded point's
+    own distance.  Each distance comes from the point's absolute
+    coefficients, so the rounding of the centre does not change the result.
     """
     if not 0.0 < tol < 1.0:
         raise ArgumentError(f"tol must lie in (0, 1), got {tol}")
@@ -353,8 +354,12 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
 
     gens = lat.generators
     window = 4.0 * t_like * np.log(1.0 / tol) / lam
-    offsets, proj = _window_offsets(lat, float(window))
-    coeffs = np.round(proj @ (-x0 / (2.0 * np.pi))).astype(int) + offsets
+    offsets, norms, proj = _window_offsets(lat, float(window))
+    base = np.round(proj @ (-x0 / (2.0 * np.pi))).astype(int)
+    near = x0 + 2.0 * np.pi * (base @ gens)
+    d0 = math.sqrt(near @ near)
+    # the margin covers the slack of the distance test below and the norms' rounding
+    coeffs = base + offsets[norms <= (d0 + math.sqrt(d0 * d0 + window)) * (1.0 + 1e-6) + 1e-6]
     pts = coeffs @ gens
     d2 = ((x0 + 2.0 * np.pi * pts) ** 2).sum(axis=1)
     radius2 = d2.min() + window

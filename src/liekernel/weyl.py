@@ -1,5 +1,7 @@
 """Weyl group machinery: reflections, characters, dimensions, and the
-intertwining operator, all on integer weight-orbit coordinates."""
+intertwining operator.  The group acts on weight coordinates by integer
+matrices, and a character's signed orbit sum is an entry of a product of
+head and tail tables of powers, one matrix product for all levels."""
 
 from __future__ import annotations
 
@@ -27,8 +29,9 @@ _CLOSURE_CAP = 10**6
 _MERGE_DECIMALS = 9
 _WALL_TOL = 1e-12
 
-# orbit entries per block of levels in ``orbit_table`` and ``orbit_sums``, and
-# the largest folded power table: the temporaries of one block stay cache-sized
+# entries per block of ``orbit_sums``: heads x tails of the matrix product,
+# levels x Weyl images of the terms multiplied out on a wall; the temporaries
+# of one block stay cache-sized
 _BLOCK = 2**15
 
 
@@ -163,7 +166,7 @@ def character(rs: RootSystem, l, phi) -> complex:
     at phi=0 that is the representation dimension.
     """
     levels = _check_dominant(l, rs.rank)[None]
-    sums, denom = orbit_sums(rs, orbit_table(generate_weyl_group(rs), levels), phi)
+    sums, denom = orbit_sums(rs, split_levels(generate_weyl_group(rs), levels), phi)
     return complex(sums[0]) / denom
 
 
@@ -209,92 +212,101 @@ def _permanent(data: bytes, k: int) -> float:
     return float((-1) ** k * ((-1.0) ** subsets.sum(axis=1) @ np.prod(subsets @ g.T, axis=1)))
 
 
-def orbit_table(group: WeylGroup, levels) -> tuple:
-    """Weyl orbits of l + rho for the dominant weights l, rows of ``levels``
-    (L, r), in the form ``orbit_sums`` reads: (index, parities, reach).
+def _distinct_rows(rows) -> tuple:
+    """The distinct rows of an integer matrix, in lexicographic order, and
+    each row's place among them, found as the distinct mixed-radix keys."""
+    shifted = rows - rows.min(axis=0)
+    span = shifted.max(axis=0) + 1
+    _, first, place = np.unique(shifted @ (np.cumprod(span[::-1])[::-1] // span), return_index=True,
+                                return_inverse=True)
+    return rows[first], place.reshape(-1)
 
-    ``reach`` bounds the moduli of the orbits' weight coordinates c.  The
-    leading k axes share one index sum_{j<k} (c_j + reach) M^(k-1-j),
-    M = 2 reach + 1, and each later axis holds c_j + reach, so ``index`` is
-    (r - k + 1, L, |W|) in the narrowest unsigned dtype that fits.  The fold
-    depth k is the largest with M^k <= min(L |W|, _BLOCK): the folded power
-    table costs no more entries than the orbit table it serves, and stays
-    cache-sized.  The orbits are built in blocks of about ``_BLOCK`` entries.
+
+def split_levels(group: WeylGroup, levels) -> tuple:
+    """The dominant weights l, rows of ``levels`` (L, r) in lexicographic
+    order, as ``orbit_sums`` reads them: (m, phases, powers, heads, head,
+    tails, tail), m = l + 1 the weight coordinates of l + rho.
+
+    ``phases`` holds v u per axis j, distinct value v of m_j and distinct
+    image u = w(omega_j) (row j of w's weight matrix); ``powers[j]`` places
+    them by value and element.  ``heads`` are the distinct value-coded first
+    r // 2 axes, ``tails`` the rest, and ``head``, ``tail`` each level's row.
     """
-    levels = np.asarray(levels)
-    count, rank = levels.shape
-    # |coordinate j of w(l + rho)| <= sum_i (l_i + 1) max_w |W_w[i, j]|
-    reach = int(((levels + 1) @ np.abs(group.weight_matrices).max(axis=0)).max())
-    span, fold = 2 * reach + 1, 1
-    while fold < rank and span ** (fold + 1) <= min(count * group.order, _BLOCK):
-        fold += 1
-    dtype = next(d for d in (np.uint16, np.uint32, np.uint64) if span**fold - 1 <= np.iinfo(d).max)
-    index = np.empty((rank - fold + 1, count, group.order), dtype=dtype)
-    step = max(1, _BLOCK // group.order)
-    for start in range(0, count, step):
-        shifted = weight_orbit(group, levels[start : start + step] + 1) + reach
-        lead = shifted[0]
-        for c in shifted[1:fold]:
-            lead = lead * span + c
-        index[0, start : start + step] = lead
-        index[1:, start : start + step] = shifted[fold:]
-    return index, group.parities.astype(complex), reach
+    m = np.asarray(levels, dtype=np.int64) + 1
+    phases, powers, codes = [], [], []
+    for rows, col in zip(group.weight_matrices.transpose(1, 0, 2), m.T):
+        images, image = _distinct_rows(rows)
+        values, code = np.unique(col, return_inverse=True)
+        powers.append(sum(map(len, phases)) + len(images) * np.arange(len(values))[:, None] + image)
+        phases.append(np.multiply.outer(values, images.astype(float)).reshape(-1, len(m.T)))
+        codes.append(code.reshape(-1))
+    codes, half = np.stack(codes, axis=1), len(m.T) // 2
+    return (m, np.concatenate(phases), tuple(powers), *_distinct_rows(codes[:, :half]),
+            *_distinct_rows(codes[:, half:]))
 
 
-def orbit_sums(rs: RootSystem, orbit, phi) -> tuple:
-    """Signed orbit sum of every level of an ``orbit_table`` at phi, and the
+def _head_tail(rs: RootSystem, split, phi) -> tuple:
+    """H[head, w] = prod_{j<h} exp(i m_j w(omega_j).phi) and T[tail, w] over
+    the axes j >= h, with parity(w) on axis 0: a level's signed term at w is
+    H[head, w] T[tail, w].  With no head axis (rank 1) H is a row of ones."""
+    _, phases, powers, heads, _, tails, _ = split
+    group = generate_weyl_group(rs)
+    factors = np.exp(1j * (phases @ (rs.weights @ phi)))
+    axes = [factors[index] for index in powers]
+    axes[0] *= group.parities
+    tables = []
+    for rows, own in ((heads, axes[: len(heads.T)]), (tails, axes[len(heads.T) :])):
+        table = own[0][rows[:, 0]] if own else np.ones((1, group.order), dtype=complex)
+        for c, power in zip(rows.T[1:], own[1:]):
+            table *= power[c]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _term_sums(split, head_table, tail_table, walls) -> np.ndarray:
+    """Level sums with each term multiplied out: H[head, w] T[tail, w] times
+    prod_beta i m.walls[beta, :, w], summed over w, in blocks of levels."""
+    m, _, _, _, head, _, tail = split
+    sums = np.empty(len(m), dtype=complex)
+    step = max(1, _BLOCK // head_table.shape[1])
+    for start in range(0, len(m), step):
+        rows = slice(start, start + step)
+        terms = head_table[head[rows]] * tail_table[tail[rows]]
+        for wall in walls:
+            terms *= 1j * (m[rows] @ wall)
+        sums[rows] = terms.sum(axis=1)
+    return sums
+
+
+def orbit_sums(rs: RootSystem, split, phi) -> tuple:
+    """Signed orbit sum of every level of a ``split_levels`` at phi, and the
     denominator (2i)^p w(phi), by the wall rule without a direction, so that
     on a Weyl wall the quotient of the two is its exact limit.
 
-    Each term is exp(i v.phi) with v = c @ weights.  As exp(i v.phi) =
-    prod_j z_j^{c_j}, z_j = exp(i omega_j.phi), it is a product of lookups
-    into tables of powers z_j^{-reach..reach}, so no term takes its own exp.
-    The folded axes share one table of all their products, built as the same
-    left fold (z_0^a z_1^b) z_2^c that per-axis lookups would multiply out;
-    a term costs r - k + 1 lookups and is the same to the bit for every fold
-    depth k.  phi may be complex.
-
-    On a wall each term gains prod_beta i beta.v, with beta.v = c @
-    (weights @ beta).  The reflections in the wall roots fix exp(i v.phi)
-    and flip the sign of that product, so the signed terms of one coset are
-    equal and add up instead of cancelling, as the powers of v.d along one
-    direction would.
-
-    The levels are walked in blocks of about ``_BLOCK`` orbit entries.  Each
+    A term is a head factor times a tail factor, so a level's signed sum is
+    the entry (head, tail) of the product H @ T^T of ``_head_tail``'s
+    tables, in blocks of about ``_BLOCK`` heads x tails; phi may be complex.
+    On a wall each term gains prod_beta i beta.w(l + rho), which does not
+    split: the terms are multiplied out.  The wall roots' reflections fix
+    the exponential and flip the sign of that product, so the signed terms
+    of a coset add up instead of cancelling, as powers of v.d would.  Each
     level's signed sum is formed before any level weight multiplies it:
     d_l exp(-lambda_l t) on the cancelling terms would lose digits.
     """
-    index, parities, reach = orbit
-    fold = rs.rank - len(index) + 1
     phi = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
     roots, w = wall_denominator(rs, phi)
-    span = 2 * reach + 1
-    powers = np.exp(1j * np.multiply.outer(rs.weights @ phi, np.arange(-reach, reach + 1)))
-    folded = powers[0]
-    for table in powers[1:fold]:
-        folded = np.multiply.outer(folded, table).ravel()
-    tables = [folded, *powers[fold:]]
-    walls = 1j * (rs.weights @ roots.T).T
-    step = max(1, _BLOCK // len(parities))
-    sums = np.empty(index.shape[1], dtype=complex)
-    for start in range(0, len(sums), step):
-        block = index[:, start : start + step]
-        terms = tables[0].take(block[0])
-        for table, c in zip(tables[1:], block[1:]):
-            terms *= table.take(c)
-        if len(walls):
-            # the coordinates themselves: digits of the leading index
-            lead, digits = block[0].astype(np.int64), []
-            for _ in range(fold):
-                lead, digit = np.divmod(lead, span)
-                digits.append(digit)
-            coords = np.stack([*digits[::-1], *block[1:].astype(np.int64)]) - reach
-            # one batched product; each wall row takes the vector-matrix
-            # route a single wall would, so the factors round the same
-            factors = walls[:, None] @ coords.reshape(len(coords), -1)
-            for factor in factors.reshape(len(walls), *coords.shape[1:]):
-                terms *= factor
-        sums[start : start + step] = terms @ parities
+    head_table, tail_table = _head_tail(rs, split, phi)
+    if len(roots):
+        # beta.w(l + rho) = m.(G_w weights beta)
+        walls = generate_weyl_group(rs).weight_matrices @ (rs.weights @ roots.T)
+        return _term_sums(split, head_table, tail_table, walls.T), (2j) ** rs.p * w
+    *_, head, tails, tail = split
+    sums = np.empty(len(head), dtype=complex)
+    step = max(1, _BLOCK // len(tails))
+    for start in range(0, len(head_table), step):
+        lo, hi = np.searchsorted(head, [start, start + step])
+        block = head_table[start : start + step] @ tail_table.T
+        sums[lo:hi] = block[head[lo:hi] - start, tail[lo:hi]]
     return sums, (2j) ** rs.p * w
 
 

@@ -326,66 +326,16 @@ def test_spectral_table_too_large_is_refused():
         compact_spectral(req)
 
 
-def _direct_level_sums(rs, labels, phi):
-    """sum_w parity(w) exp(i w(l + rho).phi) per level, one exp per term."""
+def _direct_terms(rs, labels, phi):
+    """parity(w) exp(i v.phi) prod_beta i beta.v per level (rows) and Weyl
+    element, v = w(l + rho): one exp per term, and the wall factors of the
+    wall roots beta at phi."""
     group = generate_weyl_group(rs)
-    freqs = np.einsum("kij,lj->lki", group.matrices, (labels + 1) @ rs.weights)
-    return np.exp(1j * (freqs @ phi)) @ group.parities
-
-
-# tau per system; the D4 and A4 tables at tau = 2 span several blocks
-LEVEL_SUM_TABLES = [("A", 1, 0.25), ("A", 2, 0.25), ("B", 2, 0.25), ("C", 2, 0.25), ("A", 3, 1.0),
-                    ("B", 3, 1.0), ("C", 3, 1.0), ("D", 3, 1.0), ("A", 4, 2.0), ("D", 4, 2.0)]
-
-
-@pytest.mark.parametrize("family,rank,tau", LEVEL_SUM_TABLES)
-def test_level_sums_from_power_tables_match_direct_exponentials(family, rank, tau):
-    rs = build_root_system(family, rank)
-    order = generate_weyl_group(rs).order
-    labels = _spectral_levels(rs, tau, 1e-14, None)
-    orbit = _spectral_data(rs, tau, 1e-14, None)[2]
-    if (family, rank) == ("D", 4):
-        assert orbit[0][0].size > 8 * weyl._BLOCK
-    rng = np.random.default_rng(rank * 31 + ord(family))
-    for _ in range(3):
-        phi = rng.uniform(-3.0, 3.0, rank)
-        sums, denom = orbit_sums(rs, orbit, phi)
-        assert np.abs(sums - _direct_level_sums(rs, labels, phi)).max() <= 1e-13 * order
-        assert abs(denom - (2j) ** rs.p * np.prod(np.sin(rs.positive_roots @ phi / 2.0))) <= 1e-13
-
-
-def _left_fold_terms(rs, coords, phi):
-    """exp(i v.phi) per orbit entry as the per-axis left fold
-    (z_0^{c_0} z_1^{c_1}) z_2^{c_2} ..., one exp per axis and entry, times
-    the wall factors prod_beta i beta.v formed as the kernel forms them.
-
-    Each factor is bound to a name before it multiplies: numpy may compute
-    ``out * temporary`` in the temporary's memory with the operands swapped,
-    and a complex product rounds differently in the other order."""
-    roots = wall_denominator(rs, phi)[0]
-    x = rs.weights @ phi
-    powers = [np.exp(1j * (xj * c)) for xj, c in zip(x, coords)]
-    flat = coords.reshape(len(coords), -1)
-    walls = [(wall @ flat).reshape(coords.shape[1:]) for wall in 1j * (rs.weights @ roots.T).T]
-    out = powers[0]
-    for factor in powers[1:] + walls:
-        out = out * factor
-    return out
-
-
-def _left_fold_sums(rs, coords, phi, parities):
-    """Level sums over the same blocks of levels as ``orbit_sums``."""
-    step = max(1, weyl._BLOCK // len(parities))
-    return np.concatenate([_left_fold_terms(rs, coords[:, s : s + step], phi) @ parities
-                           for s in range(0, coords.shape[1], step)])
-
-
-def _encode(coords, reach, fold):
-    """Orbit coordinates (r, ...) in the layout of ``weyl.orbit_table`` at
-    fold depth ``fold``: the leading axes as one base-(2 reach + 1) index."""
-    span = 2 * reach + 1
-    lead = sum((coords[j] + reach) * span ** (fold - 1 - j) for j in range(fold))
-    return np.concatenate([lead[None], coords[fold:] + reach])
+    freqs = np.einsum("kij,lj->lki", group.matrices, (np.asarray(labels) + 1) @ rs.weights)
+    terms = np.exp(1j * (freqs @ phi)) * group.parities
+    for beta in wall_denominator(rs, phi)[0]:
+        terms = terms * (1j * (freqs @ beta))
+    return terms
 
 
 def _wall_point(rs, rng):
@@ -394,28 +344,64 @@ def _wall_point(rs, rng):
     return x - (a @ x) / (a @ a) * a
 
 
-# A2 folds 1 axis, A4 at tau = 2 folds 2, A4 and D4 at tau = 8 fold 3
+# tau per system; the D4 and A4 tables at tau = 2 span several blocks of heads
+LEVEL_SUM_TABLES = [("A", 1, 0.25), ("A", 2, 0.25), ("B", 2, 0.25), ("C", 2, 0.25), ("A", 3, 1.0),
+                    ("B", 3, 1.0), ("C", 3, 1.0), ("D", 3, 1.0), ("A", 4, 2.0), ("D", 4, 2.0)]
+
+
+@pytest.mark.parametrize("family,rank,tau", LEVEL_SUM_TABLES)
+def test_level_sums_from_power_tables_match_direct_exponentials(family, rank, tau):
+    """Level sums and characters at regular points, on a wall and at the
+    identity, within 1e-13 of the sum of the terms' moduli: |W| off walls."""
+    rs = build_root_system(family, rank)
+    labels = _spectral_levels(rs, tau, 1e-14, None)
+    split = _spectral_data(rs, tau, 1e-14, None)[2]
+    rng = np.random.default_rng(rank * 31 + ord(family))
+    points = [rng.uniform(-3.0, 3.0, rank) for _ in range(3)] + [_wall_point(rs, rng), np.zeros(rank)]
+    for k, phi in enumerate(points):
+        terms = _direct_terms(rs, labels, phi)
+        sums, denom = orbit_sums(rs, split, phi)
+        assert (np.abs(sums - terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1)).all()
+        if k < 3:
+            assert abs(denom - (2j) ** rs.p * np.prod(np.sin(rs.positive_roots @ phi / 2.0))) <= 1e-13
+        for l in ([0] * rank, [1] * rank, rng.integers(0, 4, rank)):
+            terms = _direct_terms(rs, [l], phi)[0]
+            err = abs(character(rs, l, phi) * denom - terms.sum())
+            assert err <= 1e-13 * np.abs(terms).sum()
+
+
+def _left_fold_terms(rs, coords, phi):
+    """exp(i v.phi) per orbit entry as the per-axis left fold
+    (z_0^{c_0} z_1^{c_1}) z_2^{c_2} ..., one exp per axis and entry, times
+    the wall factors prod_beta i beta.v; ``coords`` (r, ...) are the entries v
+    in weight coordinates, as ``weight_orbit`` gives them."""
+    x = rs.weights @ phi
+    out = np.exp(1j * (x[0] * coords[0]))
+    for xj, c in zip(x[1:], coords[1:]):
+        out = out * np.exp(1j * (xj * c))
+    flat = coords.reshape(len(coords), -1)
+    for wall in 1j * (rs.weights @ wall_denominator(rs, phi)[0].T).T:
+        out = out * (wall @ flat).reshape(coords.shape[1:])
+    return out
+
+
+# A2 at tau = 1, A4 at tau = 2 and 8, D4 at tau = 8
 FOLD_CASES = [("A", 2, 1.0), ("A", 4, 2.0), ("A", 4, 8.0), ("D", 4, 8.0)]
 
 
 @pytest.mark.parametrize("family,rank,tau", FOLD_CASES)
 def test_folded_level_sums_equal_per_axis_left_fold(family, rank, tau):
+    """Level sums at a regular point, on a wall and at the identity within
+    1e-13 of the sum of the terms' moduli: |W| off walls."""
     rs = build_root_system(family, rank)
-    coords = weight_orbit(generate_weyl_group(rs), _spectral_levels(rs, tau, 1e-14, None) + 1)
-    table = _spectral_data(rs, tau, 1e-14, None)[2]
-    index, parities, reach = table
-    fold, span = rank - len(index) + 1, 2 * reach + 1
-    # the deepest fold whose table fits both bounds
-    bound = min(index[0].size, weyl._BLOCK)
-    assert span**fold <= bound and (fold == rank or span ** (fold + 1) > bound)
-    assert fold == {("A", 2, 1.0): 1, ("A", 4, 2.0): 2}.get((family, rank, tau), 3)
-    assert (index == _encode(coords, reach, fold)).all()
-    tables = [table] + [(_encode(coords, reach, k), parities, reach) for k in range(1, min(3, rank) + 1)]
+    group = generate_weyl_group(rs)
+    coords = weight_orbit(group, _spectral_levels(rs, tau, 1e-14, None) + 1)
+    split = _spectral_data(rs, tau, 1e-14, None)[2]
     rng = np.random.default_rng(rank * 7 + int(tau))
     for phi in (rng.uniform(-3.0, 3.0, rank), _wall_point(rs, rng), np.zeros(rank)):
-        want = _left_fold_sums(rs, coords, phi, parities)
-        for orbit in tables:
-            assert (orbit_sums(rs, orbit, phi)[0] == want).all()
+        terms = _left_fold_terms(rs, coords, phi) * group.parities
+        sums = orbit_sums(rs, split, phi)[0]
+        assert (np.abs(sums - terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1)).all()
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 4), ("D", 4)])
@@ -427,46 +413,45 @@ def test_character_equals_per_axis_left_fold(family, rank):
         coords = weight_orbit(group, np.asarray(l) + 1)
         for phi in (rng.uniform(-3.0, 3.0, rank), _wall_point(rs, rng), np.zeros(rank)):
             denom = (2j) ** rs.p * wall_denominator(rs, phi)[1]
-            want = complex(_left_fold_terms(rs, coords, phi) @ group.parities) / denom
-            assert character(rs, l, phi) == want
+            terms = _left_fold_terms(rs, coords, phi) * group.parities
+            assert abs(character(rs, l, phi) * denom - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+
+
+@pytest.mark.parametrize("family,rank,tau,cutoff", [("A", 2, 1.0, 300), ("D", 4, 2.0, None)])
+def test_matrix_product_equals_explicit_terms_off_walls(family, rank, tau, cutoff):
+    rs = build_root_system(family, rank)
+    order = generate_weyl_group(rs).order
+    split = _spectral_data(rs, tau, 1e-14, cutoff)[2]
+    heads, tails = split[3], split[5]
+    if cutoff is not None:
+        # the product walks several blocks of heads
+        assert len(heads) * len(tails) > 2 * weyl._BLOCK
+    phi = np.random.default_rng(rank).uniform(-3.0, 3.0, rank)
+    explicit = weyl._term_sums(split, *weyl._head_tail(rs, split, phi), np.zeros((0, rank, order)))
+    assert np.abs(orbit_sums(rs, split, phi)[0] - explicit).max() <= 1e-13 * order
 
 
 def test_orbit_coordinates_beyond_int16_do_not_wrap():
-    orbit = _spectral_data(A1, 1.0, 1e-14, 40000)[2]
-    index, _, reach = orbit
-    assert reach > np.iinfo(np.int16).max and index.dtype.itemsize > 2
-    # coordinates -40001..40001 are stored shifted by reach, as 0..2 * 40001
-    assert index.min() == 0 and index.max() == 2 * 40001
+    split = _spectral_data(A1, 1.0, 1e-14, 40000)[2]
+    assert split[0].max() == 40001 > np.iinfo(np.int16).max
     phi = np.array([0.37])
-    sums, _ = orbit_sums(A1, orbit, phi)
+    sums, _ = orbit_sums(A1, split, phi)
     labels = _spectral_levels(A1, 1.0, 1e-14, 40000)
     # phases reach 4e4 rad, where each exponent carries ~1e-11 of rounding
-    assert np.abs(sums - _direct_level_sums(A1, labels, phi)).max() <= 1e-10
+    assert np.abs(sums - _direct_terms(A1, labels, phi).sum(axis=1)).max() <= 1e-10
 
 
 def test_spectral_cache_keeps_orbit_entries_under_cap(monkeypatch):
-    monkeypatch.setattr(kernel, "_spectral_cache", {})
-    sizes = {tau: len(_spectral_levels(A2, tau, 1e-14, None)) * 6 for tau in (0.25, 0.5, 1.0)}
-    cap = sizes[0.25] + sizes[0.5]
-    monkeypatch.setattr(kernel, "_ORBIT_CAP", cap)
-
-    def resident():
-        taus = [key[1] for key in kernel._spectral_cache]
-        entries = sum(orbit[0][0].size for _, _, orbit, _ in kernel._spectral_cache.values())
-        assert entries <= cap
-        return taus
-
-    for tau in (0.25, 0.5):
-        _spectral_data(A2, tau, 1e-14, None)
-    assert resident() == [0.25, 0.5]
-    third = _spectral_data(A2, 1.0, 1e-14, None)
-    assert resident() == [0.5, 1.0]  # the oldest table made room
-    assert _spectral_data(A2, 1.0, 1e-14, None) is third
-    _spectral_data(A2, 0.25, 1e-14, None)
-    assert resident() == [1.0, 0.25]
-    with pytest.raises(ResourceError):
-        _spectral_data(A2, 0.1, 1e-14, None)
-    assert resident() == [1.0, 0.25]
+    _spectral_data.cache_clear()
+    monkeypatch.setattr(kernel, "_ORBIT_CAP", len(_spectral_levels(A2, 0.25, 1e-14, None)) * 6)
+    first = _spectral_data(A2, 0.25, 1e-14, None)
+    assert _spectral_data(A2, 0.25, 1e-14, None) is first
+    # past the cap the table is refused, and the refusal is not cached
+    for _ in range(2):
+        with pytest.raises(ResourceError, match="path sum"):
+            _spectral_data(A2, 0.1, 1e-14, None)
+    assert _spectral_data(A2, 0.25, 1e-14, None) is first
+    assert _spectral_data.cache_info().maxsize >= 30
 
 
 # ---------------------------------------------------------------------------

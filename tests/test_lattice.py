@@ -243,6 +243,58 @@ def test_enumerate_points_matches_per_call_search(rs, lat):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x0, t_like, tol)
 
 
+def _points_uncut(lat, x0, t_like, tol, lam):
+    """``enumerate_points`` over every cached offset of the window."""
+    gens = lat.generators
+    window = 4.0 * t_like * np.log(1.0 / tol) / lam
+    offsets, _, proj = _window_offsets(lat, float(window))
+    coeffs = np.round(proj @ (-x0 / (2.0 * np.pi))).astype(int) + offsets
+    pts = coeffs @ gens
+    d2 = ((x0 + 2.0 * np.pi * pts) ** 2).sum(axis=1)
+    radius2 = d2.min() + window
+    keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
+    pts, d2 = pts[keep], d2[keep]
+    rank = gens.shape[1]
+    order = np.lexsort(tuple(np.round(pts[:, j], 9) for j in range(rank - 1, -1, -1)) + (np.round(d2, 9),))
+    return pts[order]
+
+
+def _cut_cases():
+    """The compact systems at the heat times and damped real time of a
+    compact grid, and SU(3,1) D3 on the undamped Abel window of t = 1."""
+    from liekernel.domains import enumerate_domains, parse_group, root_system_of
+
+    out = []
+    for family, rank in COMPACT_SYSTEMS:
+        rs = build_root_system(family, rank)
+        taus = (0.25, 1.0) if rank <= 2 else (1.0, 2.0) if rank == 3 else (2.0, 8.0)
+        out.append(pytest.param(rs, winding_lattice(rs), taus + (10.0,), id=f"{family}{rank}"))
+    fam = parse_group("SU(3,1)")
+    dom = next(d for d in enumerate_domains(fam) if d.label == "D3")
+    rs = root_system_of(fam)
+    out.append(pytest.param(rs, domain_sublattice(winding_lattice(rs), dom), (1000.0,), id="SU(3,1) D3"))
+    return out
+
+
+@pytest.mark.parametrize("rs,lat,t_likes", _cut_cases())
+def test_enumerate_points_cut_keeps_the_uncut_result(rs, lat, t_likes):
+    rng = np.random.default_rng(rs.rank)
+    gens = lat.generators
+    points = [rng.uniform(-0.3, 0.3, rs.rank) for _ in range(3)]
+    points += [rng.uniform(0.0, 2.0 * np.pi, rs.rank) for _ in range(3)]
+    # a Babai-cell boundary, where the rounded point is farthest off
+    points.append(np.pi * (np.ones(lat.dim) @ gens) + 1e-13)
+    cases = [(x0, t_like) for t_like in t_likes for x0 in points]
+    # seen from a lattice point, the window's edge passes through lattice
+    # points, which the cut must keep
+    edge = (2.0 * np.pi) ** 2 * (gens[-1] @ gens[-1])
+    cases.append((np.zeros(rs.rank), edge * rs.lam / (4.0 * np.log(1e14))))
+    for x0, t_like in cases:
+        got = enumerate_points(lat, x0, t_like, 1e-14, lam=rs.lam)
+        want = _points_uncut(lat, x0, t_like, 1e-14, rs.lam)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x0, t_like)
+
+
 def test_window_offsets_cache_stays_bounded():
     rs = build_root_system("A", 2)
     lat = winding_lattice(rs)
