@@ -52,6 +52,11 @@ __all__ = [
 # most terms of a spectral sum, in levels x Weyl images
 _ORBIT_CAP = 3 * 10**7
 
+# fewest points whose van Vleck numerators come from split real and
+# imaginary rows rather than np.prod; the two cost the same near 40 points at
+# p = 3 and near 100 at p = 9 to 12 (see _pathsum_terms)
+_PROD_POINTS = 64
+
 # grid x quadrature entries per block of radial_convolve
 _CONVOLVE_BLOCK = 2**18
 
@@ -197,10 +202,17 @@ def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: comp
         for n in range(1, k):
             gauss.append((a * gauss[n] + 2.0 * b * gauss[n - 1]) / (n + 1))
         nums = sum(poly[:, j] * gauss[k - j] for j in range(k + 1))
+    elif len(points) < _PROD_POINTS:
+        nums = np.prod(factors, axis=1)
     else:
         # np.prod(factors, axis=1) on split real and imaginary rows, in the
-        # same order and rounding: a complex elementwise product rounds
-        # differently from the reduction
+        # same order and rounding (a complex product of whole columns rounds
+        # differently from the reduction).  Right after an OpenBLAS AVX-512
+        # kernel, such as the product forming ``factors``, the reduction over
+        # short complex rows runs about 5 times slower (17,000 rows x 6 on a
+        # Xeon: 4.3 ms, against 0.8 ms with OPENBLAS_CORETYPE=Haswell); these
+        # rows cost 6 (p - 1) numpy calls instead, which pays from
+        # _PROD_POINTS points on
         re, im = factors.real.T, factors.imag.T
         nre, nim = re[0], im[0]
         for ure, uim in zip(re[1:], im[1:]):

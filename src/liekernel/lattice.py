@@ -39,6 +39,11 @@ _POINT_CAP = 10**7
 _WALL_EPS = 1e-12
 
 
+def _check_signature(signature) -> None:
+    if any(s not in (REAL, IMAGINARY) for s in signature):
+        raise ArgumentError(f"signature entries must be 'R' or 'I', got {signature}")
+
+
 @dataclass(frozen=True)
 class RadialPoint:
     """Radial coordinates with a per-axis real/imaginary signature.
@@ -53,8 +58,7 @@ class RadialPoint:
     def __post_init__(self):
         if len(self.values) != len(self.signature):
             raise ArgumentError("values and signature must have equal length")
-        if any(s not in (REAL, IMAGINARY) for s in self.signature):
-            raise ArgumentError(f"signature entries must be 'R' or 'I', got {self.signature}")
+        _check_signature(self.signature)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "signature", tuple(self.signature))
         if not all(map(math.isfinite, self.values)):
@@ -228,6 +232,7 @@ def domain_sublattice(lat: WindingLattice, domain) -> WindingLattice:
     of the integer coefficient matrix), which keeps emitted tables stable.
     """
     signature = tuple(getattr(domain, "signature", domain))
+    _check_signature(signature)
     if len(signature) != lat.rank:
         raise ArgumentError(
             f"signature rank {len(signature)} does not match lattice rank {lat.rank}"
@@ -280,17 +285,18 @@ def _ellipsoid_points(gens, x0, scale: float, radius2: float, lower: int | None 
         # the margin keeps rounding from dropping a boundary point; the norm
         # test at the end is the exact one
         reach = np.sqrt(np.maximum(rest, 0.0)) / chol[i, i] + 1e-9
-        lo = np.ceil(center - reach).astype(int)
-        hi = np.floor(center + reach).astype(int)
+        lo = np.ceil(center - reach)
         if lower is not None:
             lo = np.maximum(lo, lower)
-        counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
-        if total > _POINT_CAP:
+        # counted in floats, so a reach beyond the integers is refused too
+        counts = np.maximum(np.floor(center + reach) - lo + 1, 0)
+        total = counts.sum()
+        if not total <= _POINT_CAP:
             raise ResourceError(
-                f"lattice cutoff needs ~{total} candidate points (> {_POINT_CAP}); "
+                f"lattice cutoff needs ~{total:.3g} candidate points (> {_POINT_CAP}); "
                 "increase tol or shorten the time step"
             )
+        lo, counts, total = lo.astype(int), counts.astype(int), int(total)
         parent = np.repeat(np.arange(len(counts)), counts)
         ci = np.arange(total) + np.repeat(lo - np.cumsum(counts) + counts, counts)
         rest = rest[parent] - (chol[i, i] * (ci - center[parent])) ** 2
@@ -345,8 +351,10 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     """
     if not 0.0 < tol < 1.0:
         raise ArgumentError(f"tol must lie in (0, 1), got {tol}")
-    if t_like <= 0:
-        raise ArgumentError(f"t_like must be positive, got {t_like}")
+    if not 0.0 < t_like < math.inf:
+        raise ArgumentError(f"t_like must be positive and finite, got {t_like}")
+    if not 0.0 < lam < math.inf:
+        raise ArgumentError(f"lam must be positive and finite, got {lam}")
     rank = lat.rank
     if lat.dim == 0:
         return np.zeros((1, rank))
@@ -359,24 +367,68 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     near = x0 + 2.0 * np.pi * (base @ gens)
     d0 = math.sqrt(near @ near)
     # the margin covers the slack of the distance test below and the norms' rounding
-    coeffs = base + offsets[norms <= (d0 + math.sqrt(d0 * d0 + window)) * (1.0 + 1e-6) + 1e-6]
+    near_enough = norms <= (d0 + math.sqrt(d0 * d0 + window)) * (1.0 + 1e-6) + 1e-6
+    # np.compress and np.take copy whole rows, several times faster than
+    # boolean and integer indexing on rows this short
+    coeffs = base + np.compress(near_enough, offsets, axis=0)
     pts = coeffs @ gens
-    d2 = ((x0 + 2.0 * np.pi * pts) ** 2).sum(axis=1)
+    d2 = _squared_norms(x0 + 2.0 * np.pi * pts)
     radius2 = d2.min() + window
-    keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
-    pts = pts[keep]
-    d2 = d2[keep]
-    order = np.lexsort(tuple(np.round(pts[:, j], 9) for j in range(rank - 1, -1, -1)) + (np.round(d2, 9),))
-    return pts[order]
+    kept = np.flatnonzero(d2 <= radius2 + 1e-12 * max(1.0, radius2))
+    return np.take(pts, _distance_order(kept, np.round(d2[kept], 9), pts), axis=0)
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """``(rows ** 2).sum(axis=1)`` bit for bit, by adding squared columns.
+
+    numpy adds fewer than 8 entries of a row left to right, as the column
+    sums do, without the slow reduction over short rows; from 8 columns on
+    its pairwise summation rounds differently, so the reduction stays.
+    """
+    squares = rows * rows
+    if squares.shape[1] >= 8:
+        return squares.sum(axis=1)
+    return functools.reduce(np.add, squares.T)
+
+
+def _distance_order(rows: np.ndarray, dist: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``rows`` of ``pts``, at distances ``dist``, in the order of
+    ``np.lexsort`` by distance, then by each rounded coordinate in turn.
+
+    One sort by ``dist``, then a lexsort of the rounded coordinates inside
+    each run of equal distances only.  Distinct lattice points differ in
+    some coordinate, so the coordinates break every tie and the unstable
+    sort's order within a run does not matter.
+    """
+    order = np.argsort(dist)
+    ranked = dist[order]
+    rows = rows[order]
+    same = ranked[1:] == ranked[:-1]
+    if not same.any():
+        return rows
+    # tied[i]: sorted position i shares its distance with a neighbour;
+    # run ids rise along the sorted order, so sorting by them first keeps
+    # every run in place
+    tied = np.r_[same, False] | np.r_[False, same]
+    run = np.cumsum(~np.r_[True, same])[tied]
+    idx = rows[tied]
+    keys = np.round(pts[idx], 9)
+    rows[tied] = idx[np.lexsort((*keys.T[::-1], run))]
+    return rows
 
 
 def _real_vector(phi, rank: int) -> np.ndarray:
     if isinstance(phi, RadialPoint):
         vec = phi.phi_vector()
     else:
-        vec = np.real(np.asarray(phi, dtype=complex))
+        try:
+            vec = np.real(np.asarray(phi, dtype=complex))
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"phi must be numeric, got {phi!r}") from exc
     if vec.shape != (rank,):
         raise ArgumentError(f"phi must have length {rank}, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ArgumentError(f"phi must be finite, got {vec}")
     return vec.astype(float)
 
 

@@ -238,6 +238,7 @@ def _pathsum_cases():
 
 
 def test_pathsum_terms_match_prod_reference():
+    counts = []
     for rs, lat, phi, times in _pathsum_cases():
         for time in times:
             t = time.effective
@@ -245,6 +246,11 @@ def test_pathsum_terms_match_prod_reference():
             want = _pathsum_terms_by_prod(rs, phi, points, t)
             got = kernel._pathsum_terms(rs, phi, points, t)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (rs.name, phi, time)
+            direction = np.where(np.array(phi.signature) == "R", rs.rho, 0.0)
+            if not len(kernel.wall_denominator(rs, phi.complex_vector(), direction)[0]):
+                counts.append(len(points))
+    # the cases off walls reach both the np.prod numerators and the split rows
+    assert min(counts) < kernel._PROD_POINTS <= max(counts)
 
 
 def test_spectral_requires_damping_in_real_time():

@@ -109,6 +109,13 @@ def test_sublattice_rank_mismatch():
         domain_sublattice(lat, ("R",))
 
 
+@pytest.mark.parametrize("signature", [("X", "R"), "RX", ("i", "r"), ("R", 1)])
+def test_sublattice_rejects_unknown_signature_entries(signature):
+    lat = winding_lattice(build_root_system("A", 2))
+    with pytest.raises(ArgumentError, match="'R' or 'I'"):
+        domain_sublattice(lat, signature)
+
+
 def test_enumerate_points_trivial_lattice():
     lat = winding_lattice(build_root_system("A", 2))
     sub = domain_sublattice(lat, ("I", "I"))
@@ -172,6 +179,13 @@ def _window_lattices():
     return out
 
 
+def _by_distance(pts, d2):
+    """Reference order: one lexsort by the distance, then each coordinate,
+    all rounded to 9 decimals."""
+    keys = np.round(np.column_stack([d2, pts]), 9)
+    return pts[np.lexsort(keys.T[::-1])]
+
+
 def _points_by_box(lat, x0, t_like, tol, lam):
     """Reference window: scan a box that holds every point within reach."""
     gens = lat.generators
@@ -188,9 +202,7 @@ def _points_by_box(lat, x0, t_like, tol, lam):
     radius2 = d2.min() + window
     keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
     pts, d2 = pts[keep], d2[keep]
-    rank = gens.shape[1]
-    order = np.lexsort(tuple(np.round(pts[:, j], 9) for j in range(rank - 1, -1, -1)) + (np.round(d2, 9),))
-    return pts[order]
+    return _by_distance(pts, d2)
 
 
 @pytest.mark.parametrize("rs,lat", _window_lattices())
@@ -201,6 +213,25 @@ def test_enumerate_points_matches_box_scan(rs, lat):
         for t_like in (0.25, 2.0, 10.0):
             got = enumerate_points(lat, x0, t_like, 1e-14, lam=rs.lam)
             assert np.array_equal(got, _points_by_box(lat, x0, t_like, 1e-14, rs.lam)), (x0, t_like)
+
+
+@pytest.mark.parametrize("family,rank", COMPACT_SYSTEMS)
+def test_enumerate_points_breaks_distance_ties_by_coordinates(family, rank):
+    # lattice-symmetric points give many lattice points one distance, so the
+    # order inside each run of equal distances comes from the coordinates
+    rs = build_root_system(family, rank)
+    lat = winding_lattice(rs)
+    gens = lat.generators
+    points = [np.zeros(rank), np.pi * gens.sum(axis=0), rs.rho / 2.0, np.pi * gens[0]]
+    tied = 0
+    for x0 in points:
+        for t_like in (0.5, 3.0, 10.0):
+            got = enumerate_points(lat, x0, t_like, 1e-14, lam=rs.lam)
+            want = _points_by_box(lat, x0, t_like, 1e-14, rs.lam)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x0, t_like)
+            dist = np.round(((x0 + 2.0 * np.pi * got) ** 2).sum(axis=1), 9)
+            tied += bool((dist[1:] == dist[:-1]).any())
+    assert tied
 
 
 def _points_by_search(lat, x0, t_like, tol, lam):
@@ -215,9 +246,7 @@ def _points_by_search(lat, x0, t_like, tol, lam):
     radius2 = d2.min() + window
     keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
     pts, d2 = coeffs[keep] @ gens, d2[keep]
-    rank = gens.shape[1]
-    order = np.lexsort(tuple(np.round(pts[:, j], 9) for j in range(rank - 1, -1, -1)) + (np.round(d2, 9),))
-    return pts[order]
+    return _by_distance(pts, d2)
 
 
 @pytest.mark.parametrize("rs,lat", _window_lattices())
@@ -254,9 +283,7 @@ def _points_uncut(lat, x0, t_like, tol, lam):
     radius2 = d2.min() + window
     keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
     pts, d2 = pts[keep], d2[keep]
-    rank = gens.shape[1]
-    order = np.lexsort(tuple(np.round(pts[:, j], 9) for j in range(rank - 1, -1, -1)) + (np.round(d2, 9),))
-    return pts[order]
+    return _by_distance(pts, d2)
 
 
 def _cut_cases():
@@ -314,6 +341,35 @@ def test_enumerate_points_rejects_tol_outside_unit_interval(tol):
     rs = build_root_system("A", 2)
     with pytest.raises(ArgumentError):
         enumerate_points(winding_lattice(rs), RadialPoint.real([0.8, 0.55]), 0.5, tol, lam=rs.lam)
+
+
+@pytest.mark.parametrize(
+    "phi,t_like,lam",
+    [
+        ([0.8, 0.55], float("nan"), 3.0),
+        ([0.8, 0.55], float("inf"), 3.0),
+        ([0.8, 0.55], 0.0, 3.0),
+        ([0.8, 0.55], 0.5, 0.0),
+        ([0.8, 0.55], 0.5, -1.0),
+        ([0.8, 0.55], 0.5, float("nan")),
+        ([0.8, 0.55], 0.5, float("inf")),
+        (np.array([float("nan"), 0.55]), 0.5, 3.0),
+        (np.array([0.8, float("inf")]), 0.5, 3.0),
+        (["a", 0.55], 0.5, 3.0),
+        ("ab", 0.5, 3.0),
+    ],
+)
+def test_enumerate_points_rejects_bad_arguments(phi, t_like, lam):
+    lat = winding_lattice(build_root_system("A", 2))
+    with pytest.raises(ArgumentError):
+        enumerate_points(lat, phi, t_like, 1e-14, lam=lam)
+
+
+@pytest.mark.parametrize("t_like,tol,lam", [(1e300, 1e-300, 3.0), (0.5, 1e-14, 1e-320)])
+def test_enumerate_points_refuses_a_window_beyond_the_integers(t_like, tol, lam):
+    lat = winding_lattice(build_root_system("A", 2))
+    with pytest.raises(ResourceError), np.errstate(over="ignore"):
+        enumerate_points(lat, [0.8, 0.55], t_like, tol, lam=lam)
 
 
 def test_enumerate_points_resource_cap():
