@@ -911,6 +911,8 @@ def predicted_eigenvalues(family: GroupFamily, point: RadialPoint) -> np.ndarray
 
 def domain_of_radial(family: GroupFamily, point: RadialPoint) -> EvolutionDomain:
     """The unique domain whose mask matches up to a Weyl permutation of axes."""
+    if point.rank != family.rank:
+        raise ArgumentError(f"radial point has rank {point.rank}, {family.name} has rank {family.rank}")
     group = generate_weyl_group(_system(family).rs)
     for dom in enumerate_domains(family):
         if dom.b == len(point.imag_axes) and len(_signature_preserving(group, point.signature, dom.signature)):

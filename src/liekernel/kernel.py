@@ -52,11 +52,6 @@ __all__ = [
 # most terms of a spectral sum, in levels x Weyl images
 _ORBIT_CAP = 3 * 10**7
 
-# fewest points whose van Vleck numerators come from split real and
-# imaginary rows rather than np.prod; the two cost the same near 40 points at
-# p = 3 and near 100 at p = 9 to 12 (see _pathsum_terms)
-_PROD_POINTS = 64
-
 # grid x quadrature entries per block of radial_convolve
 _CONVOLVE_BLOCK = 2**18
 
@@ -155,7 +150,9 @@ class KernelRequest:
         if self.domain is None and not self.phi.is_compact:
             raise ArgumentError("mixed-signature point needs an evolution domain")
         if self.domain is not None:
-            dsig = tuple(getattr(self.domain, "signature"))
+            if not hasattr(self.domain, "signature"):
+                raise ArgumentError(f"domain must carry a signature, got {self.domain!r}")
+            dsig = tuple(self.domain.signature)
             if dsig != self.phi.signature:
                 raise ArgumentError(
                     f"point signature {self.phi.signature} does not match domain {dsig}"
@@ -187,38 +184,24 @@ def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: comp
     roots, w = wall_denominator(rs, cv, direction)
     k = len(roots)
     shifted = cv[None, :] + 2.0 * np.pi * points
-    factors = shifted @ rs.positive_roots.T
+    # one contiguous row per root
+    factors = rs.positive_roots @ shifted.T
     if k:
-        # prod_beta (u_beta + s v_beta) to order s^k, one row per point
-        poly = np.zeros((len(points), k + 1), dtype=complex)
-        poly[:, 0] = 1.0
-        for u, v in zip(factors.T, slopes):
-            poly[:, 1:] = poly[:, 1:] * u[:, None] + poly[:, :-1] * v
-            poly[:, 0] *= u
+        # prod_beta (u_beta + s v_beta) to order s^k, one column per point
+        poly = np.zeros((k + 1, len(points)), dtype=complex)
+        poly[0] = 1.0
+        for u, v in zip(factors, slopes):
+            poly[1:] = poly[1:] * u + poly[:-1] * v
+            poly[0] *= u
         c = 1j * rs.lam / (4.0 * t)
         a, b = 2.0 * c * (shifted @ direction), c * (direction @ direction)
         # exp(a s + b s^2) has coefficients g_{n+1} = (a g_n + 2 b g_{n-1}) / (n + 1)
         gauss = [np.ones(len(points)), a]
         for n in range(1, k):
             gauss.append((a * gauss[n] + 2.0 * b * gauss[n - 1]) / (n + 1))
-        nums = sum(poly[:, j] * gauss[k - j] for j in range(k + 1))
-    elif len(points) < _PROD_POINTS:
-        nums = np.prod(factors, axis=1)
+        nums = sum(poly[j] * gauss[k - j] for j in range(k + 1))
     else:
-        # np.prod(factors, axis=1) on split real and imaginary rows, in the
-        # same order and rounding (a complex product of whole columns rounds
-        # differently from the reduction).  Right after an OpenBLAS AVX-512
-        # kernel, such as the product forming ``factors``, the reduction over
-        # short complex rows runs about 5 times slower (17,000 rows x 6 on a
-        # Xeon: 4.3 ms, against 0.8 ms with OPENBLAS_CORETYPE=Haswell); these
-        # rows cost 6 (p - 1) numpy calls instead, which pays from
-        # _PROD_POINTS points on
-        re, im = factors.real.T, factors.imag.T
-        nre, nim = re[0], im[0]
-        for ure, uim in zip(re[1:], im[1:]):
-            nre, nim = nre * ure - nim * uim, nre * uim + nim * ure
-        nums = np.empty(len(points), dtype=complex)
-        nums.real, nums.imag = nre, nim
+        nums = np.prod(factors, axis=0)
     denom = 2.0**rs.p * w
     action = np.einsum("ki,ki->k", shifted, shifted)
     phases = np.exp(1j * rs.lam * action / (4.0 * t) + 1j * rho2 / rs.lam * t)
@@ -270,6 +253,14 @@ def _spectral_levels(rs: RootSystem, t_like: float, tol: float, level_cutoff: in
     return labels
 
 
+def _check_orbit_cap(levels: int, images: int) -> None:
+    if levels * images > _ORBIT_CAP:
+        raise ResourceError(
+            f"spectral table needs {levels} levels x {images} Weyl images "
+            f"(> {_ORBIT_CAP} orbit entries); use the path sum"
+        )
+
+
 # (system, time) pairs whose spectral data stay resident, the time rounded to
 # 12 decimals by ``compact_spectral``; a compact grid over ten systems holds 30
 @functools.lru_cache(maxsize=64)
@@ -277,12 +268,11 @@ def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int 
     """Representation data for the retained dominant weights l: (lambda_l,
     d_l, split, d_l / V_G), ``split`` the levels' ``weyl.split_levels``."""
     group = generate_weyl_group(rs)
+    if level_cutoff is not None:
+        # the cube's size, in Python integers, before it is built
+        _check_orbit_cap((level_cutoff + 1) ** rs.rank, group.order)
     labels = _spectral_levels(rs, t_like, tol, level_cutoff)
-    if len(labels) * group.order > _ORBIT_CAP:
-        raise ResourceError(
-            f"spectral table needs {len(labels)} levels x {group.order} Weyl images "
-            f"(> {_ORBIT_CAP} orbit entries); use the path sum"
-        )
+    _check_orbit_cap(len(labels), group.order)
     nvecs = (labels + 1) @ rs.weights
     lam_l = (np.einsum("li,li->l", nvecs, nvecs) - rs.rho @ rs.rho) / rs.lam
     dims = np.prod(nvecs @ rs.positive_roots.T, axis=1) / np.prod(rs.positive_roots @ rs.rho)

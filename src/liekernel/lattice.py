@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError, InternalError, ResourceError
 from .rootsys import RootSystem
-from .weyl import WeylElement, WeylGroup, generate_weyl_group, reflection_matrix
+from .weyl import WeylElement, WeylGroup, _check_point, generate_weyl_group, reflection_matrix
 
 __all__ = [
     "REAL",
@@ -59,7 +59,10 @@ class RadialPoint:
         if len(self.values) != len(self.signature):
             raise ArgumentError("values and signature must have equal length")
         _check_signature(self.signature)
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        try:
+            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"radial values must be real numbers, got {self.values}") from exc
         object.__setattr__(self, "signature", tuple(self.signature))
         if not all(map(math.isfinite, self.values)):
             raise ArgumentError(f"radial values must be finite, got {self.values}")
@@ -342,12 +345,14 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     """Lattice points whose Gaussian path weight survives a relative cutoff.
 
     A point m is kept while exp(-lam |phi + 2 pi m|^2 / (4 t_like)) is at
-    least ``tol`` times the largest such weight.  Points come back sorted by
-    distance then lexicographically.  The candidates are the window's cached
-    offsets around the rounded minimizer, out to the norm d0 + sqrt(d0^2 +
+    least ``tol`` times the largest such weight.  Points come back in
+    lattice order: lexicographic in their integer coordinates over the basis
+    of ``lat``.  The candidates are the window's cached offsets, in that
+    order, around the rounded minimizer, out to the norm d0 + sqrt(d0^2 +
     window) that a kept point's offset cannot pass, d0 the rounded point's
-    own distance.  Each distance comes from the point's absolute
-    coefficients, so the rounding of the centre does not change the result.
+    own distance.  Adding the integer centre keeps the order, and each
+    distance comes from the point's absolute coefficients, so the rounding of
+    the centre does not change the result.
     """
     if not 0.0 < tol < 1.0:
         raise ArgumentError(f"tol must lie in (0, 1), got {tol}")
@@ -358,7 +363,7 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     rank = lat.rank
     if lat.dim == 0:
         return np.zeros((1, rank))
-    x0 = _real_vector(phi, rank)
+    x0 = _check_point(phi.phi_vector() if isinstance(phi, RadialPoint) else phi, rank).real
 
     gens = lat.generators
     window = 4.0 * t_like * np.log(1.0 / tol) / lam
@@ -368,14 +373,13 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     d0 = math.sqrt(near @ near)
     # the margin covers the slack of the distance test below and the norms' rounding
     near_enough = norms <= (d0 + math.sqrt(d0 * d0 + window)) * (1.0 + 1e-6) + 1e-6
-    # np.compress and np.take copy whole rows, several times faster than
-    # boolean and integer indexing on rows this short
+    # np.compress copies whole rows, several times faster than boolean
+    # indexing on rows this short
     coeffs = base + np.compress(near_enough, offsets, axis=0)
     pts = coeffs @ gens
     d2 = _squared_norms(x0 + 2.0 * np.pi * pts)
     radius2 = d2.min() + window
-    kept = np.flatnonzero(d2 <= radius2 + 1e-12 * max(1.0, radius2))
-    return np.take(pts, _distance_order(kept, np.round(d2[kept], 9), pts), axis=0)
+    return np.compress(d2 <= radius2 + 1e-12 * max(1.0, radius2), pts, axis=0)
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
@@ -389,47 +393,6 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
     if squares.shape[1] >= 8:
         return squares.sum(axis=1)
     return functools.reduce(np.add, squares.T)
-
-
-def _distance_order(rows: np.ndarray, dist: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """``rows`` of ``pts``, at distances ``dist``, in the order of
-    ``np.lexsort`` by distance, then by each rounded coordinate in turn.
-
-    One sort by ``dist``, then a lexsort of the rounded coordinates inside
-    each run of equal distances only.  Distinct lattice points differ in
-    some coordinate, so the coordinates break every tie and the unstable
-    sort's order within a run does not matter.
-    """
-    order = np.argsort(dist)
-    ranked = dist[order]
-    rows = rows[order]
-    same = ranked[1:] == ranked[:-1]
-    if not same.any():
-        return rows
-    # tied[i]: sorted position i shares its distance with a neighbour;
-    # run ids rise along the sorted order, so sorting by them first keeps
-    # every run in place
-    tied = np.r_[same, False] | np.r_[False, same]
-    run = np.cumsum(~np.r_[True, same])[tied]
-    idx = rows[tied]
-    keys = np.round(pts[idx], 9)
-    rows[tied] = idx[np.lexsort((*keys.T[::-1], run))]
-    return rows
-
-
-def _real_vector(phi, rank: int) -> np.ndarray:
-    if isinstance(phi, RadialPoint):
-        vec = phi.phi_vector()
-    else:
-        try:
-            vec = np.real(np.asarray(phi, dtype=complex))
-        except (TypeError, ValueError) as exc:
-            raise ArgumentError(f"phi must be numeric, got {phi!r}") from exc
-    if vec.shape != (rank,):
-        raise ArgumentError(f"phi must have length {rank}, got shape {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise ArgumentError(f"phi must be finite, got {vec}")
-    return vec.astype(float)
 
 
 def _coeffs_of(lat: WindingLattice, vector: np.ndarray) -> np.ndarray:
@@ -452,6 +415,8 @@ def canonicalize(rs: RootSystem, phi: RadialPoint) -> tuple:
     ``(canonical, sigma, m)`` with ``canonical = sigma(phi + 2 pi m)`` and
     ``m`` integer coefficients over the simple coroots.
     """
+    if phi.rank != rs.rank:
+        raise ArgumentError(f"radial point has rank {phi.rank}, the root system has rank {rs.rank}")
     if phi.is_compact:
         return _canonicalize_compact(rs, winding_lattice(rs), phi)
     return reduce_lexmax(generate_weyl_group(rs), winding_lattice(rs), phi)

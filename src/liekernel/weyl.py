@@ -129,9 +129,22 @@ def generate_weyl_group(rs: RootSystem) -> WeylGroup:
     return _close_group(gens, [np.eye(rs.rank)], f"the Weyl group of {rs.name}", rs.weights)
 
 
+def _check_point(phi, rank: int) -> np.ndarray:
+    """phi as a finite real or complex vector of length ``rank``."""
+    try:
+        phi = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"phi must be numeric, got {phi!r}") from exc
+    if phi.shape != (rank,):
+        raise ArgumentError(f"phi must have length {rank}, got shape {phi.shape}")
+    if not np.isfinite(phi).all():
+        raise ArgumentError(f"phi must be finite, got {phi}")
+    return phi
+
+
 def weyl_function(rs: RootSystem, phi) -> complex:
     """w(phi) = prod over positive roots of sin(alpha.phi/2); complex-safe."""
-    phi = np.asarray(phi)
+    phi = _check_point(phi, rs.rank)
     half = rs.positive_roots @ phi / 2.0
     return complex(np.prod(np.sin(half)))
 
@@ -166,6 +179,7 @@ def character(rs: RootSystem, l, phi) -> complex:
     at phi=0 that is the representation dimension.
     """
     levels = _check_dominant(l, rs.rank)[None]
+    phi = _check_point(phi, rs.rank)
     sums, denom = orbit_sums(rs, split_levels(generate_weyl_group(rs), levels), phi)
     return complex(sums[0]) / denom
 

@@ -134,6 +134,14 @@ def test_kernel_domain_refusals_are_usage_errors(capsys, argv, message):
     assert out == "" and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("level_cutoff", ["60", "1000000"])
+def test_kernel_level_cube_over_the_cap_is_refused(capsys, level_cutoff):
+    code, out, err = run(capsys, "kernel", "SU5", "--heat", "1.0", "--route", "spectral",
+                         "--point", "0.1,0.2,0.3,0.4", "--level-cutoff", level_cutoff)
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
 def test_kernel_empty_grid_is_usage_error(capsys):
     code, _, err = run(capsys, "kernel", "SU2", "--heat", "0.5", "--grid", "0.3:2.0:0")
     assert code == 2

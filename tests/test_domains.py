@@ -387,9 +387,13 @@ def test_domain_of_radial():
     assert domain_of_radial(fam, RadialPoint.mixed([0.3, 0.4], "RI")).label == "D1"
     # mask permuted by the Weyl axis swap still resolves to D1
     assert domain_of_radial(fam, RadialPoint.mixed([0.3, 0.4], "IR")).label == "D1"
+    fam_su = parse_group("SU(2,1)")
     with pytest.raises(ArgumentError):
-        fam_su = parse_group("SU(2,1)")
         domain_of_radial(fam_su, RadialPoint.mixed([0.3, 0.4], "II"))
+    # a point of the wrong rank matches no domain
+    for point in (RadialPoint.real([0.1]), RadialPoint.mixed([0.1, 0.2, 0.3], "RIR")):
+        with pytest.raises(ArgumentError, match="rank"):
+            domain_of_radial(fam_su, point)
 
 
 def test_enumerate_unsupported_rank_raises():

@@ -144,14 +144,25 @@ def test_enumerate_points_monotone_in_tol():
     assert sizes == sorted(sizes, reverse=True)
 
 
-def test_enumerate_points_sorted_by_distance():
-    rs = build_root_system("A", 2)
-    lat = winding_lattice(rs)
-    phi = RadialPoint.real([0.8, 0.55])
-    pts = enumerate_points(lat, phi, 3.0, 1e-10, lam=rs.lam)
-    x0 = phi.phi_vector()
-    d2 = ((x0 + 2 * np.pi * pts) ** 2).sum(axis=1)
-    assert (np.diff(np.round(d2, 9)) >= 0).all()
+def _coordinates(lat, pts):
+    """Integer coordinates of lattice points over the basis of ``lat``."""
+    coords = np.linalg.lstsq(lat.generators.T, pts.T, rcond=None)[0].T
+    rounded = np.round(coords)
+    assert np.abs(coords - rounded).max() < 1e-9
+    return rounded.astype(int)
+
+
+def test_enumerate_points_in_lattice_order():
+    # the compact A2 lattice and a domain sublattice of A3, hundreds of points each
+    for rank, signature in [(2, "RR"), (3, "IRR")]:
+        rs = build_root_system("A", rank)
+        lat = domain_sublattice(winding_lattice(rs), tuple(signature))
+        pts = enumerate_points(lat, np.linspace(0.8, 0.3, rank), 1000.0, 1e-10, lam=rs.lam)
+        assert len(pts) > 100
+        coords = _coordinates(lat, pts)
+        # strictly increasing in lexicographic order: sorted, and no repeats
+        assert np.array_equal(np.lexsort(coords.T[::-1]), np.arange(len(coords)))
+        assert (np.diff(coords, axis=0) != 0).any(axis=1).all()
 
 
 CATALOGUE_GROUPS = [
@@ -179,11 +190,10 @@ def _window_lattices():
     return out
 
 
-def _by_distance(pts, d2):
-    """Reference order: one lexsort by the distance, then each coordinate,
-    all rounded to 9 decimals."""
-    keys = np.round(np.column_stack([d2, pts]), 9)
-    return pts[np.lexsort(keys.T[::-1])]
+def _by_lattice(coeffs, pts):
+    """Reference order: ``pts`` by one lexsort of their integer coordinates
+    ``coeffs`` over the lattice basis."""
+    return pts[np.lexsort(coeffs.T[::-1])]
 
 
 def _points_by_box(lat, x0, t_like, tol, lam):
@@ -201,37 +211,36 @@ def _points_by_box(lat, x0, t_like, tol, lam):
     d2 = ((x0 + 2.0 * np.pi * pts) ** 2).sum(axis=1)
     radius2 = d2.min() + window
     keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
-    pts, d2 = pts[keep], d2[keep]
-    return _by_distance(pts, d2)
+    return _by_lattice(coeffs[keep], pts[keep])
 
 
 @pytest.mark.parametrize("rs,lat", _window_lattices())
 def test_enumerate_points_matches_box_scan(rs, lat):
     rng = np.random.default_rng(7)
-    for _ in range(4):
-        x0 = rng.uniform(-40.0, 40.0, rs.rank)
-        for t_like in (0.25, 2.0, 10.0):
-            got = enumerate_points(lat, x0, t_like, 1e-14, lam=rs.lam)
-            assert np.array_equal(got, _points_by_box(lat, x0, t_like, 1e-14, rs.lam)), (x0, t_like)
-
-
-@pytest.mark.parametrize("family,rank", COMPACT_SYSTEMS)
-def test_enumerate_points_breaks_distance_ties_by_coordinates(family, rank):
-    # lattice-symmetric points give many lattice points one distance, so the
-    # order inside each run of equal distances comes from the coordinates
-    rs = build_root_system(family, rank)
-    lat = winding_lattice(rs)
+    cases = [(rng.uniform(-40.0, 40.0, rs.rank), t_like) for _ in range(4) for t_like in (0.25, 2.0, 10.0)]
+    # lattice-symmetric points, which give many lattice points one distance
     gens = lat.generators
-    points = [np.zeros(rank), np.pi * gens.sum(axis=0), rs.rho / 2.0, np.pi * gens[0]]
-    tied = 0
-    for x0 in points:
-        for t_like in (0.5, 3.0, 10.0):
-            got = enumerate_points(lat, x0, t_like, 1e-14, lam=rs.lam)
-            want = _points_by_box(lat, x0, t_like, 1e-14, rs.lam)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x0, t_like)
-            dist = np.round(((x0 + 2.0 * np.pi * got) ** 2).sum(axis=1), 9)
-            tied += bool((dist[1:] == dist[:-1]).any())
-    assert tied
+    symmetric = [np.zeros(rs.rank), np.pi * gens.sum(axis=0), rs.rho / 2.0, np.pi * gens[0]]
+    cases += [(x0, t_like) for x0 in symmetric for t_like in (0.5, 3.0, 10.0)]
+    for x0, t_like in cases:
+        got = enumerate_points(lat, x0, t_like, 1e-14, lam=rs.lam)
+        want = _points_by_box(lat, x0, t_like, 1e-14, rs.lam)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x0, t_like)
+
+
+@pytest.mark.parametrize("rs,lat", _window_lattices())
+def test_enumerate_points_order_survives_lattice_translation(rs, lat):
+    # x0 + 2 pi g, g = c @ gens, has the points of x0 shifted by -g: their
+    # coordinates move by -c and keep their order
+    rng = np.random.default_rng(5)
+    gens = lat.generators
+    for _ in range(3):
+        x0 = rng.uniform(-6.0, 6.0, rs.rank)
+        c = rng.integers(-3, 4, lat.dim)
+        for t_like in (0.5, 5.0):
+            want = _coordinates(lat, enumerate_points(lat, x0, t_like, 1e-14, lam=rs.lam))
+            got = _coordinates(lat, enumerate_points(lat, x0 + 2.0 * np.pi * (c @ gens), t_like, 1e-14, lam=rs.lam))
+            assert np.array_equal(got, want - c), (x0, c, t_like)
 
 
 def _points_by_search(lat, x0, t_like, tol, lam):
@@ -245,8 +254,8 @@ def _points_by_search(lat, x0, t_like, tol, lam):
     coeffs, d2 = _ellipsoid_points(gens, x0, 2.0 * np.pi, reach + 1e-12 * max(1.0, reach))
     radius2 = d2.min() + window
     keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
-    pts, d2 = coeffs[keep] @ gens, d2[keep]
-    return _by_distance(pts, d2)
+    coeffs = coeffs[keep]
+    return _by_lattice(coeffs, coeffs @ gens)
 
 
 @pytest.mark.parametrize("rs,lat", _window_lattices())
@@ -282,8 +291,7 @@ def _points_uncut(lat, x0, t_like, tol, lam):
     d2 = ((x0 + 2.0 * np.pi * pts) ** 2).sum(axis=1)
     radius2 = d2.min() + window
     keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
-    pts, d2 = pts[keep], d2[keep]
-    return _by_distance(pts, d2)
+    return _by_lattice(coeffs[keep], pts[keep])
 
 
 def _cut_cases():
