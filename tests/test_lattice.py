@@ -228,6 +228,31 @@ def test_enumerate_points_matches_box_scan(rs, lat):
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x0, t_like)
 
 
+@pytest.mark.parametrize("family,rank", COMPACT_SYSTEMS)
+def test_enumerate_points_breaks_distance_ties_by_coordinates(family, rank):
+    # lattice-symmetric points give many lattice points one distance; inside
+    # each set of equal distances the points come in the order of their
+    # integer coordinates
+    rs = build_root_system(family, rank)
+    lat = winding_lattice(rs)
+    gens = lat.generators
+    points = [np.zeros(rank), np.pi * gens.sum(axis=0), rs.rho / 2.0, np.pi * gens[0]]
+    tied = 0
+    for x0 in points:
+        for t_like in (0.5, 3.0, 10.0):
+            got = enumerate_points(lat, x0, t_like, 1e-14, lam=rs.lam)
+            coords = _coordinates(lat, got)
+            dist = np.round(((x0 + 2.0 * np.pi * got) ** 2).sum(axis=1), 9)
+            # positions grouped by distance, in output order inside each group
+            order = np.lexsort((np.arange(len(dist)), dist))
+            same = dist[order[1:]] == dist[order[:-1]]
+            step = coords[order[1:]] - coords[order[:-1]]
+            first = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+            assert (first[same] > 0).all(), (x0, t_like)
+            tied += bool(same.any())
+    assert tied
+
+
 @pytest.mark.parametrize("rs,lat", _window_lattices())
 def test_enumerate_points_order_survives_lattice_translation(rs, lat):
     # x0 + 2 pi g, g = c @ gens, has the points of x0 shifted by -g: their
