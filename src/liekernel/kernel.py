@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,8 @@ class TimeParameter:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        if not (isinstance(self.value, numbers.Real) and isinstance(self.epsilon, numbers.Real)):
+            raise ArgumentError(f"time and epsilon must be real numbers, got {self.value!r}, {self.epsilon!r}")
         if not (math.isfinite(self.value) and math.isfinite(self.epsilon)):
             raise ArgumentError(f"time and epsilon must be finite, got {self.value} and {self.epsilon}")
         if self.mode is TimeMode.HEAT and not self.value > 0:
@@ -143,16 +146,21 @@ class KernelRequest:
     def __post_init__(self):
         if self.phi.rank != self.rs.rank:
             raise ArgumentError("radial point rank does not match root system rank")
-        if not 0.0 < self.tol < 1.0:
-            raise ArgumentError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.level_cutoff is not None and self.level_cutoff < 0:
-            raise ArgumentError(f"level_cutoff must be >= 0, got {self.level_cutoff}")
+        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < 1.0):
+            raise ArgumentError(f"tol must lie in (0, 1), got {self.tol!r}")
+        if self.level_cutoff is not None and not (
+            isinstance(self.level_cutoff, numbers.Integral) and self.level_cutoff >= 0
+        ):
+            raise ArgumentError(f"level_cutoff must be an integer >= 0, got {self.level_cutoff!r}")
         if self.domain is None and not self.phi.is_compact:
             raise ArgumentError("mixed-signature point needs an evolution domain")
         if self.domain is not None:
             if not hasattr(self.domain, "signature"):
                 raise ArgumentError(f"domain must carry a signature, got {self.domain!r}")
-            dsig = tuple(self.domain.signature)
+            try:
+                dsig = tuple(self.domain.signature)
+            except TypeError as exc:
+                raise ArgumentError(f"domain signature must be a sequence, got {self.domain!r}") from exc
             if dsig != self.phi.signature:
                 raise ArgumentError(
                     f"point signature {self.phi.signature} does not match domain {dsig}"
@@ -173,39 +181,46 @@ def _path_constants(rs: RootSystem, signature: tuple) -> tuple:
 
 
 def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: complex) -> complex:
-    """Sum of van Vleck terms over the given winding points.
+    """Sum of van Vleck terms over the given winding points, from real rows
+    x_m = phi + 2 pi m: theta enters as constants, i beta.theta and -theta^2.
 
-    On a wall, the s^k coefficient of prod_beta beta.(x_m + s d)
-    exp(i lam |x_m + s d|^2 / 4t), x_m = phi + 2 pi m, over that of the
-    denominator: the wall rule along d, rho's part on the real axes.
+    On a wall, the s^k coefficient of prod_beta beta.(z_m + s d) exp(i lam
+    (z_m + s d)^2 / 4t), z_m = x_m + i theta, over that of the denominator:
+    the wall rule along d, rho's part on the real axes.
     """
-    cv = phi.complex_vector()
+    x0, theta = phi.phi_vector(), phi.theta_vector()
     direction, slopes, rho2 = _path_constants(rs, phi.signature)
-    roots, w = wall_denominator(rs, cv, direction)
+    # real root products on a compact point, formed as the numerators' are
+    roots, w = wall_denominator(rs, x0 if phi.is_compact else phi.complex_vector(), direction)
     k = len(roots)
-    shifted = cv[None, :] + 2.0 * np.pi * points
-    # one contiguous row per root
-    factors = rs.positive_roots @ shifted.T
+    x = points.T * (2.0 * np.pi)
+    x += x0[:, None]
+    factors = rs.positive_roots @ x
+    if not phi.is_compact:
+        factors = factors + 1j * (rs.positive_roots @ theta)[:, None]
     if k:
         # prod_beta (u_beta + s v_beta) to order s^k, one column per point
-        poly = np.zeros((k + 1, len(points)), dtype=complex)
+        poly = np.zeros((k + 1, x.shape[1]), dtype=complex)
         poly[0] = 1.0
         for u, v in zip(factors, slopes):
             poly[1:] = poly[1:] * u + poly[:-1] * v
             poly[0] *= u
         c = 1j * rs.lam / (4.0 * t)
-        a, b = 2.0 * c * (shifted @ direction), c * (direction @ direction)
+        a, b = 2.0 * c * (direction @ x), c * (direction @ direction)
         # exp(a s + b s^2) has coefficients g_{n+1} = (a g_n + 2 b g_{n-1}) / (n + 1)
-        gauss = [np.ones(len(points)), a]
+        gauss = [np.ones(x.shape[1]), a]
         for n in range(1, k):
             gauss.append((a * gauss[n] + 2.0 * b * gauss[n - 1]) / (n + 1))
         nums = sum(poly[j] * gauss[k - j] for j in range(k + 1))
     else:
         nums = np.prod(factors, axis=0)
-    denom = 2.0**rs.p * w
-    action = np.einsum("ki,ki->k", shifted, shifted)
-    phases = np.exp(1j * rs.lam * action / (4.0 * t) + 1j * rho2 / rs.lam * t)
-    return complex((nums / denom) @ phases)
+    # (x_m + i theta)^2 = |x_m|^2 - |theta|^2: x_m vanishes on the imaginary axes
+    phases = 1j * rs.lam * (functools.reduce(np.add, np.multiply(x, x, out=x)) - theta @ theta)
+    # divided point by point: a rounded i lam / 4t shared by all terms moves them coherently
+    phases /= 4.0 * t
+    phases += 1j * rho2 / rs.lam * t
+    # a BLAS dot of this length can wait milliseconds on a second thread
+    return complex(np.multiply(np.exp(phases, out=phases), nums, out=phases).sum()) / (2.0**rs.p * w)
 
 
 def compact_pathsum(req: KernelRequest) -> KernelValue:

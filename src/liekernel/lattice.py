@@ -56,14 +56,18 @@ class RadialPoint:
     signature: tuple
 
     def __post_init__(self):
-        if len(self.values) != len(self.signature):
-            raise ArgumentError("values and signature must have equal length")
-        _check_signature(self.signature)
         try:
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            values, signature = tuple(self.values), tuple(self.signature)
+        except TypeError as exc:
+            raise ArgumentError(f"values and signature must be sequences, got {self.values!r}") from exc
+        if len(values) != len(signature):
+            raise ArgumentError("values and signature must have equal length")
+        _check_signature(signature)
+        try:
+            object.__setattr__(self, "values", tuple(float(v) for v in values))
         except (TypeError, ValueError) as exc:
             raise ArgumentError(f"radial values must be real numbers, got {self.values}") from exc
-        object.__setattr__(self, "signature", tuple(self.signature))
+        object.__setattr__(self, "signature", signature)
         if not all(map(math.isfinite, self.values)):
             raise ArgumentError(f"radial values must be finite, got {self.values}")
 
@@ -326,8 +330,9 @@ def _window_offsets(lat: WindingLattice, window: float) -> tuple:
     The closest lattice point is therefore within R of the minimizer, every
     point the window keeps within sqrt(R^2 + window) of it, and so within
     the offsets' reach of the rounded point.  The offsets come in
-    lexicographic order, with their norms |2 pi c @ gens| in single
-    precision and the projection (gens gens^T)^-1 gens onto the coordinates.
+    lexicographic order as float rows, one per coordinate (dim x n, exact
+    small integers), with their norms |2 pi c @ gens| in single precision
+    and the projection (gens gens^T)^-1 gens onto the coordinates.
     """
     gens = lat.generators
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=lat.dim)))
@@ -336,23 +341,23 @@ def _window_offsets(lat: WindingLattice, window: float) -> tuple:
     # the margin covers the rounding of the distances; extra offsets only
     # cost candidates that the distance test drops
     coeffs, d2 = _ellipsoid_points(gens, np.zeros(lat.rank), 2.0 * np.pi, reach**2 * (1.0 + 1e-9))
-    bound = int(np.abs(coeffs).max())
-    dtype = next(d for d in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
-    return coeffs.astype(dtype), np.sqrt(d2).astype(np.float32), np.linalg.solve(gens @ gens.T, gens)
+    rows = np.ascontiguousarray(coeffs.T, dtype=float)
+    return rows, np.sqrt(d2).astype(np.float32), np.linalg.solve(gens @ gens.T, gens)
 
 
 def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: float = 1.0) -> np.ndarray:
     """Lattice points whose Gaussian path weight survives a relative cutoff.
 
     A point m is kept while exp(-lam |phi + 2 pi m|^2 / (4 t_like)) is at
-    least ``tol`` times the largest such weight.  Points come back in
-    lattice order: lexicographic in their integer coordinates over the basis
-    of ``lat``.  The candidates are the window's cached offsets, in that
-    order, around the rounded minimizer, out to the norm d0 + sqrt(d0^2 +
-    window) that a kept point's offset cannot pass, d0 the rounded point's
-    own distance.  Adding the integer centre keeps the order, and each
-    distance comes from the point's absolute coefficients, so the rounding of
-    the centre does not change the result.
+    least ``tol`` times the largest such weight.  Returns the kept points as
+    an (N, rank) float array, the transpose of their (rank, N) coordinate
+    rows, in lattice order: lexicographic in their integer coordinates over
+    the basis of ``lat``.  The candidates are the window's cached offsets,
+    in that order, around the rounded minimizer, out to the norm d0 +
+    sqrt(d0^2 + window) that a kept point's offset cannot pass, d0 the
+    rounded point's own distance.  Adding the integer centre keeps the
+    order, and each distance comes from the point's absolute coefficients,
+    so the rounding of the centre does not change the result.
     """
     if not 0.0 < tol < 1.0:
         raise ArgumentError(f"tol must lie in (0, 1), got {tol}")
@@ -368,31 +373,21 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     gens = lat.generators
     window = 4.0 * t_like * np.log(1.0 / tol) / lam
     offsets, norms, proj = _window_offsets(lat, float(window))
-    base = np.round(proj @ (-x0 / (2.0 * np.pi))).astype(int)
+    base = np.round(proj @ (-x0 / (2.0 * np.pi)))
     near = x0 + 2.0 * np.pi * (base @ gens)
     d0 = math.sqrt(near @ near)
     # the margin covers the slack of the distance test below and the norms' rounding
     near_enough = norms <= (d0 + math.sqrt(d0 * d0 + window)) * (1.0 + 1e-6) + 1e-6
-    # np.compress copies whole rows, several times faster than boolean
-    # indexing on rows this short
-    coeffs = base + np.compress(near_enough, offsets, axis=0)
-    pts = coeffs @ gens
-    d2 = _squared_norms(x0 + 2.0 * np.pi * pts)
+    # one contiguous row per coordinate, in place where it can be: fresh
+    # arrays of this size cost more in page faults than in arithmetic
+    coeffs = np.compress(near_enough, offsets, axis=1)
+    coeffs += base[:, None]
+    pts = gens.T @ coeffs
+    x = pts * (2.0 * np.pi)
+    x += x0[:, None]
+    d2 = functools.reduce(np.add, np.multiply(x, x, out=x))
     radius2 = d2.min() + window
-    return np.compress(d2 <= radius2 + 1e-12 * max(1.0, radius2), pts, axis=0)
-
-
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """``(rows ** 2).sum(axis=1)`` bit for bit, by adding squared columns.
-
-    numpy adds fewer than 8 entries of a row left to right, as the column
-    sums do, without the slow reduction over short rows; from 8 columns on
-    its pairwise summation rounds differently, so the reduction stays.
-    """
-    squares = rows * rows
-    if squares.shape[1] >= 8:
-        return squares.sum(axis=1)
-    return functools.reduce(np.add, squares.T)
+    return np.compress(d2 <= radius2 + 1e-12 * max(1.0, radius2), pts, axis=1).T
 
 
 def _coeffs_of(lat: WindingLattice, vector: np.ndarray) -> np.ndarray:

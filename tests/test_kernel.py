@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -197,8 +199,17 @@ def test_radial_point_rejects_non_finite_values(values):
     lambda: character(A2, [1, 0], [0.1, 0.2, 0.3]),
     lambda: weyl.weyl_function(A2, [0.1]),
     lambda: character(A2, [1, 0], [float("nan"), 0.2]),
+    lambda: RadialPoint(0.5, "R"),
+    lambda: KernelRequest(rs=A2, phi=RadialPoint.real([0.1, 0.2]), time=TimeParameter.heat(1.0),
+                          domain=SimpleNamespace(signature=5)),
+    lambda: KernelRequest(rs=A2, phi=RadialPoint.real([0.1, 0.2]), time=TimeParameter.heat(1.0), tol="x"),
+    lambda: TimeParameter.heat("a"),
+    lambda: TimeParameter.real(1.0, epsilon=None),
+    lambda: compact_spectral(KernelRequest(rs=A2, phi=RadialPoint.real([0.1, 0.2]),
+                                           time=TimeParameter.heat(1.0), level_cutoff=2.5)),
 ], ids=["text-value", "complex-value", "domain-without-signature", "canonicalize-rank",
-        "character-rank", "weyl-function-rank", "character-nan"])
+        "character-rank", "weyl-function-rank", "character-nan", "scalar-values", "scalar-signature",
+        "text-tol", "text-time", "none-epsilon", "fractional-level-cutoff"])
 def test_public_boundary_refusals_are_argument_errors(call):
     with pytest.raises(ArgumentError):
         call()
@@ -255,17 +266,109 @@ def _pathsum_cases():
     return cases
 
 
+def _pathsum_bound(rs, phi, points, t, terms):
+    """Rounding bound on a path sum's difference from another evaluation of
+    the same terms, whatever order its products and its sum run in.
+
+    Term m is N_m / D exp(z_m), z_m = i lam (x_m + i theta)^2 / 4t + i
+    rho^2 t / lam, x_m = phi + 2 pi m.  Its numerator is a product of p root
+    factors, each rounded a few times, so it carries a relative error of a
+    small multiple of p eps; so does the final sum, relative to
+    sum_m |term_m|.  The exponent is formed from squared norms of size
+    |x_m + i theta|^2, so either evaluation may be off in z_m by a small
+    multiple of eps |angle_m|, angle_m = lam |x_m + i theta|^2 / 4|t|, and
+    exp(z + delta) = exp(z) (1 + delta + ...) turns that into the same
+    relative error of term m.  Angles reach 3e4 rad on undamped windows,
+    where this part dominates.  Both evaluations err, so with a factor 8:
+    8 eps sum_m |term_m| (p + |angle_m|), the bound 8 p eps sum_m |term_m|
+    while the angles are small.
+    """
+    shifted = phi.complex_vector()[None, :] + 2.0 * np.pi * points
+    angles = rs.lam * (np.abs(shifted) ** 2).sum(axis=1) / (4.0 * abs(t))
+    return 8 * np.finfo(float).eps * (np.abs(terms) * (rs.p + angles)).sum()
+
+
 def test_pathsum_terms_match_prod_reference():
-    eps = np.finfo(float).eps
     for rs, lat, phi, times in _pathsum_cases():
         for time in times:
             t = time.effective
             points = enumerate_points(lat, phi, time.decay_scale(), 1e-14, lam=rs.lam)
             terms = _pathsum_terms_by_prod(rs, phi, points, t)
             got = kernel._pathsum_terms(rs, phi, points, t)
-            # rounding level, whatever order the products and the sum run in
-            bound = 8 * rs.p * eps * np.abs(terms).sum()
+            bound = _pathsum_bound(rs, phi, points, t, terms)
             assert abs(got - terms.sum()) <= bound, (rs.name, phi, time)
+
+
+def _pathsum_terms_by_mpmath(mp, rs, phi, points, t):
+    """Reference van Vleck terms in mpmath at the working precision: the
+    same terms, points and wall rule as ``kernel._pathsum_terms``."""
+    theta = [mp.mpf(float(v)) if s == "I" else mp.mpf(0) for v, s in zip(phi.values, phi.signature)]
+    direction = [mp.mpf(float(r)) if s == "R" else mp.mpf(0) for r, s in zip(rs.rho, phi.signature)]
+    roots = [[mp.mpf(float(v)) for v in beta] for beta in rs.positive_roots]
+    t = mp.mpc(t)
+    c = 1j * mp.mpf(rs.lam) / (4 * t)
+    rho2 = mp.fsum(mp.mpf(float(v)) ** 2 for v in rs.rho)
+    center = [mp.mpf(float(v)) if s == "R" else mp.mpf(0) for v, s in zip(phi.values, phi.signature)]
+    z0 = [a + 1j * b for a, b in zip(center, theta)]
+    # the wall roots and the s^k coefficient of prod_beta sin(beta.(z0 + s d) / 2)
+    halves = [mp.fdot(beta, z0) / 2 for beta in roots]
+    on_wall = [abs(complex(mp.sin(h))) <= 1e-12 for h in halves]
+    k = sum(on_wall)
+    denom = mp.mpf(2) ** rs.p * mp.fprod(
+        mp.fdot(beta, direction) / 2 * mp.cos(h) if wall else mp.sin(h)
+        for beta, h, wall in zip(roots, halves, on_wall))
+    terms = []
+    for m in points:
+        z = [a + 2 * mp.pi * mp.mpf(float(v)) for a, v in zip(z0, m)]
+        # prod_beta (beta.z + s beta.d) and exp(c (2 s z.d + s^2 d.d)) to order s^k
+        poly = [mp.mpc(1)] + [mp.mpc(0)] * k
+        for beta in roots:
+            u, v = mp.fdot(beta, z), mp.fdot(beta, direction)
+            poly = [u * poly[0]] + [u * poly[j] + v * poly[j - 1] for j in range(1, k + 1)]
+        a, b = 2 * c * mp.fdot(z, direction), c * mp.fdot(direction, direction)
+        gauss = [mp.mpc(1), a]
+        for n in range(1, k):
+            gauss.append((a * gauss[n] + 2 * b * gauss[n - 1]) / (n + 1))
+        num = mp.fsum(poly[j] * gauss[k - j] for j in range(k + 1))
+        terms.append(num / denom * mp.exp(c * mp.fdot(z, z) + 1j * rho2 / rs.lam * t))
+    return terms
+
+
+def _mpmath_cases():
+    """(rs, lattice, point, time), windows of at most about 650 points: A2
+    and B3 in heat mode off and on a wall, two undamped domains and a
+    damped one."""
+    cases = []
+    for family, rank, tau in [("A", 2, 80.0), ("B", 3, 40.0)]:
+        rs = build_root_system(family, rank)
+        lat = winding_lattice(rs)
+        wall = np.linalg.solve(rs.simple_roots, np.r_[0.0, np.linspace(0.4, 0.8, rank - 1)])
+        for x, where in ((np.linspace(0.9, 0.3, rank), "off-wall"), (wall, "wall")):
+            cases.append(pytest.param(rs, lat, RadialPoint.real(x), TimeParameter.heat(tau),
+                                      id=f"{family}{rank}-heat-{where}"))
+    for name, label, time in [("SU(2,1)", "D1", TimeParameter.real(1.0)),
+                              ("SO(3,3)", "D2", TimeParameter.real(1.0)),
+                              ("Sp(6,R)", "D2", TimeParameter.real(1.0, 0.05))]:
+        dom = _domain(name, label)
+        rs = root_system_of(parse_group(name))
+        phi = RadialPoint.mixed(np.linspace(1.1, 0.4, rs.rank), dom.signature)
+        cases.append(pytest.param(rs, domain_sublattice(winding_lattice(rs), dom), phi, time,
+                                  id=f"{name} {label} eps={time.epsilon}"))
+    return cases
+
+
+@pytest.mark.parametrize("rs,lat,phi,time", _mpmath_cases())
+def test_pathsum_terms_match_mpmath(rs, lat, phi, time):
+    mpmath = pytest.importorskip("mpmath")
+    t = time.effective
+    points = enumerate_points(lat, phi, time.decay_scale(), 1e-14, lam=rs.lam)
+    with mpmath.workdps(40):
+        terms = _pathsum_terms_by_mpmath(mpmath.mp, rs, phi, points, t)
+        want = complex(mpmath.fsum(terms))
+    got = kernel._pathsum_terms(rs, phi, points, t)
+    # the reference errs by about 1e-38 sum_m |term_m|: the whole bound is the code's
+    bound = _pathsum_bound(rs, phi, points, t, np.array([complex(z) for z in terms]))
+    assert abs(got - want) <= bound, (len(points), abs(got - want), bound)
 
 
 def test_spectral_requires_damping_in_real_time():

@@ -307,11 +307,12 @@ def test_enumerate_points_matches_per_call_search(rs, lat):
 
 
 def _points_uncut(lat, x0, t_like, tol, lam):
-    """``enumerate_points`` over every cached offset of the window."""
+    """``enumerate_points`` over every cached offset of the window, whose
+    rows hold one integer coordinate each."""
     gens = lat.generators
     window = 4.0 * t_like * np.log(1.0 / tol) / lam
     offsets, _, proj = _window_offsets(lat, float(window))
-    coeffs = np.round(proj @ (-x0 / (2.0 * np.pi))).astype(int) + offsets
+    coeffs = np.round(proj @ (-x0 / (2.0 * np.pi))).astype(int) + offsets.T.astype(int)
     pts = coeffs @ gens
     d2 = ((x0 + 2.0 * np.pi * pts) ** 2).sum(axis=1)
     radius2 = d2.min() + window
