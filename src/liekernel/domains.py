@@ -39,6 +39,7 @@ from .lattice import (
     _kernel,
     _lcm_denominators,
     _lexmax_image,
+    _lexmax_tables,
     _rationalize,
     _signature_preserving,
     _transpose,
@@ -66,6 +67,8 @@ __all__ = [
 _UNIT_TOL = 1e-9
 _GUARD_TOL = 1e-6
 _DEFINING_TOL = 1e-8
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
 
 
 class GroupKind(enum.Enum):
@@ -152,6 +155,8 @@ _GROUP_RE = re.compile(
 
 def parse_group(name: str) -> GroupFamily:
     """Parse names like ``SU(2,1)``, ``SU21``, ``Sp(6,R)``, ``SP6R``, ``SO5``."""
+    if not isinstance(name, str):
+        raise ArgumentError(f"group name must be a string, got {name!r}")
     m = _GROUP_RE.match(name)
     if not m:
         raise ConfigurationError(f"cannot parse group name {name!r}")
@@ -391,9 +396,16 @@ def canonical_radial(family: GroupFamily, point: RadialPoint) -> RadialPoint:
     trip's rounding may land on another representative, with the same domain
     and eigenvalue multiset.
     """
+    return _lexmax_image(_canonical_tables(family, point.signature), point)[0]
+
+
+@functools.cache
+def _canonical_tables(family: GroupFamily, signature: tuple) -> tuple:
+    """``canonical_radial``'s reduction tables for one signature; a signature
+    that no domain has is refused."""
+    _signature_domain(family, signature)
     sys = _system(family)
-    group = sys.eigen_group or generate_weyl_group(sys.rs)
-    return _lexmax_image(group, classification_lattice(family), point)[0]
+    return _lexmax_tables(sys.eigen_group or generate_weyl_group(sys.rs), classification_lattice(family), signature)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +468,11 @@ def _domain(family: GroupFamily, signature) -> EvolutionDomain:
 
 def enumerate_domains(family: GroupFamily) -> list:
     """Evolution domains with signature masks, most compact first."""
+    return list(_domains(family))
+
+
+@functools.cache
+def _domains(family: GroupFamily) -> tuple:
     sys = _system(family)
     rank = family.rank
     if family.is_compact:
@@ -499,7 +516,7 @@ def enumerate_domains(family: GroupFamily) -> list:
         raise InternalError(
             f"{family.name}: enumerated {len(domains)} domains but the closed form says {counted}"
         )
-    return domains
+    return tuple(domains)
 
 
 def _sp_masks(family: GroupFamily, sys: _System) -> list:
@@ -569,13 +586,23 @@ def _zeta(n: int) -> np.ndarray:
     return zeta
 
 
-def check_defining_relation(family: GroupFamily, g: np.ndarray) -> None:
-    """Raise NotInGroupError unless g satisfies the family's relations."""
-    g = np.asarray(g, dtype=complex)
+def check_defining_relation(family: GroupFamily, g) -> np.ndarray:
+    """Raise NotInGroupError unless g satisfies the family's relations;
+    return g as a complex array."""
+    try:
+        g = np.asarray(g, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise NotInGroupError(f"{family.name} elements are numeric matrices: {exc}") from None
     d = family.matrix_dim
     if g.shape != (d, d):
         raise NotInGroupError(f"{family.name} elements are {d}x{d}, got {g.shape}")
-    scale = max(1.0, float(np.abs(g).max()))
+    scale = float(np.abs(g).max())
+    # NaN and inf fail here; the tolerances below grow as scale^d, and the
+    # products' entries reach d scale^2, so both must stay finite
+    if not (math.isfinite(scale) and d * math.log(max(1.0, scale)) + math.log(d) < _LOG_FLOAT_MAX):
+        raise NotInGroupError(f"{family.name}: entries must be finite and of size below "
+                              f"{math.exp((_LOG_FLOAT_MAX - math.log(d)) / d):.3g}, got {scale:.3g}")
+    scale = max(1.0, scale)
     k = family.kind
 
     def _req(cond, msg):
@@ -584,23 +611,24 @@ def check_defining_relation(family: GroupFamily, g: np.ndarray) -> None:
 
     if k in (GroupKind.SL, GroupKind.SP) or (k is GroupKind.SO):
         _req(np.abs(g.imag).max() <= _DEFINING_TOL * scale, "matrix must be real")
+    # g eta by broadcasting, eta being diagonal
     if k is GroupKind.SU:
         eta = _eta(family)
         _req(
-            np.abs(g @ eta @ g.conj().T - eta).max() <= _DEFINING_TOL * scale**2,
+            np.abs((g * eta.diagonal()) @ g.conj().T - eta).max() <= _DEFINING_TOL * scale**2,
             "g eta g^dagger != eta",
         )
     if k is GroupKind.SO:
         eta = _eta(family)
         _req(
-            np.abs(g @ eta @ g.T - eta).max() <= _DEFINING_TOL * scale**2,
+            np.abs((g * eta.diagonal()) @ g.T - eta).max() <= _DEFINING_TOL * scale**2,
             "g eta g^T != eta",
         )
     if k is GroupKind.USP:
         eta = _eta(family)
         zeta = _zeta(family.p + family.q)
         _req(
-            np.abs(g @ eta @ g.conj().T - eta).max() <= _DEFINING_TOL * scale**2,
+            np.abs((g * eta.diagonal()) @ g.conj().T - eta).max() <= _DEFINING_TOL * scale**2,
             "g eta g^dagger != eta",
         )
         _req(
@@ -615,6 +643,7 @@ def check_defining_relation(family: GroupFamily, g: np.ndarray) -> None:
         )
     if k in (GroupKind.SU, GroupKind.SL, GroupKind.SO):
         _req(abs(np.linalg.det(g) - 1.0) <= 100 * _DEFINING_TOL * scale**d, "det(g) != 1")
+    return g
 
 
 def _unit_class(eigenvalues: np.ndarray) -> np.ndarray:
@@ -627,6 +656,31 @@ def _unit_class(eigenvalues: np.ndarray) -> np.ndarray:
             eigenvalues=eigenvalues,
         )
     return mods <= _UNIT_TOL
+
+
+def _spectrum(eig: np.ndarray) -> dict:
+    """What ``_match_domain`` reads of an element's eigenvalues on every
+    domain, computed once: the unit-modulus class (``_unit_class``'s guard
+    band raises first), the phases and the match tolerance; and, unless a
+    modulus vanishes, which no exp(i W phi) has, the log-moduli and the
+    pruning bounds of ``_assignments``.
+    """
+    unit = _unit_class(eig)
+    mods = np.abs(eig)
+    args = np.angle(eig)
+    tol = 1e-8 * max(1.0, float(mods.max()))
+    spec = {"eig": eig, "unit": np.flatnonzero(unit).tolist(), "args": args, "tol": tol, "log_mod": None}
+    if mods.all():
+        log_mod = np.log(mods)
+        spec.update(
+            log_mod=log_mod,
+            logs=log_mod.tolist(),
+            phases=args.tolist(),
+            mod_bound=1e-7 + 1e-9 * (1.0 + float(np.abs(log_mod).max())),
+            # a modulus within 2 tol of 0 leaves the phase free: spread pi
+            spread=(2.0 * np.arcsin(1.001 * tol / np.maximum(mods, 1.001 * tol))).tolist(),
+        )
+    return spec
 
 
 def _relations(rows: list, order: list) -> tuple:
@@ -702,7 +756,7 @@ def _matcher(dom: EvolutionDomain) -> dict:
     }
 
 
-def _assignments(m: dict, eig_unit: np.ndarray, mods: np.ndarray, args: np.ndarray, tol: float):
+def _assignments(m: dict, spec: dict):
     """Slot assignments (eigenvalue index per slot, by search depth) in the
     order of ``itertools.permutations`` over unit slots then the rest.
 
@@ -718,12 +772,7 @@ def _assignments(m: dict, eig_unit: np.ndarray, mods: np.ndarray, args: np.ndarr
     order, unit_depth = m["order"], m["unit_depth"]
     nw = len(order)
     mod_rel, phase_rel = m["relations"]["modulus"], m["relations"]["phase"]
-    log_mod = np.log(mods)
-    logs, phases = log_mod.tolist(), args.tolist()
-    mod_bound = 1e-7 + 1e-9 * (1.0 + float(np.abs(log_mod).max()))
-    # a modulus within 2 tol of 0 leaves the phase free: spread pi
-    spread = (2.0 * np.arcsin(1.001 * tol / np.maximum(mods, 1.001 * tol))).tolist()
-    unit = np.flatnonzero(eig_unit).tolist()
+    logs, phases, mod_bound, spread, unit = (spec[k] for k in ("logs", "phases", "mod_bound", "spread", "unit"))
     free = [True] * nw
     pos = [0] * nw
 
@@ -752,8 +801,9 @@ def _assignments(m: dict, eig_unit: np.ndarray, mods: np.ndarray, args: np.ndarr
     return walk(0)
 
 
-def _match_domain(sys: _System, dom: EvolutionDomain, eig: np.ndarray):
-    """Solve exp(i W phi) = eig for phi with dom's signature, or return None.
+def _match_domain(dom: EvolutionDomain, spec: dict):
+    """Solve exp(i W phi) = eig for phi with dom's signature, or return None;
+    ``spec`` is the ``_spectrum`` of eig.
 
     Slots of weights that vanish on the imaginary axes need unit-modulus
     eigenvalues; the other slots take the rest, which may include unit ones
@@ -762,26 +812,17 @@ def _match_domain(sys: _System, dom: EvolutionDomain, eig: np.ndarray):
     lattice offset of its phases that does.
     """
     m = _matcher(dom)
-    nw = len(sys.weights)
-    slot_unit = m["slot_unit"]
-    eig_unit = _unit_class(eig)
-    mods = np.abs(eig)
-    # exp(i W phi) has no eigenvalue 0
-    if slot_unit.sum() > eig_unit.sum() or not mods.all():
+    eig, log_mod, args, tol = spec["eig"], spec["log_mod"], spec["args"], spec["tol"]
+    if m["unit_depth"] > len(spec["unit"]) or log_mod is None:
         return None
-
-    log_mod = np.log(mods)
-    args = np.angle(eig)
     w_r, w_i = m["w_r"], m["w_i"]
-    scale = max(1.0, float(mods.max()))
-    tol = 1e-8 * scale
 
     def verify(x, y, assign):
         pred = np.exp(1j * (w_r @ x) - w_i @ y)
         return bool(np.abs(pred - eig[assign]).max() <= tol)
 
-    assign = np.empty(nw, dtype=int)
-    for pos in _assignments(m, eig_unit, mods, args, tol):
+    assign = np.empty(len(eig), dtype=int)
+    for pos in _assignments(m, spec):
         assign[m["order"]] = pos
         y = m["pinv_wi"] @ log_mod[assign]
         damp = w_i @ y
@@ -816,12 +857,10 @@ def classify_element(family: GroupFamily, matrix) -> tuple:
     sys = _system(family)
     if not sys.concrete:
         raise ConfigurationError(f"classification coordinates not implemented for {family.name}")
-    g = np.asarray(matrix, dtype=complex)
-    check_defining_relation(family, g)
-    eig = np.linalg.eigvals(g)
-
-    for dom in enumerate_domains(family):
-        values = _match_domain(sys, dom, eig)
+    eig = np.linalg.eigvals(check_defining_relation(family, matrix))
+    spec = _spectrum(eig)
+    for dom in _domains(family):
+        values = _match_domain(dom, spec)
         if values is None:
             continue
         point = RadialPoint(tuple(values), dom.signature)
@@ -842,9 +881,29 @@ def _eigen_multiset_close(sys: _System, point: RadialPoint, eig: np.ndarray, tol
 
 
 def _pairing_residual(pred: np.ndarray, eig: np.ndarray) -> float:
-    """Largest |pred - eig| under the one-to-one pairing of least total distance."""
+    """Largest |pred - eig| under the one-to-one pairing of least total distance.
+
+    That pairing is ``_least_cost_pairing``'s, read off without it where it
+    is plain: when the rows' nearest columns are distinct and each row's
+    nearest beats its next nearest by more than 2 n eps times the largest
+    cost, every other pairing moves some row off its strict minimum and
+    costs more, by more than the Hungarian's potentials, sums of at most 2n
+    costs, can round.  Otherwise (repeated eigenvalues, near ties) the
+    Hungarian decides.
+    """
     cost = np.abs(pred[:, None] - eig[None, :])
-    return float(cost[np.arange(len(cost)), _least_cost_pairing(cost.tolist())].max())
+    rows = cost.tolist()
+    # a NaN or inf cost fails the margin test, so the Hungarian handles it
+    margin = 2 * len(rows) * _EPS * float(cost.max())
+    nearest = []
+    for row in rows:
+        low = sorted(row)[:2]
+        if len(low) == 2 and not low[1] - low[0] > margin:
+            break
+        nearest.append(row.index(low[0]))
+    if len(set(nearest)) < len(rows):
+        return float(cost[np.arange(len(rows)), _least_cost_pairing(rows)].max())
+    return max(row[j] for row, j in zip(rows, nearest))
 
 
 def _least_cost_pairing(cost: list) -> list:
@@ -905,20 +964,26 @@ def _least_cost_pairing(cost: list) -> list:
 
 def predicted_eigenvalues(family: GroupFamily, point: RadialPoint) -> np.ndarray:
     """Eigenvalue multiset exp(i mu_k . phi) for a radial point."""
-    sys = _system(family)
-    return np.exp(1j * (sys.weights @ point.complex_vector()))
+    if point.rank != family.rank:
+        raise ArgumentError(f"radial point has rank {point.rank}, {family.name} has rank {family.rank}")
+    return np.exp(1j * (_system(family).weights @ point.complex_vector()))
 
 
 def domain_of_radial(family: GroupFamily, point: RadialPoint) -> EvolutionDomain:
     """The unique domain whose mask matches up to a Weyl permutation of axes."""
-    if point.rank != family.rank:
-        raise ArgumentError(f"radial point has rank {point.rank}, {family.name} has rank {family.rank}")
+    return _signature_domain(family, point.signature)
+
+
+@functools.cache
+def _signature_domain(family: GroupFamily, signature: tuple) -> EvolutionDomain:
+    if len(signature) != family.rank:
+        raise ArgumentError(f"radial point has rank {len(signature)}, {family.name} has rank {family.rank}")
     group = generate_weyl_group(_system(family).rs)
-    for dom in enumerate_domains(family):
-        if dom.b == len(point.imag_axes) and len(_signature_preserving(group, point.signature, dom.signature)):
+    for dom in _domains(family):
+        if dom.b == signature.count(IMAGINARY) and len(_signature_preserving(group, signature, dom.signature)):
             return dom
     raise ArgumentError(
-        f"signature {''.join(point.signature)} matches no evolution domain of {family.name}"
+        f"signature {''.join(signature)} matches no evolution domain of {family.name}"
     )
 
 
@@ -940,6 +1005,7 @@ def build_element(family: GroupFamily, point: RadialPoint) -> np.ndarray:
         raise ConfigurationError(f"normal forms not implemented for {family.name}")
     if len(point.signature) != family.rank:
         raise ArgumentError("radial point rank mismatch")
+    _signature_domain(family, point.signature)
     cv = point.complex_vector()
     k = family.kind
     if k in (GroupKind.SU, GroupKind.SL):

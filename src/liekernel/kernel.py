@@ -25,8 +25,8 @@ from .errors import (
     ResourceError,
     UnsupportedOperationError,
 )
-from .lattice import REAL, RadialPoint, domain_sublattice, enumerate_points, winding_lattice
-from .lattice import _ellipsoid_points
+from .lattice import REAL, RadialPoint, domain_sublattice, winding_lattice
+from .lattice import _ellipsoid_points, _row_sums_in_place, _window, _window_points
 from .rootsys import RootSystem
 from .volumes import coset_volume, group_volume
 from .weyl import generate_weyl_group, orbit_sums, split_levels, wall_denominator
@@ -55,6 +55,9 @@ _ORBIT_CAP = 3 * 10**7
 
 # grid x quadrature entries per block of radial_convolve
 _CONVOLVE_BLOCK = 2**18
+
+# roots x points entries per block of a path sum's root factors
+_FACTOR_BLOCK = 2**14
 
 
 class TimeMode(enum.Enum):
@@ -171,56 +174,88 @@ def _prefactor(n: int, t: complex) -> complex:
     return np.exp(-(n / 2.0) * np.log(4j * np.pi * t))
 
 
-@functools.cache
-def _path_constants(rs: RootSystem, signature: tuple) -> tuple:
-    """rho's part on the real axes (the wall-limit direction d), the positive
-    roots' products with d, and rho.rho: the per-signature constants of
-    ``_pathsum_terms``."""
+# (system, signature, time, tol) keys whose path plans stay resident; a plan
+# holds a few rank-sized arrays and scalars
+@functools.lru_cache(maxsize=256)
+def _path_plan(rs: RootSystem, signature: tuple, time: TimeParameter, tol: float) -> dict:
+    """What a path sum needs that no point changes: the winding sublattice of
+    the signature, the window (its arguments checked), the complex time t
+    and the prefactor (4 pi i t)^{-n/2}, rho's part on the real axes (the
+    wall-limit direction d), the positive roots' products with d, and the
+    phase constant i rho^2 t / lam.  The arrays are read-only."""
+    t = time.effective
     direction = np.where(np.array(signature) == REAL, rs.rho, 0.0)
-    return direction, rs.positive_roots @ direction, rs.rho @ rs.rho
+    slopes = rs.positive_roots @ direction
+    direction.flags.writeable = slopes.flags.writeable = False
+    return {
+        "sub": domain_sublattice(winding_lattice(rs), signature),
+        "window": _window(time.decay_scale(), tol, rs.lam),
+        "t": t,
+        "prefactor": _prefactor(rs.n, t),
+        "direction": direction,
+        "slopes": slopes,
+        "rho_phase": 1j * (rs.rho @ rs.rho) / rs.lam * t,
+    }
 
 
-def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, t: complex) -> complex:
+def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, plan: dict) -> complex:
     """Sum of van Vleck terms over the given winding points, from real rows
-    x_m = phi + 2 pi m: theta enters as constants, i beta.theta and -theta^2.
+    x_m = phi + 2 pi m: theta enters as constants, i beta.theta and -theta^2;
+    ``plan`` is the ``_path_plan`` of phi's signature.
 
     On a wall, the s^k coefficient of prod_beta beta.(z_m + s d) exp(i lam
     (z_m + s d)^2 / 4t), z_m = x_m + i theta, over that of the denominator:
     the wall rule along d, rho's part on the real axes.
     """
     x0, theta = phi.phi_vector(), phi.theta_vector()
-    direction, slopes, rho2 = _path_constants(rs, phi.signature)
+    t, direction = plan["t"], plan["direction"]
     # real root products on a compact point, formed as the numerators' are
     roots, w = wall_denominator(rs, x0 if phi.is_compact else phi.complex_vector(), direction)
     k = len(roots)
     x = points.T * (2.0 * np.pi)
+    # the window's arrays are the largest here: each is freed once read (the
+    # caller's points too, when it passes them without keeping a reference)
+    del points
     x += x0[:, None]
-    factors = rs.positive_roots @ x
-    if not phi.is_compact:
-        factors = factors + 1j * (rs.positive_roots @ theta)[:, None]
-    if k:
-        # prod_beta (u_beta + s v_beta) to order s^k, one column per point
-        poly = np.zeros((k + 1, x.shape[1]), dtype=complex)
-        poly[0] = 1.0
-        for u, v in zip(factors, slopes):
-            poly[1:] = poly[1:] * u + poly[:-1] * v
-            poly[0] *= u
-        c = 1j * rs.lam / (4.0 * t)
-        a, b = 2.0 * c * (direction @ x), c * (direction @ direction)
-        # exp(a s + b s^2) has coefficients g_{n+1} = (a g_n + 2 b g_{n-1}) / (n + 1)
-        gauss = [np.ones(x.shape[1]), a]
-        for n in range(1, k):
-            gauss.append((a * gauss[n] + 2.0 * b * gauss[n - 1]) / (n + 1))
-        nums = sum(poly[j] * gauss[k - j] for j in range(k + 1))
-    else:
-        nums = np.prod(factors, axis=0)
+    shift = None if phi.is_compact else 1j * (rs.positive_roots @ theta)[:, None]
+    nums = np.empty(x.shape[1], dtype=float if shift is None and not k else complex)
+    # the root factors in blocks of points, each column as the whole product forms it
+    step = max(1, _FACTOR_BLOCK // len(rs.positive_roots))
+    for start in range(0, x.shape[1], step):
+        cols = slice(start, start + step)
+        factors = rs.positive_roots @ x[:, cols]
+        if shift is not None:
+            factors = factors + shift
+        nums[cols] = _numerators(rs, factors, x[:, cols], plan, k) if k else np.prod(factors, axis=0)
     # (x_m + i theta)^2 = |x_m|^2 - |theta|^2: x_m vanishes on the imaginary axes
-    phases = 1j * rs.lam * (functools.reduce(np.add, np.multiply(x, x, out=x)) - theta @ theta)
+    norms = _row_sums_in_place(np.multiply(x, x, out=x))
+    norms -= theta @ theta
+    phases = 1j * rs.lam * norms
     # divided point by point: a rounded i lam / 4t shared by all terms moves them coherently
     phases /= 4.0 * t
-    phases += 1j * rho2 / rs.lam * t
+    phases += plan["rho_phase"]
     # a BLAS dot of this length can wait milliseconds on a second thread
     return complex(np.multiply(np.exp(phases, out=phases), nums, out=phases).sum()) / (2.0**rs.p * w)
+
+
+def _numerators(rs: RootSystem, factors: np.ndarray, x: np.ndarray, plan: dict, k: int) -> np.ndarray:
+    """Wall numerators of the points x (one column each) with root factors
+    ``factors``: the s^k coefficient of prod_beta (u_beta + s v_beta)
+    exp(a s + b s^2)."""
+    direction, t = plan["direction"], plan["t"]
+    # prod_beta (u_beta + s v_beta) to order s^k, one column per point
+    poly = np.zeros((k + 1, x.shape[1]), dtype=complex)
+    poly[0] = 1.0
+    for u, v in zip(factors, plan["slopes"]):
+        poly[1:] = poly[1:] * u + poly[:-1] * v
+        poly[0] *= u
+    c = 1j * rs.lam / (4.0 * t)
+    a, b = 2.0 * c * (direction @ x), c * (direction @ direction)
+    # exp(a s + b s^2) has coefficients g_{n+1} = (a g_n + 2 b g_{n-1}) / (n + 1)
+    gauss = [np.ones(x.shape[1]), a]
+    for n in range(1, k):
+        gauss.append((a * gauss[n] + 2.0 * b * gauss[n - 1]) / (n + 1))
+    return sum(poly[j] * gauss[k - j] for j in range(k + 1))
 
 
 def compact_pathsum(req: KernelRequest) -> KernelValue:
@@ -245,11 +280,11 @@ def _pathsum(req: KernelRequest) -> KernelValue:
     """The sum over classical paths on the winding sublattice of the point's
     signature: the whole lattice when no axis is imaginary."""
     rs = req.rs
-    t = req.time.effective
-    sub = domain_sublattice(winding_lattice(rs), req.phi.signature)
-    points = enumerate_points(sub, req.phi, req.time.decay_scale(), req.tol, lam=rs.lam)
-    value = _prefactor(rs.n, t) * _pathsum_terms(rs, req.phi, points, t)
-    return KernelValue(value, *_pathsum_tag(rs, req, t))
+    plan = _path_plan(rs, req.phi.signature, req.time, req.tol)
+    # no reference kept: the points are freed inside, once read
+    terms = _pathsum_terms(rs, req.phi, _window_points(plan["sub"], req.phi.phi_vector(), plan["window"]), plan)
+    value = plan["prefactor"] * terms
+    return KernelValue(value, *_pathsum_tag(rs, req, plan["t"]))
 
 
 def _spectral_levels(rs: RootSystem, t_like: float, tol: float, level_cutoff: int | None):
@@ -294,6 +329,18 @@ def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int 
     return lam_l, dims, split_levels(group, labels), dims / group_volume(rs)
 
 
+@functools.lru_cache(maxsize=64)
+def _level_weights(rs: RootSystem, time: TimeParameter, tol: float, level_cutoff: int | None) -> tuple:
+    """The spectral data's level split, and the level weights
+    d_l exp(-i lambda_l t) / V_G at the time itself: times that share a
+    decay scale (heat tau=10.1 and t=1, eps=0.1) share the levels, not the
+    weights.  The weights are read-only."""
+    lam_l, _, split, weights = _spectral_data(rs, round(time.decay_scale(), 12), tol, level_cutoff)
+    weights = weights * np.exp(-1j * lam_l * time.effective)
+    weights.flags.writeable = False
+    return split, weights
+
+
 def compact_spectral(req: KernelRequest) -> KernelValue:
     """Kernel on a compact group as the sum over unitary representations.
 
@@ -308,10 +355,9 @@ def compact_spectral(req: KernelRequest) -> KernelValue:
             "supply an Abel regulator epsilon > 0 or use heat mode"
         )
     rs = req.rs
-    t = req.time.effective
-    lam_l, _, split, weights = _spectral_data(rs, round(req.time.decay_scale(), 12), req.tol, req.level_cutoff)
+    split, weights = _level_weights(rs, req.time, req.tol, req.level_cutoff)
     sums, denom = orbit_sums(rs, split, req.phi.values)
-    value = complex((weights * np.exp(-1j * lam_l * t)) @ sums / denom)
+    value = complex(weights @ sums / denom)
     return KernelValue(value, ConvergenceTag.CONVERGENT)
 
 

@@ -98,8 +98,7 @@ class RadialPoint:
         return not self.imag_axes
 
     def complex_vector(self) -> np.ndarray:
-        factors = np.where(np.array(self.signature) == REAL, 1.0 + 0j, 1j)
-        return np.asarray(self.values) * factors
+        return np.asarray(self.values) * _axis_factors(self.signature)
 
     def phi_vector(self) -> np.ndarray:
         """Real parts as a full-rank vector (zeros on imaginary axes)."""
@@ -108,6 +107,14 @@ class RadialPoint:
     def theta_vector(self) -> np.ndarray:
         """Imaginary parts as a full-rank vector (zeros on real axes)."""
         return np.array([v if s == IMAGINARY else 0.0 for v, s in zip(self.values, self.signature)])
+
+
+@functools.cache
+def _axis_factors(signature: tuple) -> np.ndarray:
+    """1 on the real axes and i on the imaginary ones, read-only."""
+    factors = np.where(np.array(signature) == REAL, 1.0 + 0j, 1j)
+    factors.flags.writeable = False
+    return factors
 
 
 @dataclass(frozen=True)
@@ -352,42 +359,68 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     least ``tol`` times the largest such weight.  Returns the kept points as
     an (N, rank) float array, the transpose of their (rank, N) coordinate
     rows, in lattice order: lexicographic in their integer coordinates over
-    the basis of ``lat``.  The candidates are the window's cached offsets,
-    in that order, around the rounded minimizer, out to the norm d0 +
-    sqrt(d0^2 + window) that a kept point's offset cannot pass, d0 the
-    rounded point's own distance.  Adding the integer centre keeps the
-    order, and each distance comes from the point's absolute coefficients,
-    so the rounding of the centre does not change the result.
+    the basis of ``lat``.
     """
+    window = _window(t_like, tol, lam)
+    x0 = _check_point(phi.phi_vector() if isinstance(phi, RadialPoint) else phi, lat.rank).real
+    return _window_points(lat, x0, window)
+
+
+def _window(t_like: float, tol: float, lam: float) -> float:
+    """The squared distance 4 t_like log(1/tol) / lam by which a kept point
+    may exceed the closest one, after checking the three arguments."""
     if not 0.0 < tol < 1.0:
         raise ArgumentError(f"tol must lie in (0, 1), got {tol}")
     if not 0.0 < t_like < math.inf:
         raise ArgumentError(f"t_like must be positive and finite, got {t_like}")
     if not 0.0 < lam < math.inf:
         raise ArgumentError(f"lam must be positive and finite, got {lam}")
-    rank = lat.rank
-    if lat.dim == 0:
-        return np.zeros((1, rank))
-    x0 = _check_point(phi.phi_vector() if isinstance(phi, RadialPoint) else phi, rank).real
+    return 4.0 * t_like * np.log(1.0 / tol) / lam
 
+
+def _window_points(lat: WindingLattice, x0: np.ndarray, window: float) -> np.ndarray:
+    """``enumerate_points`` at the real point x0, for a checked window.
+
+    The candidates are the window's cached offsets, in lattice order, around
+    the rounded minimizer, out to the norm d0 + sqrt(d0^2 + window) that a
+    kept point's offset cannot pass, d0 the rounded point's own distance.
+    Adding the integer centre keeps the order, and each distance comes from
+    the point's absolute coefficients, so the rounding of the centre does
+    not change the result.
+    """
+    if lat.dim == 0:
+        return np.zeros((1, lat.rank))
     gens = lat.generators
-    window = 4.0 * t_like * np.log(1.0 / tol) / lam
     offsets, norms, proj = _window_offsets(lat, float(window))
     base = np.round(proj @ (-x0 / (2.0 * np.pi)))
     near = x0 + 2.0 * np.pi * (base @ gens)
     d0 = math.sqrt(near @ near)
     # the margin covers the slack of the distance test below and the norms' rounding
     near_enough = norms <= (d0 + math.sqrt(d0 * d0 + window)) * (1.0 + 1e-6) + 1e-6
-    # one contiguous row per coordinate, in place where it can be: fresh
-    # arrays of this size cost more in page faults than in arithmetic
+    # one contiguous row per coordinate, in place where it can be, and each
+    # array freed once read: fresh arrays of this size cost more in page
+    # faults than in arithmetic, and the fewer live at once, the less of the
+    # heap the allocator has to return to the system and fault in again
     coeffs = np.compress(near_enough, offsets, axis=1)
     coeffs += base[:, None]
     pts = gens.T @ coeffs
+    del coeffs
     x = pts * (2.0 * np.pi)
     x += x0[:, None]
-    d2 = functools.reduce(np.add, np.multiply(x, x, out=x))
+    d2 = _row_sums_in_place(np.multiply(x, x, out=x))
     radius2 = d2.min() + window
-    return np.compress(d2 <= radius2 + 1e-12 * max(1.0, radius2), pts, axis=1).T
+    keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
+    del x, d2
+    return np.compress(keep, pts, axis=1).T
+
+
+def _row_sums_in_place(rows: np.ndarray) -> np.ndarray:
+    """The column sums of ``rows``, added row by row into its first row, which
+    is returned: the sums of ``functools.reduce(np.add, rows)``, without its
+    fresh arrays."""
+    for row in rows[1:]:
+        rows[0] += row
+    return rows[0]
 
 
 def _coeffs_of(lat: WindingLattice, vector: np.ndarray) -> np.ndarray:
@@ -414,7 +447,13 @@ def canonicalize(rs: RootSystem, phi: RadialPoint) -> tuple:
         raise ArgumentError(f"radial point has rank {phi.rank}, the root system has rank {rs.rank}")
     if phi.is_compact:
         return _canonicalize_compact(rs, winding_lattice(rs), phi)
-    return reduce_lexmax(generate_weyl_group(rs), winding_lattice(rs), phi)
+    return _reduce_lexmax(_weyl_tables(rs, phi.signature), phi)
+
+
+@functools.cache
+def _weyl_tables(rs: RootSystem, signature: tuple) -> tuple:
+    """``canonicalize``'s reduction tables for one signature."""
+    return _lexmax_tables(generate_weyl_group(rs), winding_lattice(rs), signature)
 
 
 def _canonicalize_compact(rs: RootSystem, lat: WindingLattice, phi: RadialPoint):
@@ -480,28 +519,48 @@ def reduce_lexmax(group: WeylGroup, lat: WindingLattice, phi: RadialPoint):
     Returns ``(canonical, sigma, m)`` with canonical = sigma(phi + 2 pi m),
     m in integer coordinates over ``lat``'s basis.
     """
-    canonical, elem, shift = _lexmax_image(group, lat, phi)
+    return _reduce_lexmax(_lexmax_tables(group, lat, phi.signature), phi)
+
+
+def _reduce_lexmax(tables: tuple, phi: RadialPoint) -> tuple:
+    """``reduce_lexmax`` with the ``_lexmax_tables`` of phi's signature."""
+    canonical, elem, shift = _lexmax_image(tables, phi)
+    lat = tables[1]
     # m is applied before sigma: canonical = sigma(phi + 2 pi m)
     mcoeffs = _coeffs_of(lat, elem.matrix.T @ (shift @ lat.generators))
     return canonical, elem, mcoeffs
 
 
-def _lexmax_image(group: WeylGroup, lat: WindingLattice, phi: RadialPoint) -> tuple:
+def _lexmax_tables(group: WeylGroup, lat: WindingLattice, signature: tuple) -> tuple:
+    """What ``_lexmax_image`` needs of a group, a lattice and a signature,
+    which no point changes: (group, lat, sublattice of the signature,
+    indices of the signature-preserving elements, their matrices, the
+    sublattice's generators and Gram matrix stacked once, the tie-break
+    key), the arrays read-only."""
+    sub = domain_sublattice(lat, signature)
+    idx = _signature_preserving(group, signature)
+    gens = sub.generators
+    arrays = (idx, group.matrices[idx], gens[None], (gens @ gens.T)[None], -np.arange(len(idx)))
+    for a in arrays:
+        a.flags.writeable = False
+    return (group, lat, sub) + arrays
+
+
+def _lexmax_image(tables: tuple, phi: RadialPoint) -> tuple:
     """``reduce_lexmax``'s representative and Weyl element, with its shift in
-    coordinates over ``lat``'s basis applied after sigma, left undecoded."""
-    sub = domain_sublattice(lat, phi.signature)
-    idx = _signature_preserving(group, phi.signature)
-    ys = group.matrices[idx] @ np.asarray(phi.values, dtype=float)
+    coordinates over the lattice's basis applied after sigma, left undecoded;
+    ``tables`` are the ``_lexmax_tables`` of phi's signature."""
+    group, _, sub, idx, matrices, gens, gram, tie_break = tables
+    ys = matrices @ np.asarray(phi.values, dtype=float)
     shifts = np.zeros((len(idx), sub.dim), dtype=int)
     if sub.dim:
-        gens = sub.generators
         # stacked matrix-vector products and solves, each the same call per
         # element as a loop would make, so the reduction is unchanged
-        center = np.linalg.solve((gens @ gens.T)[None], gens[None] @ ys[..., None])[..., 0]
+        center = np.linalg.solve(gram, gens @ ys[..., None])[..., 0]
         shifts = -np.round(center / (2.0 * np.pi)).astype(int)
-        ys = ys + 2.0 * np.pi * (shifts[:, None] @ gens)[:, 0]
+        ys = ys + 2.0 * np.pi * (shifts[:, None] @ sub.generators)[:, 0]
     # the first of the lexicographically largest rounded images: the last in
     # ascending order of (keys, -index)
     keys = np.round(ys, 10)
-    best = np.lexsort((-np.arange(len(idx)), *keys.T[::-1]))[-1]
+    best = np.lexsort((tie_break, *keys.T[::-1]))[-1]
     return RadialPoint(tuple(ys[best]), phi.signature), group.elements[idx[best]], shifts[best] @ sub.coeffs

@@ -245,6 +245,7 @@ def split_levels(group: WeylGroup, levels) -> tuple:
     image u = w(omega_j) (row j of w's weight matrix); ``powers[j]`` places
     them by value and element.  ``heads`` are the distinct value-coded first
     r // 2 axes, ``tails`` the rest, and ``head``, ``tail`` each level's row.
+    The arrays are read-only, as the spectral tables share them.
     """
     m = np.asarray(levels, dtype=np.int64) + 1
     phases, powers, codes = [], [], []
@@ -255,8 +256,11 @@ def split_levels(group: WeylGroup, levels) -> tuple:
         phases.append(np.multiply.outer(values, images.astype(float)).reshape(-1, len(m.T)))
         codes.append(code.reshape(-1))
     codes, half = np.stack(codes, axis=1), len(m.T) // 2
-    return (m, np.concatenate(phases), tuple(powers), *_distinct_rows(codes[:, :half]),
-            *_distinct_rows(codes[:, half:]))
+    split = (m, np.concatenate(phases), tuple(powers), *_distinct_rows(codes[:, :half]),
+             *_distinct_rows(codes[:, half:]))
+    for a in split[:2] + split[2] + split[3:]:
+        a.flags.writeable = False
+    return split
 
 
 def _head_tail(rs: RootSystem, split, phi) -> tuple:

@@ -283,6 +283,14 @@ def test_domains_classify_singular_matrix_matches_no_domain(capsys, tmp_path):
     assert out == "" and "match no evolution domain" in err
 
 
+def test_domains_classify_overflowing_matrix_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps((1e200 * np.eye(3)).tolist()))
+    code, out, err = run(capsys, "domains", "classify", "SU21", str(path))
+    assert code == 2
+    assert out == "" and "entries must be finite and of size below" in err
+
+
 def test_domains_classify_requires_matrix(capsys):
     code, _, err = run(capsys, "domains", "classify", "SU11")
     assert code == 2

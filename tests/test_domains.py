@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from liekernel import (
     classify_element,
     domain_count,
     domain_of_radial,
+    domains,
     enumerate_domains,
     parse_group,
 )
@@ -24,6 +26,7 @@ from liekernel.domains import (
     _match_domain,
     _matcher,
     _pairing_residual,
+    _spectrum,
     _system,
     _unit_class,
     canonical_radial,
@@ -143,6 +146,18 @@ def test_defining_relation_rejects_outsiders():
     fam_sl = parse_group("SL(3,R)")
     with pytest.raises(NotInGroupError):
         classify_element(fam_sl, np.diag([1j, -1j, 1.0]))  # complex entries
+
+
+@pytest.mark.parametrize("matrix", [
+    "abc", [[1, 0, 0], [0, 1, 0], [0, 1]], 1e200 * np.eye(3), np.diag([np.nan, 1.0, 1.0]),
+    np.diag([np.inf, 1.0, 1.0]),
+], ids=["text", "ragged", "overflowing", "nan", "inf"])
+def test_classify_refuses_non_matrices_before_any_product(matrix):
+    # the refusal comes first: no product runs to overflow or warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInGroupError):
+            classify_element(parse_group("SU(2,1)"), matrix)
 
 
 def test_classify_su11_examples():
@@ -513,7 +528,7 @@ def _assert_same_match(fam, g, rng=None):
         off_unit = np.abs(np.abs(eig) - 1.0) > 1e-6
         eig = eig * np.exp(3e-9 * (1j * rng.uniform(-1, 1, len(eig)) + off_unit * rng.uniform(-1, 1, len(eig))))
     for dom in enumerate_domains(fam):
-        got, want = _match_domain(sys, dom, eig), _match_by_permutations(sys, dom, eig)
+        got, want = _match_domain(dom, _spectrum(eig)), _match_by_permutations(sys, dom, eig)
         assert (got is None) == (want is None), (fam.name, dom.label)
         if got is not None:
             assert got.tobytes() == want.tobytes(), (fam.name, dom.label, got, want)
@@ -550,9 +565,10 @@ def test_pruned_match_refuses_the_guard_band_as_permutation_search():
     c, s = np.cosh(theta / 2), np.sinh(theta / 2)
     eig = np.linalg.eigvals(np.array([[c, s], [s, c]], dtype=complex))
     dom = enumerate_domains(fam)[0]
-    for match in (_match_domain, _match_by_permutations):
-        with pytest.raises(ClassificationError, match="guard band"):
-            match(_system(fam), dom, eig)
+    with pytest.raises(ClassificationError, match="guard band"):
+        _match_domain(dom, _spectrum(eig))
+    with pytest.raises(ClassificationError, match="guard band"):
+        _match_by_permutations(_system(fam), dom, eig)
 
 
 @pytest.mark.parametrize("name", ["SO(5,4)", "Sp(8,R)"])
@@ -583,9 +599,18 @@ def test_least_cost_pairing_matches_linear_sum_assignment():
             assert _least_cost_pairing(cost.tolist()) == linear_sum_assignment(cost)[1].tolist()
 
 
-def test_pairing_residual_matches_linear_sum_assignment():
-    """Bit for bit, also where least-cost pairings tie with other maxima."""
+def test_pairing_residual_matches_linear_sum_assignment(monkeypatch):
+    """Bit for bit, also where least-cost pairings tie with other maxima,
+    whether the nearest columns or the Hungarian pair."""
     from scipy.optimize import linear_sum_assignment
+
+    calls = []
+
+    def counted(cost):
+        calls.append(len(cost))
+        return _least_cost_pairing(cost)
+
+    monkeypatch.setattr(domains, "_least_cost_pairing", counted)
 
     rng = np.random.default_rng(1111)
     e = 0.125
@@ -601,8 +626,105 @@ def test_pairing_residual_matches_linear_sum_assignment():
             else:  # collinear points on a grid: many pairings of least total
                 eig, pred = (rng.integers(-3, 4, n) * e + 0j for _ in range(2))
             tied.append((pred, eig))
-    for pred, eig in tied:
-        cost = np.abs(pred[:, None] - eig[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        assert _pairing_residual(pred, eig) == cost[rows, cols].max()
+    # repeated eigenvalues: a zero parameter beside the zero weight of odd SO,
+    # and pairs e^{+-theta} or e^{i chi +- theta} at theta = 0
+    repeated = []
+    for name, signature, values in [("SO(4,1)", "RR", (0.0, 1.0)), ("SO(3,2)", "RI", (0.7, 0.0)),
+                                    ("SU(1,1)", "I", (0.0,)), ("Sp(6,R)", "RRI", (0.7, 1.0, 0.0))]:
+        fam, point = parse_group(name), RadialPoint(values, tuple(signature))
+        repeated.append((predicted_eigenvalues(fam, point), np.linalg.eigvals(build_element(fam, point))))
+    # a row whose two nearest columns tie exactly, or 2 ulps apart
+    near_ties = [(np.array([1.0, 5.0]) + 0j, np.array([0.0, gap]) + 0j) for gap in (2.0, 2.0 + 2**-51)]
+    for cases, hungarian in ((tied, False), (repeated + near_ties, True)):
+        for pred, eig in cases:
+            cost = np.abs(pred[:, None] - eig[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            calls.clear()
+            assert _pairing_residual(pred, eig) == cost[rows, cols].max()
+            if hungarian:
+                assert calls == [len(pred)], (pred, eig)
     assert _pairing_residual(*tied[0]) == 5 * e
+    # well separated eigenvalues pair by their nearest columns alone
+    eig = rng.normal(size=6) + 1j * rng.normal(size=6)
+    calls.clear()
+    pred = eig + 1e-3
+    assert _pairing_residual(pred[::-1], eig) == np.abs(pred - eig).max() and calls == []
+
+
+def _held_arrays(table):
+    """The ndarrays a cached table holds, directly or in nested tuples,
+    lists and dicts (the lattices and groups it refers to are not walked)."""
+    if isinstance(table, np.ndarray):
+        yield table
+    elif isinstance(table, (tuple, list)):
+        for item in table:
+            yield from _held_arrays(item)
+    elif isinstance(table, dict):
+        for item in table.values():
+            yield from _held_arrays(item)
+
+
+def _evolve_fixed_elements(order):
+    """Build, classify and evolve a fixed set of elements, and evaluate both
+    compact routes at two times that share a decay scale (heat tau = 10.1
+    and t = 1, eps = 0.1), in the given order; the outputs, exact."""
+    from liekernel import KernelRequest, TimeParameter, build_root_system, compact_pathsum, compact_spectral
+    from liekernel import noncompact_pathsum
+
+    jobs = []
+    for name in ("SU(1,1)", "SU(2,1)", "SO(3,2)", "Sp(6,R)"):
+        fam = parse_group(name)
+        for dom in enumerate_domains(fam):
+            point = RadialPoint((0.45, 1.1, 0.8)[: fam.rank], dom.signature)
+            jobs.append((fam, point, TimeParameter.real(1.0, 0.05)))
+    a2 = build_root_system("A", 2)
+    for time in (TimeParameter.heat(10.1), TimeParameter.real(1.0, 0.1)):
+        jobs.append((a2, RadialPoint.real([0.8, 0.5]), time))
+    out = {}
+    for k in order(range(len(jobs))):
+        where, point, time = jobs[k]
+        if isinstance(where, GroupFamily):
+            g = build_element(where, canonical_radial(where, point))
+            dom, got = classify_element(where, g)
+            kv = noncompact_pathsum(KernelRequest(rs=root_system_of(where), phi=got, time=time, domain=dom))
+            out[k] = (g.tobytes(), dom.label, np.array(got.values).tobytes(), complex(kv.value), kv.tag)
+        else:
+            req = KernelRequest(rs=where, phi=point, time=time)
+            out[k] = (complex(compact_pathsum(req).value), complex(compact_spectral(req).value))
+    return out
+
+
+def test_cached_tables_are_read_only_and_keep_bits():
+    from liekernel import TimeParameter, build_root_system, kernel, lattice, rootsys, volumes, weyl
+
+    caches = {id(f): f for module in (domains, kernel, lattice, rootsys, volumes, weyl)
+              for f in vars(module).values() if hasattr(f, "cache_clear")}
+
+    def clear():
+        for f in caches.values():
+            f.cache_clear()
+
+    clear()
+    cold = _evolve_fixed_elements(list)
+    warm = _evolve_fixed_elements(list)
+    clear()
+    # in reverse order: a table keyed too coarsely would hand one time's
+    # weights to the other
+    cleared = _evolve_fixed_elements(lambda ks: list(ks)[::-1])
+    assert cold == warm == cleared
+
+    a2 = build_root_system("A", 2)
+    tables = [kernel._level_weights(a2, TimeParameter.heat(10.1), 1e-14, None),
+              kernel._path_plan(a2, ("R", "R"), TimeParameter.heat(10.1), 1e-14)]
+    for name in ("SU(2,1)", "Sp(6,R)"):
+        fam = parse_group(name)
+        rs = root_system_of(fam)
+        tables.append(domains._domains(fam))
+        for dom in enumerate_domains(fam):
+            sig = dom.signature
+            tables += [domains._signature_domain(fam, sig), domains._canonical_tables(fam, sig),
+                       lattice._weyl_tables(rs, sig), lattice._axis_factors(sig),
+                       kernel._path_plan(rs, sig, TimeParameter.real(1.0, 0.05), 1e-14)]
+    arrays = list(_held_arrays(tables))
+    assert len(arrays) > 50
+    assert not any(a.flags.writeable for a in arrays)

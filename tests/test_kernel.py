@@ -33,7 +33,13 @@ from liekernel import (
     winding_lattice,
 )
 from liekernel import checks, kernel, weyl
-from liekernel.domains import enumerate_domains, root_system_of
+from liekernel.domains import (
+    build_element,
+    canonical_radial,
+    enumerate_domains,
+    predicted_eigenvalues,
+    root_system_of,
+)
 from liekernel.kernel import _spectral_data, _spectral_levels
 from liekernel.weyl import character, orbit_sums, wall_denominator, weight_orbit
 
@@ -207,9 +213,15 @@ def test_radial_point_rejects_non_finite_values(values):
     lambda: TimeParameter.real(1.0, epsilon=None),
     lambda: compact_spectral(KernelRequest(rs=A2, phi=RadialPoint.real([0.1, 0.2]),
                                            time=TimeParameter.heat(1.0), level_cutoff=2.5)),
+    lambda: predicted_eigenvalues(parse_group("SU(2,1)"), RadialPoint.real([0.1])),
+    lambda: parse_group(5),
+    # SU(2,1) has no domain with two imaginary axes
+    lambda: build_element(parse_group("SU(2,1)"), RadialPoint.mixed([0.3, 0.4], "II")),
+    lambda: canonical_radial(parse_group("SU(2,1)"), RadialPoint.mixed([0.3, 0.4], "II")),
 ], ids=["text-value", "complex-value", "domain-without-signature", "canonicalize-rank",
         "character-rank", "weyl-function-rank", "character-nan", "scalar-values", "scalar-signature",
-        "text-tol", "text-time", "none-epsilon", "fractional-level-cutoff"])
+        "text-tol", "text-time", "none-epsilon", "fractional-level-cutoff", "predicted-eigenvalues-rank",
+        "numeric-group-name", "build-without-domain", "canonical-without-domain"])
 def test_public_boundary_refusals_are_argument_errors(call):
     with pytest.raises(ArgumentError):
         call()
@@ -294,9 +306,23 @@ def test_pathsum_terms_match_prod_reference():
             t = time.effective
             points = enumerate_points(lat, phi, time.decay_scale(), 1e-14, lam=rs.lam)
             terms = _pathsum_terms_by_prod(rs, phi, points, t)
-            got = kernel._pathsum_terms(rs, phi, points, t)
+            got = kernel._pathsum_terms(rs, phi, points, kernel._path_plan(rs, phi.signature, time, 1e-14))
             bound = _pathsum_bound(rs, phi, points, t, terms)
             assert abs(got - terms.sum()) <= bound, (rs.name, phi, time)
+
+
+def test_pathsum_terms_do_not_depend_on_the_factor_block(monkeypatch):
+    """The root factors formed in blocks of points are the columns of the
+    whole product, bit for bit, off walls and on them."""
+    for rs, lat, phi, times in _pathsum_cases():
+        for time in times:
+            plan = kernel._path_plan(rs, phi.signature, time, 1e-14)
+            points = enumerate_points(lat, phi, time.decay_scale(), 1e-14, lam=rs.lam)
+            sums = []
+            for block in (10**9, 7 * len(rs.positive_roots)):
+                monkeypatch.setattr(kernel, "_FACTOR_BLOCK", block)
+                sums.append(kernel._pathsum_terms(rs, phi, points, plan))
+            assert sums[0] == sums[1], (rs.name, phi, time)
 
 
 def _pathsum_terms_by_mpmath(mp, rs, phi, points, t):
@@ -365,7 +391,7 @@ def test_pathsum_terms_match_mpmath(rs, lat, phi, time):
     with mpmath.workdps(40):
         terms = _pathsum_terms_by_mpmath(mpmath.mp, rs, phi, points, t)
         want = complex(mpmath.fsum(terms))
-    got = kernel._pathsum_terms(rs, phi, points, t)
+    got = kernel._pathsum_terms(rs, phi, points, kernel._path_plan(rs, phi.signature, time, 1e-14))
     # the reference errs by about 1e-38 sum_m |term_m|: the whole bound is the code's
     bound = _pathsum_bound(rs, phi, points, t, np.array([complex(z) for z in terms]))
     assert abs(got - want) <= bound, (len(points), abs(got - want), bound)

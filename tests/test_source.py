@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used,
-every module-level private name is read by some module of the package, and
-scipy is imported only inside the rank-1 oracles."""
+every module-level private name is read by some module of the package,
+scipy is imported only inside the rank-1 oracles, and every memoized
+function is keyed by value-hashed parameters."""
 
 import ast
 import pathlib
@@ -122,3 +123,65 @@ def test_scan_finds_misplaced_scipy_imports():
 def test_scipy_is_imported_only_by_rank1_oracles():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert misplaced_scipy_imports(sources) == []
+
+
+# the parameter types a memoized function may be keyed by: hashed by value
+MEMO_KEY_TYPES = {"RootSystem", "GroupFamily", "EvolutionDomain", "WindingLattice", "TimeParameter",
+                  "tuple", "int", "float", "str", "bytes", "bool", "None"}
+
+
+def _annotation_types(node) -> set:
+    """Type names of an annotation, a union split into its members; a
+    string annotation is parsed, anything else names itself in full."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _annotation_types(node.left) | _annotation_types(node.right)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return _annotation_types(ast.parse(node.value, mode="eval").body)
+    if isinstance(node, ast.Constant) and node.value is None:
+        return {"None"}
+    return {node.id if isinstance(node, ast.Name) else ast.unparse(node)}
+
+
+def _is_memoizer(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name in ("cache", "lru_cache")
+
+
+def identity_keyed_memos(sources: dict) -> list:
+    """Parameters of ``functools.cache`` or ``lru_cache`` functions, given a
+    map from module name to source, that are unannotated or annotated with a
+    type outside ``MEMO_KEY_TYPES``: (module, line, function, parameter)."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not any(map(_is_memoizer, node.decorator_list)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            found += [(module, node.lineno, node.name, p.arg) for p in params
+                      if p.annotation is None or not _annotation_types(p.annotation) <= MEMO_KEY_TYPES]
+    return sorted(found)
+
+
+def test_scan_finds_identity_keyed_memos():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.cache\ndef ok(rs: RootSystem, sig: tuple, n: int | None, t: 'TimeParameter'):\n    pass\n"
+        "@functools.lru_cache(maxsize=4)\ndef group_key(group: WeylGroup, k: int):\n    pass\n"
+        "@cache\ndef array_key(a: np.ndarray):\n    pass\n"
+        "@lru_cache\ndef bare(x, *rest: int):\n    pass\n"
+        "def plain(group: WeylGroup):\n    pass\n"
+        "class C:\n    @functools.cache\n    def method(self, y: float):\n        pass\n"
+    )
+    assert identity_keyed_memos({"m.py": source}) == [
+        ("m.py", 7, "group_key", "group"), ("m.py", 10, "array_key", "a"),
+        ("m.py", 13, "bare", "x"), ("m.py", 19, "method", "self"),
+    ]
+
+
+def test_memoized_functions_take_value_hashed_keys():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert identity_keyed_memos(sources) == []
