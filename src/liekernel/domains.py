@@ -609,34 +609,17 @@ def check_defining_relation(family: GroupFamily, g) -> np.ndarray:
         if not cond:
             raise NotInGroupError(f"{family.name}: {msg}")
 
-    if k in (GroupKind.SL, GroupKind.SP) or (k is GroupKind.SO):
+    if k in (GroupKind.SL, GroupKind.SO, GroupKind.SP):
         _req(np.abs(g.imag).max() <= _DEFINING_TOL * scale, "matrix must be real")
-    # g eta by broadcasting, eta being diagonal
-    if k is GroupKind.SU:
-        eta = _eta(family)
+    if k in (GroupKind.SU, GroupKind.SO, GroupKind.USP):
+        # g eta by broadcasting, eta being diagonal; SO's g is real
+        eta, dagger = _eta(family), k is not GroupKind.SO
         _req(
-            np.abs((g * eta.diagonal()) @ g.conj().T - eta).max() <= _DEFINING_TOL * scale**2,
-            "g eta g^dagger != eta",
+            np.abs((g * eta.diagonal()) @ (g.conj().T if dagger else g.T) - eta).max() <= _DEFINING_TOL * scale**2,
+            "g eta g^dagger != eta" if dagger else "g eta g^T != eta",
         )
-    if k is GroupKind.SO:
-        eta = _eta(family)
-        _req(
-            np.abs((g * eta.diagonal()) @ g.T - eta).max() <= _DEFINING_TOL * scale**2,
-            "g eta g^T != eta",
-        )
-    if k is GroupKind.USP:
-        eta = _eta(family)
-        zeta = _zeta(family.p + family.q)
-        _req(
-            np.abs((g * eta.diagonal()) @ g.conj().T - eta).max() <= _DEFINING_TOL * scale**2,
-            "g eta g^dagger != eta",
-        )
-        _req(
-            np.abs(g.T @ zeta @ g - zeta).max() <= _DEFINING_TOL * scale**2,
-            "g^T zeta g != zeta",
-        )
-    if k is GroupKind.SP:
-        zeta = _zeta(family.p)
+    if k in (GroupKind.USP, GroupKind.SP):
+        zeta = _zeta(d // 2)
         _req(
             np.abs(g.T @ zeta @ g - zeta).max() <= _DEFINING_TOL * scale**2,
             "g^T zeta g != zeta",
@@ -935,7 +918,7 @@ def _least_cost_pairing(cost: list) -> list:
                 if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
                     index, lowest = it, spc[j]
             if lowest == math.inf:
-                raise ValueError("cost matrix has no finite pairing")
+                raise InternalError("cost matrix has no finite pairing")
             min_val = lowest
             j = remaining[index]
             if row4col[j] == -1:
@@ -1008,14 +991,12 @@ def build_element(family: GroupFamily, point: RadialPoint) -> np.ndarray:
     _signature_domain(family, point.signature)
     cv = point.complex_vector()
     k = family.kind
-    if k in (GroupKind.SU, GroupKind.SL):
-        g = _build_a_family(family, sys, cv)
-    elif k is GroupKind.SO:
+    if k is GroupKind.SO:
         g = _build_so(family, sys, cv)
-    elif k is GroupKind.USP:
-        g = _build_usp(family, sys, cv)
-    else:
+    elif k is GroupKind.SP:
         g = _build_sp(family, sys, cv)
+    else:
+        g = _build_unitary(family, sys, cv)
 
     check_defining_relation(family, g)
     if not _eigen_multiset_close(sys, point, np.linalg.eigvals(g)):
@@ -1035,81 +1016,88 @@ def _slot_values(sys: _System, slot, cv: np.ndarray) -> list:
     return [complex(sys.weights[i] @ cv) for i in idxs]
 
 
-def _build_a_family(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.ndarray:
-    n = family.matrix_dim
-    g = np.zeros((n, n), dtype=complex)
-    if family.kind is GroupKind.SU:
-        plus = list(range(family.p))
-        minus = list(range(family.p, n))
-    else:
-        plus = list(range(n))
-        minus = []
+def _rot(a):
+    """[[cos a, -sin a], [sin a, cos a]]."""
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, -s], [s, c]])
+
+
+def _boost(u):
+    """[[cosh u, sinh u], [sinh u, cosh u]]."""
+    ch, sh = np.cosh(u), np.sinh(u)
+    return np.array([[ch, sh], [sh, ch]])
+
+
+def _place(g, axes, block):
+    """Write ``block`` onto the rows and columns ``axes`` of g, entry by entry."""
+    for a, i in enumerate(axes):
+        for b, j in enumerate(axes):
+            g[i, j] = block[a, b]
+
+
+def _build_unitary(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.ndarray:
+    """SU(p,q), SL(n,R) and USp(2p,2q) normal forms on n = p + q axes.
+
+    A pair of exponents off the unit circle is one 2 x 2 block:
+    e^{i chi} boost(u) on a + and a - axis for SU and USp, r rot(psi) on two
+    + axes for SL (all of whose axes are +).  Every other exponent c is a
+    unit eigenvalue e^{ic} on one axis, a + axis only while more are left
+    than the blocks still to come need.  USp repeats each block at axes n + i
+    as e^{-i chi} boost(-u), and each unit eigenvalue as e^{-ic}: SU(p,q)'s
+    form with its inverse-transpose mirror.
+    """
+    k = family.kind
+    n = family.p + family.q
+    g = np.zeros((family.matrix_dim,) * 2, dtype=complex)
+    plus, minus = list(range(family.p)), list(range(family.p, n))
+    # in slot order, unit exponents and (axis pools, block, USp mirror) triples;
+    # need counts the + axes of the blocks still to place
+    parts, need = [], 0
     for slot in sys.slots:
         cs = _slot_values(sys, slot, cv)
-        if slot[0] == "asingle":
-            (c,) = cs
-            lam = np.exp(1j * c)
-            _place_diag(g, plus, minus, lam, family)
-        elif family.kind is GroupKind.SU:
-            c1, c2 = cs
-            if abs(c1.imag) < 1e-12 and abs(c2.imag) < 1e-12:
-                _place_diag(g, plus, minus, np.exp(1j * c1), family)
-                _place_diag(g, plus, minus, np.exp(1j * c2), family)
-            else:
-                if abs(c1.real - c2.real) > 1e-9:
-                    raise InternalError("hyperbolic pair must share its phase")
-                i, j = plus.pop(0), minus.pop(0)
-                g[np.ix_([i, j], [i, j])] = _hyperbolic(c1.real, -c1.imag)
-        else:  # SL(n,R): conjugate pair r e^{+-i psi} or two real eigenvalues
-            c1, c2 = cs
-            if abs(c1.real) < 1e-12 and abs(c2.real) < 1e-12:
-                _place_diag(g, plus, minus, np.exp(1j * c1), family)
-                _place_diag(g, plus, minus, np.exp(1j * c2), family)
-            else:
-                if abs(c1.imag - c2.imag) > 1e-9:
-                    raise InternalError("conjugate pair must share its modulus")
-                i, j = plus.pop(0), plus.pop(0)
-                r, psi = np.exp(-c1.imag), c1.real
-                g[np.ix_([i, j], [i, j])] = r * np.array(
-                    [[np.cos(psi), -np.sin(psi)], [np.sin(psi), np.cos(psi)]]
-                )
+        if k is GroupKind.USP and len(cs) == 1 and abs(cs[0].imag) > 1e-12:
+            raise InternalError("lone symplectic pairs stay on the unit circle")
+        if len(cs) == 1 or all(abs(c.real if k is GroupKind.SL else c.imag) < 1e-12 for c in cs):
+            parts += cs
+            continue
+        c1, c2 = cs
+        if k is GroupKind.SL:
+            if abs(c1.imag - c2.imag) > 1e-9:
+                raise InternalError("conjugate pair must share its modulus")
+            parts.append(((plus, plus), np.exp(-c1.imag) * _rot(c1.real), None))
+            need += 2
+            continue
+        if k is GroupKind.SU and abs(c1.real - c2.real) > 1e-9:
+            raise InternalError("hyperbolic pair must share its phase")
+        chi, u = c1.real, -c1.imag
+        mirror = np.exp(-1j * chi) * _boost(-u) if k is GroupKind.USP else None
+        parts.append(((plus, minus), np.exp(1j * chi) * _boost(u), mirror))
+        need += 1
+    for part in parts:
+        if isinstance(part, complex):
+            i = (plus if len(plus) > need else minus).pop(0)
+            if k is GroupKind.USP:
+                g[i, i], g[n + i, n + i] = np.exp(1j * part.real), np.exp(-1j * part.real)
+                continue
+            lam = np.exp(1j * part)
+            if k is GroupKind.SL and abs(lam.imag) > 1e-9:
+                raise InternalError("real unimodular normal form needs real lone eigenvalues")
+            g[i, i] = lam if k is GroupKind.SU else lam.real
+            continue
+        pools, block, mirror = part
+        axes = [pool.pop(0) for pool in pools]
+        need -= sum(pool is plus for pool in pools)
+        _place(g, axes, block)
+        if mirror is not None:
+            _place(g, [n + i for i in axes], mirror)
     return g
-
-
-def _place_diag(g, plus, minus, lam, family):
-    if family.kind is GroupKind.SL and abs(lam.imag) > 1e-9:
-        raise InternalError("real unimodular normal form needs real lone eigenvalues")
-    pool = plus if plus else minus
-    i = pool.pop(0)
-    g[i, i] = lam if family.kind is GroupKind.SU else lam.real
-
-
-def _hyperbolic(chi, u):
-    """e^{i chi} [[cosh u, sinh u], [sinh u, cosh u]]."""
-    ch, sh = np.cosh(u), np.sinh(u)
-    return np.exp(1j * chi) * np.array([[ch, sh], [sh, ch]])
-
-
-def _so_rot(n, i, j, angle):
-    m = np.eye(n)
-    m[i, i] = m[j, j] = np.cos(angle)
-    m[i, j] = -np.sin(angle)
-    m[j, i] = np.sin(angle)
-    return m
-
-
-def _so_boost(n, i, j, u):
-    m = np.eye(n)
-    m[i, i] = m[j, j] = np.cosh(u)
-    m[i, j] = m[j, i] = np.sinh(u)
-    return m
 
 
 def _build_so(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.ndarray:
     """Rotation, boost and mixed-plane blocks placed on the axes in one pass.
 
-    Boost and mixed planes span one + and one - axis each; a rotation then
-    takes two + axes while two are left, else two - axes.  A zero exponent
+    A boost plane spans one + and one - axis, a mixed plane two of each; a
+    rotation then takes two + axes while two are left, else two - axes.  A zero exponent
     takes none, and unused axes (the zero weight's among them) stay fixed.
     The point fixes the planes and a rotation needs only a same-sign pair,
     so no other placement succeeds where this one runs out of axes.
@@ -1132,77 +1120,31 @@ def _build_so(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.ndarray:
     g = np.eye(n)
     try:
         for angle, u in mixed:
-            # diag(R, R) on (p1,p2 | m1,m2) commutes with the boosts [[0, I], [I, 0]]
-            p1, p2, m1, m2 = plus.pop(0), plus.pop(0), minus.pop(0), minus.pop(0)
-            g = g @ _so_rot(n, p1, p2, angle) @ _so_rot(n, m1, m2, angle)
-            g = g @ _so_boost(n, p1, m1, u) @ _so_boost(n, p2, m2, u)
+            # diag(R, R) on (p1,p2 | m1,m2) commutes with the boosts [[0, I], [I, 0]], so
+            # their product is the outer product boost (x) R, one product per entry
+            block = np.multiply.outer(_boost(u), _rot(angle)).transpose(0, 2, 1, 3).reshape(4, 4)
+            _place(g, (plus.pop(0), plus.pop(0), minus.pop(0), minus.pop(0)), block)
         for u in boosts:
-            g = g @ _so_boost(n, plus.pop(0), minus.pop(0), u)
+            _place(g, (plus.pop(0), minus.pop(0)), _boost(u))
         for angle in rots:
             pool = plus if len(plus) >= 2 else minus
-            g = g @ _so_rot(n, pool.pop(0), pool.pop(0), angle)
+            _place(g, (pool.pop(0), pool.pop(0)), _rot(angle))
     except IndexError:
         raise InternalError(f"no axis allocation realizes this domain of {family.name}") from None
     return g
 
 
-def _build_usp(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.ndarray:
-    nslots = family.p + family.q
-    g = np.eye(2 * nslots, dtype=complex)
-    plus = list(range(family.p))
-    minus = list(range(family.p, nslots))
-
-    def put_unit_pair(c):
-        pool = plus if plus else minus
-        i = pool.pop(0)
-        g[i, i] = np.exp(1j * c.real)
-        g[nslots + i, nslots + i] = np.exp(-1j * c.real)
-
-    for slot in sys.slots:
-        cs = _slot_values(sys, slot, cv)
-        if slot[0] == "pair":
-            (c,) = cs
-            if abs(c.imag) > 1e-12:
-                raise InternalError("lone symplectic pairs stay on the unit circle")
-            put_unit_pair(c)
-        else:
-            c1, c2 = cs
-            if abs(c1.imag) < 1e-12 and abs(c2.imag) < 1e-12:
-                put_unit_pair(c1)
-                put_unit_pair(c2)
-            else:
-                # exp of a = [[i chi, u], [u, i chi]] on (i, j) and of -a^T on (n+i, n+j)
-                chi, u = c1.real, -c1.imag
-                i, j = plus.pop(0), minus.pop(0)
-                g[np.ix_([i, j], [i, j])] = _hyperbolic(chi, u)
-                g[np.ix_([nslots + i, nslots + j], [nslots + i, nslots + j])] = _hyperbolic(-chi, -u)
-    return g
-
-
 def _build_sp(family: GroupFamily, sys: _System, cv: np.ndarray) -> np.ndarray:
-    nslots = family.p
-    g = np.zeros((2 * nslots, 2 * nslots))
-    free = list(range(nslots))
-
-    def put_pair(c):
-        i = free.pop(0)
+    """Sp(2n,R) normal form: the k-th exponent c, in slot order, on axes
+    (k, n + k) as rot(c).T, or as diag(e^u, e^-u) for c = -iu."""
+    n = family.p
+    g = np.zeros((2 * n, 2 * n))
+    for i, c in enumerate(c for slot in sys.slots for c in _slot_values(sys, slot, cv)):
         if abs(c.imag) < 1e-12:
-            a = c.real
-            g[i, i] = g[nslots + i, nslots + i] = np.cos(a)
-            g[i, nslots + i] = np.sin(a)
-            g[nslots + i, i] = -np.sin(a)
+            block = _rot(c.real).T
+        elif abs(c.real) > 1e-9:
+            raise InternalError("real symplectic pairs are purely rotational or hyperbolic")
         else:
-            if abs(c.real) > 1e-9:
-                raise InternalError("real symplectic pairs are purely rotational or hyperbolic")
-            u = -c.imag
-            g[i, i] = np.exp(u)
-            g[nslots + i, nslots + i] = np.exp(-u)
-
-    for slot in sys.slots:
-        cs = _slot_values(sys, slot, cv)
-        if slot[0] == "pair":
-            put_pair(cs[0])
-        else:
-            put_pair(cs[0])
-            put_pair(cs[1])
+            block = np.diag([np.exp(-c.imag), np.exp(c.imag)])
+        _place(g, (i, n + i), block)
     return g

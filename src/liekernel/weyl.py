@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, InternalError, SingularPointError
+from .errors import ArgumentError, InternalError, ResourceError, SingularPointError
 from .rootsys import RootSystem
 
 __all__ = [
@@ -124,9 +124,22 @@ def _close_group(gens, start, name: str, weights: np.ndarray | None = None) -> W
 
 @functools.cache
 def generate_weyl_group(rs: RootSystem) -> WeylGroup:
-    """Closure of the simple-root reflections, deduplicated on a rounded grid."""
+    """Closure of the simple-root reflections, deduplicated on a rounded grid.
+
+    A group of more than ``_CLOSURE_CAP`` elements is refused before any
+    product, by its closed-form order: (r+1)! for A_r, 2^r r! for B_r and
+    C_r, 2^(r-1) r! for D_r.
+    """
+    r = rs.rank
+    order = math.factorial(r) * {"A": r + 1, "B": 2**r, "C": 2**r, "D": 2 ** (r - 1)}[rs.family]
+    name = f"the Weyl group of {rs.name}"
+    if order > _CLOSURE_CAP:
+        raise ResourceError(f"{name} has {order} elements, more than the closure cap {_CLOSURE_CAP}")
     gens = [reflection_matrix(g) for g in rs.simple_roots]
-    return _close_group(gens, [np.eye(rs.rank)], f"the Weyl group of {rs.name}", rs.weights)
+    group = _close_group(gens, [np.eye(r)], name, rs.weights)
+    if group.order != order:
+        raise InternalError(f"closure of {name} has {group.order} elements, not {order}")
+    return group
 
 
 def _check_point(phi, rank: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from liekernel import (
     ArgumentError,
     ClassificationError,
     ConfigurationError,
+    LieKernelError,
     NotInGroupError,
     RadialPoint,
     build_element,
@@ -310,7 +311,12 @@ def test_conjugation_invariance_higher_rank(name):
 def test_closed_form_blocks_match_expm():
     from scipy.linalg import expm
 
-    from liekernel.domains import _hyperbolic, _so_boost, _so_rot
+    from liekernel.domains import _boost, _place, _rot
+
+    def placed(g, axes, block):
+        g = g.astype(np.result_type(g, block))
+        _place(g, axes, block)
+        return g
 
     # parameters as the domain tests draw them; at larger generator norms
     # expm's own scaling-and-squaring error passes 1e-14 first
@@ -322,13 +328,61 @@ def test_closed_form_blocks_match_expm():
         x[p1, p2], x[p2, p1] = -angle, angle
         x[m1, m2], x[m2, m1] = -angle, angle
         x[p1, m1] = x[m1, p1] = x[p2, m2] = x[m2, p2] = u
-        closed = _so_rot(6, p1, p2, angle) @ _so_rot(6, m1, m2, angle)
-        closed = closed @ _so_boost(6, p1, m1, u) @ _so_boost(6, p2, m2, u)
+        # the outer product boost(u) (x) rot(angle), as _build_so forms it
+        block = np.multiply.outer(_boost(u), _rot(angle)).transpose(0, 2, 1, 3).reshape(4, 4)
+        closed = placed(np.eye(6), (p1, p2, m1, m2), block)
         assert np.abs(closed - expm(x)).max() <= 1e-14 * np.abs(closed).max()
         # USp hyperbolic quartet: exp of a on (i, j) and of -a^T on (n+i, n+j)
         a = np.array([[1j * angle, u], [u, 1j * angle]])
-        for block, gen in ((_hyperbolic(angle, u), a), (_hyperbolic(-angle, -u), -a.T)):
+        for block, gen in ((np.exp(1j * angle) * _boost(u), a), (np.exp(-1j * angle) * _boost(-u), -a.T)):
             assert np.abs(block - expm(gen)).max() <= 1e-14 * np.abs(block).max()
+        # the other blocks, each placed as its builder places it, against the
+        # exponential of its generator placed on the same axes
+        for closed, axes, gen in (
+            # SL(3,R) conjugate pair e^{-u} rot(angle) on two + axes
+            (placed(np.eye(3, dtype=complex), (0, 2), np.exp(-u) * _rot(angle)), (0, 2),
+             [[-u, -angle], [angle, -u]]),
+            # Sp(6,R) rotation and diagonal boost on (i, n + i)
+            (placed(np.eye(6), (1, 4), _rot(angle).T), (1, 4), [[0.0, angle], [-angle, 0.0]]),
+            (placed(np.eye(6), (1, 4), np.diag([np.exp(u), np.exp(-u)])), (1, 4), [[u, 0.0], [0.0, -u]]),
+        ):
+            want = expm(placed(np.zeros(closed.shape), axes, np.array(gen)))
+            assert np.abs(closed - want).max() <= 1e-14 * np.abs(closed).max()
+
+
+@pytest.mark.parametrize("name", CATALOGUE_GROUPS)
+def test_zero_patterns_build_and_classify_or_refuse(name):
+    # every domain, every set of zeroed coordinates, both signs, raw and
+    # canonicalized: a zero puts the point on a domain boundary or gives a
+    # unit eigenvalue, which the builders must place without running out of
+    # axes; a failure is a typed refusal
+    fam = parse_group(name)
+    rng = np.random.default_rng(707)
+    subsets = [zeros for k in range(fam.rank + 1) for zeros in itertools.combinations(range(fam.rank), k)]
+    for dom in enumerate_domains(fam):
+        base = rng.uniform(0.15, 1.5, fam.rank)
+        for zeros in subsets:
+            for sign in (1.0, -1.0):
+                values = sign * base
+                values[list(zeros)] = 0.0
+                raw = RadialPoint(tuple(values), dom.signature)
+                for point in (raw, canonical_radial(fam, raw)):
+                    try:
+                        classify_element(fam, build_element(fam, point))
+                    except LieKernelError:
+                        pass
+
+
+@pytest.mark.parametrize("values", [(0.0, 0.7, 0.7), (0.0, -0.7, -0.7), (0.0, 0.0, 0.7), (0.0, 0.0, -0.7)])
+def test_su22_unit_pair_leaves_the_boost_a_plus_axis(values):
+    # the zero-theta pair's unit eigenvalues take one + and one - axis, since
+    # the boost still to come needs the other + axis
+    fam = parse_group("SU(2,2)")
+    point = RadialPoint(values, ("I", "R", "I"))
+    g = build_element(fam, point)
+    assert domain_of_radial(fam, point).label == "D1"
+    assert _pairing_residual(predicted_eigenvalues(fam, point), np.linalg.eigvals(g)) < 1e-12
+    classify_element(fam, g)
 
 
 @pytest.mark.parametrize("values", [(0.0, 0.7, 0.0), (0.7, 0.0, 0.7)])

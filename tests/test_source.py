@@ -1,7 +1,7 @@
 """Source hygiene: every name a module of the package imports is used,
 every module-level private name is read by some module of the package,
-scipy is imported only inside the rank-1 oracles, and every memoized
-function is keyed by value-hashed parameters."""
+scipy is imported only inside the rank-1 oracles, every memoized
+function is keyed by value-hashed parameters, and every raise is typed."""
 
 import ast
 import pathlib
@@ -185,3 +185,45 @@ def test_scan_finds_identity_keyed_memos():
 def test_memoized_functions_take_value_hashed_keys():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert identity_keyed_memos(sources) == []
+
+
+def untyped_raises(sources: dict) -> list:
+    """``raise`` statements, given a map from module name to source, that
+    raise neither a class deriving from ``LieKernelError`` (by the class
+    definitions in ``sources``) nor the exception of an ``except ... as``
+    clause of the same module: (module, line).  A bare ``raise`` re-raises."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    bases = {node.name: [ast.unparse(b).split(".")[-1] for b in node.bases]
+             for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def typed(name):
+        return name == "LieKernelError" or any(typed(b) for b in bases.get(name, ()) if b != name)
+
+    found = []
+    for module, tree in trees.items():
+        caught = {node.name for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.name}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
+            if not (typed(name) or (isinstance(node.exc, ast.Name) and name in caught)):
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_scan_finds_untyped_raises():
+    sources = {
+        "errors.py": ("class LieKernelError(Exception):\n    pass\n"
+                      "class Bad(LieKernelError, ValueError):\n    pass\n"),
+        "m.py": ("from . import errors\ndef f(x):\n    if x:\n        raise ValueError('no')\n    try:\n"
+                 "        g()\n    except KeyError:\n        raise\n    except OSError as err:\n"
+                 "        raise err\n    raise errors.Bad('typed')\n    raise Bad\n    raise KeyError\n"
+                 "    raise LieKernelError('base')\n    raise exc\n"),
+    }
+    assert untyped_raises(sources) == [("m.py", 4), ("m.py", 13), ("m.py", 15)]
+
+
+def test_every_raise_is_typed():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert untyped_raises(sources) == []

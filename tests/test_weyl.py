@@ -3,6 +3,8 @@ import pytest
 
 from liekernel import (
     ArgumentError,
+    InternalError,
+    ResourceError,
     build_root_system,
     casimir_eigenvalue,
     character,
@@ -10,8 +12,8 @@ from liekernel import (
     generate_weyl_group,
     weyl_function,
 )
-from liekernel import checks
-from liekernel.weyl import weight_orbit, weyl_order_from_intertwiner
+from liekernel import checks, weyl
+from liekernel.weyl import WeylGroup, weight_orbit, weyl_order_from_intertwiner
 
 RNG = np.random.default_rng(20240817)
 
@@ -21,6 +23,29 @@ RNG = np.random.default_rng(20240817)
 )
 def test_weyl_orders(family, rank, order):
     assert checks.weyl_orders([(family, rank, order)]) == 0
+
+
+@pytest.mark.parametrize("family,rank,order", [("A", 9, 3628800), ("B", 8, 10321920), ("D", 9, 92897280)])
+def test_weyl_group_beyond_the_closure_cap_is_refused_up_front(monkeypatch, family, rank, order):
+    def no_closure(*args):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(weyl, "_close_group", no_closure)
+    with pytest.raises(ResourceError, match=f"{family}{rank} has {order} elements"):
+        generate_weyl_group(build_root_system(family, rank))
+
+
+def test_weyl_group_closure_has_the_closed_form_order(monkeypatch):
+    orders = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120, ("B", 2): 8,
+              ("B", 3): 48, ("C", 2): 8, ("C", 3): 48, ("D", 3): 24, ("D", 4): 192}
+    assert sorted(orders) == sorted(checks.SYSTEMS)
+    for (family, rank), order in orders.items():
+        assert generate_weyl_group(build_root_system(family, rank)).order == order
+    # a closure that comes out short is caught
+    close = weyl._close_group
+    monkeypatch.setattr(weyl, "_close_group", lambda *args: WeylGroup(close(*args).elements[:-1]))
+    with pytest.raises(InternalError, match="7 elements, not 8"):
+        generate_weyl_group.__wrapped__(build_root_system("B", 2))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3)])
