@@ -20,7 +20,14 @@ from .domains import (
     root_system_of,
 )
 from .domains import _pairing_residual
-from .errors import ArgumentError, ConfigurationError, LieKernelError, NotInGroupError, SingularPointError
+from .errors import (
+    ArgumentError,
+    ConfigurationError,
+    LieKernelError,
+    NotInGroupError,
+    ResourceError,
+    SingularPointError,
+)
 from .lattice import IMAGINARY, RadialPoint, domain_sublattice, winding_lattice
 from .rootsys import build_root_system, cartan_matrix, rescale
 from .volumes import volume_report
@@ -538,7 +545,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse rejected a flag or a config value
         return 2 if exc.code not in (0, None) else 0
-    except (ArgumentError, ConfigurationError, NotInGroupError, FileNotFoundError) as exc:
+    except (ArgumentError, ConfigurationError, NotInGroupError, ResourceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LieKernelError as exc:

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .lattice import REAL, RadialPoint, domain_sublattice, winding_lattice
-from .lattice import _ellipsoid_points, _row_sums_in_place, _window, _window_points
+from .lattice import _POINT_CAP, _ellipsoid_points, _window, _window_select
 from .rootsys import RootSystem
 from .volumes import coset_volume, group_volume
 from .weyl import generate_weyl_group, orbit_sums, split_levels, wall_denominator
@@ -198,10 +198,11 @@ def _path_plan(rs: RootSystem, signature: tuple, time: TimeParameter, tol: float
     }
 
 
-def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, plan: dict) -> complex:
-    """Sum of van Vleck terms over the given winding points, from real rows
-    x_m = phi + 2 pi m: theta enters as constants, i beta.theta and -theta^2;
-    ``plan`` is the ``_path_plan`` of phi's signature.
+def _pathsum_terms(rs: RootSystem, phi: RadialPoint, plan: dict) -> complex:
+    """Sum of van Vleck terms over the window's points of phi's winding
+    sublattice, from real rows x_m = phi + 2 pi m: theta enters as
+    constants, i beta.theta and -theta^2; ``plan`` is the ``_path_plan`` of
+    phi's signature.
 
     On a wall, the s^k coefficient of prod_beta beta.(z_m + s d) exp(i lam
     (z_m + s d)^2 / 4t), z_m = x_m + i theta, over that of the denominator:
@@ -212,47 +213,79 @@ def _pathsum_terms(rs: RootSystem, phi: RadialPoint, points: np.ndarray, plan: d
     # real root products on a compact point, formed as the numerators' are
     roots, w = wall_denominator(rs, x0 if phi.is_compact else phi.complex_vector(), direction)
     k = len(roots)
-    x = points.T * (2.0 * np.pi)
-    # the window's arrays are the largest here: each is freed once read (the
-    # caller's points too, when it passes them without keeping a reference)
-    del points
-    x += x0[:, None]
+    table, index, axes, _ = _window_select(plan["sub"], x0, plan["window"])
     shift = None if phi.is_compact else 1j * (rs.positive_roots @ theta)[:, None]
-    nums = np.empty(x.shape[1], dtype=float if shift is None and not k else complex)
-    # the root factors in blocks of points, each column as the whole product forms it
+    nums = np.empty(index.shape[1], dtype=float if shift is None and not k else complex)
+    # the points gathered and their root factors formed in blocks, each
+    # column as the whole product forms it
     step = max(1, _FACTOR_BLOCK // len(rs.positive_roots))
-    for start in range(0, x.shape[1], step):
+    for start in range(0, index.shape[1], step):
         cols = slice(start, start + step)
-        factors = rs.positive_roots @ x[:, cols]
+        x = table.take(index[:, cols])
+        factors = rs.positive_roots @ x
         if shift is not None:
             factors = factors + shift
-        nums[cols] = _numerators(rs, factors, x[:, cols], plan, k) if k else np.prod(factors, axis=0)
-    # (x_m + i theta)^2 = |x_m|^2 - |theta|^2: x_m vanishes on the imaginary axes
-    norms = _row_sums_in_place(np.multiply(x, x, out=x))
-    norms -= theta @ theta
-    phases = 1j * rs.lam * norms
-    # divided point by point: a rounded i lam / 4t shared by all terms moves them coherently
-    phases /= 4.0 * t
-    phases += plan["rho_phase"]
+        if k:
+            # d.x_m added axis by axis: a matrix-vector product's columns depend on its length
+            nums[cols] = _numerators(rs, factors, (direction[:, None] * x).sum(axis=0), plan, k)
+        else:
+            nums[cols] = factors.prod(axis=0)
+    gauss = _gaussians(rs, theta, table, index, axes, plan)
     # a BLAS dot of this length can wait milliseconds on a second thread
-    return complex(np.multiply(np.exp(phases, out=phases), nums, out=phases).sum()) / (2.0**rs.p * w)
+    return complex(np.multiply(gauss, nums, out=gauss).sum()) / (2.0**rs.p * w)
 
 
-def _numerators(rs: RootSystem, factors: np.ndarray, x: np.ndarray, plan: dict, k: int) -> np.ndarray:
-    """Wall numerators of the points x (one column each) with root factors
-    ``factors``: the s^k coefficient of prod_beta (u_beta + s v_beta)
-    exp(a s + b s^2)."""
+def _gaussians(rs: RootSystem, theta: np.ndarray, table: np.ndarray, index: np.ndarray, axes: tuple,
+               plan: dict) -> np.ndarray:
+    """exp(i lam (|x_m|^2 - |theta|^2) / 4t + i rho^2 t / lam) for the points
+    of a ``_window_select`` table, as the product over the axes of
+    exp(i lam x_j^2 / 4t): one exp per table entry, and one gathered factor
+    per point and axis that takes more than one value.
+
+    The constant goes into the table of the axis with the most values,
+    together with the squares of the axes of one value, added in axis
+    order: where at most one axis varies, each point's exponent is the one
+    its whole squared norm gives, bit for bit.
+    """
+    t = plan["t"]
+    counts = [a.stop - a.start for a in axes]
+    main = counts.index(max(counts))
+    squares = table * table
+    norms = None
+    for j, a in enumerate(axes):
+        if j == main or counts[j] == 1:
+            norms = squares[a] if norms is None else norms + squares[a]
+    # (x_m + i theta)^2 = |x_m|^2 - |theta|^2: x_m vanishes on the imaginary axes
+    squares[axes[main]] = norms - theta @ theta
+    phases = 1j * rs.lam * squares
+    # divided entry by entry: a rounded i lam / 4t shared by all terms moves them coherently
+    phases /= 4.0 * t
+    phases[axes[main]] += plan["rho_phase"]
+    factors = np.exp(phases, out=phases)
+    gauss = factors.take(index[main])
+    varying = [j for j in range(len(axes)) if j != main and counts[j] > 1]
+    if varying:
+        term = np.empty_like(gauss)
+        for j in varying:
+            gauss *= factors.take(index[j], out=term, mode="clip")
+    return gauss
+
+
+def _numerators(rs: RootSystem, factors: np.ndarray, along: np.ndarray, plan: dict, k: int) -> np.ndarray:
+    """Wall numerators of points with root factors ``factors`` (one column
+    each) and products d.x_m ``along``: the s^k coefficient of
+    prod_beta (u_beta + s v_beta) exp(a s + b s^2)."""
     direction, t = plan["direction"], plan["t"]
     # prod_beta (u_beta + s v_beta) to order s^k, one column per point
-    poly = np.zeros((k + 1, x.shape[1]), dtype=complex)
+    poly = np.zeros((k + 1, len(along)), dtype=complex)
     poly[0] = 1.0
     for u, v in zip(factors, plan["slopes"]):
         poly[1:] = poly[1:] * u + poly[:-1] * v
         poly[0] *= u
     c = 1j * rs.lam / (4.0 * t)
-    a, b = 2.0 * c * (direction @ x), c * (direction @ direction)
+    a, b = 2.0 * c * along, c * (direction @ direction)
     # exp(a s + b s^2) has coefficients g_{n+1} = (a g_n + 2 b g_{n-1}) / (n + 1)
-    gauss = [np.ones(x.shape[1]), a]
+    gauss = [np.ones(len(along)), a]
     for n in range(1, k):
         gauss.append((a * gauss[n] + 2.0 * b * gauss[n - 1]) / (n + 1))
     return sum(poly[j] * gauss[k - j] for j in range(k + 1))
@@ -281,34 +314,31 @@ def _pathsum(req: KernelRequest) -> KernelValue:
     signature: the whole lattice when no axis is imaginary."""
     rs = req.rs
     plan = _path_plan(rs, req.phi.signature, req.time, req.tol)
-    # no reference kept: the points are freed inside, once read
-    terms = _pathsum_terms(rs, req.phi, _window_points(plan["sub"], req.phi.phi_vector(), plan["window"]), plan)
-    value = plan["prefactor"] * terms
+    value = plan["prefactor"] * _pathsum_terms(rs, req.phi, plan)
     return KernelValue(value, *_pathsum_tag(rs, req, plan["t"]))
 
 
-def _spectral_levels(rs: RootSystem, t_like: float, tol: float, level_cutoff: int | None):
+def _spectral_levels(rs: RootSystem, t_like: float, tol: float, level_cutoff: int | None,
+                     cap: int = _POINT_CAP):
     """Dominant weights retained by the spectral truncation rule.
 
     Retains every l whose Boltzmann-like weight exp(-lambda_l * t_like) is
     within tol * 1e-6 of the largest (the margin absorbs dimension growth),
     i.e. every l >= 0 with |l + rho|^2 <= rho^2 + lam * lambda_cut, in
     lexicographic order.  ``level_cutoff`` keeps the cube 0 <= l_i <= cutoff
-    instead.
+    instead.  The search raises ``ResourceError`` at its first layer of more
+    than ``cap`` candidates, before it is built.
     """
     if level_cutoff is not None:
         return np.indices((level_cutoff + 1,) * rs.rank).reshape(rs.rank, -1).T
     lam_cut = math.log(1.0 / (tol * 1e-6)) / t_like
-    labels, _ = _ellipsoid_points(rs.weights, rs.rho, 1.0, rs.rho @ rs.rho + rs.lam * lam_cut, lower=0)
+    labels, _ = _ellipsoid_points(rs.weights, rs.rho, 1.0, rs.rho @ rs.rho + rs.lam * lam_cut, lower=0, cap=cap)
     return labels
 
 
-def _check_orbit_cap(levels: int, images: int) -> None:
-    if levels * images > _ORBIT_CAP:
-        raise ResourceError(
-            f"spectral table needs {levels} levels x {images} Weyl images "
-            f"(> {_ORBIT_CAP} orbit entries); use the path sum"
-        )
+def _orbit_cap_message(levels, images: int) -> str:
+    return (f"spectral table needs {levels} levels x {images} Weyl images "
+            f"(> {_ORBIT_CAP} orbit entries); use the path sum")
 
 
 # (system, time) pairs whose spectral data stay resident, the time rounded to
@@ -316,13 +346,20 @@ def _check_orbit_cap(levels: int, images: int) -> None:
 @functools.lru_cache(maxsize=64)
 def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int | None):
     """Representation data for the retained dominant weights l: (lambda_l,
-    d_l, split, d_l / V_G), ``split`` the levels' ``weyl.split_levels``."""
+    d_l, split, d_l / V_G), ``split`` the levels' ``weyl.split_levels``.
+
+    A table of more than ``_ORBIT_CAP`` orbit entries is refused before its
+    levels are built: the cube of ``level_cutoff`` by its size, the search
+    at its first layer of more levels than the cap leaves."""
     group = generate_weyl_group(rs)
-    if level_cutoff is not None:
-        # the cube's size, in Python integers, before it is built
-        _check_orbit_cap((level_cutoff + 1) ** rs.rank, group.order)
-    labels = _spectral_levels(rs, t_like, tol, level_cutoff)
-    _check_orbit_cap(len(labels), group.order)
+    cap = _ORBIT_CAP // group.order
+    # the cube's size, in Python integers, before it is built
+    if level_cutoff is not None and (level_cutoff + 1) ** rs.rank > cap:
+        raise ResourceError(_orbit_cap_message((level_cutoff + 1) ** rs.rank, group.order))
+    try:
+        labels = _spectral_levels(rs, t_like, tol, level_cutoff, cap)
+    except ResourceError as exc:
+        raise ResourceError(_orbit_cap_message(f"more than {cap}", group.order)) from exc
     nvecs = (labels + 1) @ rs.weights
     lam_l = (np.einsum("li,li->l", nvecs, nvecs) - rs.rho @ rs.rho) / rs.lam
     dims = np.prod(nvecs @ rs.positive_roots.T, axis=1) / np.prod(rs.positive_roots @ rs.rho)

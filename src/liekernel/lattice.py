@@ -275,16 +275,18 @@ def _sublattice(lat: WindingLattice, signature: tuple) -> WindingLattice:
     return WindingLattice(generators=rel.astype(float) @ lat.generators, coeffs=rel @ lat.coeffs)
 
 
-def _ellipsoid_points(gens, x0, scale: float, radius2: float, lower: int | None = None):
+def _ellipsoid_points(gens, x0, scale: float, radius2: float, lower: int | None = None,
+                      cap: int = _POINT_CAP):
     """Integer c with |x0 + scale * c @ gens|^2 <= radius2 (Fincke-Pohst).
 
     With gram = L L^T and y = c - c_min (c_min the real minimizer, perp the
     residual off the span) the squared norm is |perp|^2 + |L^T y|^2, and
     (L^T y)_i involves only y_i..y_last.  Coordinates are fixed from the last
     one down within the budget the fixed ones leave, one vectorized layer at
-    a time, each checked against the point cap before it is allocated.
-    ``lower`` bounds every coefficient from below.  Returns ``(coeffs, d2)``
-    with ``coeffs`` in lexicographic order.
+    a time, each checked against ``cap`` before it is allocated, so a search
+    past the cap is refused at its first layer of more than ``cap``
+    candidates.  ``lower`` bounds every coefficient from below.  Returns
+    ``(coeffs, d2)`` with ``coeffs`` in lexicographic order.
     """
     basis = scale * gens
     dim = len(basis)
@@ -305,9 +307,9 @@ def _ellipsoid_points(gens, x0, scale: float, radius2: float, lower: int | None 
         # counted in floats, so a reach beyond the integers is refused too
         counts = np.maximum(np.floor(center + reach) - lo + 1, 0)
         total = counts.sum()
-        if not total <= _POINT_CAP:
+        if not total <= cap:
             raise ResourceError(
-                f"lattice cutoff needs ~{total:.3g} candidate points (> {_POINT_CAP}); "
+                f"lattice cutoff needs ~{total:.3g} candidate points (> {cap}); "
                 "increase tol or shorten the time step"
             )
         lo, counts, total = lo.astype(int), counts.astype(int), int(total)
@@ -356,14 +358,14 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     """Lattice points whose Gaussian path weight survives a relative cutoff.
 
     A point m is kept while exp(-lam |phi + 2 pi m|^2 / (4 t_like)) is at
-    least ``tol`` times the largest such weight.  Returns the kept points as
-    an (N, rank) float array, the transpose of their (rank, N) coordinate
-    rows, in lattice order: lexicographic in their integer coordinates over
-    the basis of ``lat``.
+    least ``tol`` times the largest such weight.  Returns the kept points of
+    ``_window_select`` as an (N, rank) float array, the transpose of their
+    (rank, N) coordinate rows ``gens.T @ coeffs``, in lattice order:
+    lexicographic in their integer coordinates over the basis of ``lat``.
     """
     window = _window(t_like, tol, lam)
     x0 = _check_point(phi.phi_vector() if isinstance(phi, RadialPoint) else phi, lat.rank).real
-    return _window_points(lat, x0, window)
+    return (lat.generators.T @ _window_select(lat, x0, window, coeffs=True)[3]).T
 
 
 def _window(t_like: float, tol: float, lam: float) -> float:
@@ -378,49 +380,96 @@ def _window(t_like: float, tol: float, lam: float) -> float:
     return 4.0 * t_like * np.log(1.0 / tol) / lam
 
 
-def _window_points(lat: WindingLattice, x0: np.ndarray, window: float) -> np.ndarray:
-    """``enumerate_points`` at the real point x0, for a checked window.
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _axis_table(lat: WindingLattice, window: float) -> tuple:
+    """The window's axis grid: for each axis j, the distinct values of the
+    coordinate (gens.T @ offsets)_j over the cached offsets, one
+    ``np.unique`` per axis, laid end to end in one table of T entries.
 
-    The candidates are the window's cached offsets, in lattice order, around
-    the rounded minimizer, out to the norm d0 + sqrt(d0^2 + window) that a
-    kept point's offset cannot pass, d0 the rounded point's own distance.
-    Adding the integer centre keeps the order, and each distance comes from
-    the point's absolute coefficients, so the rounding of the centre does
-    not change the result.
+    Returns ``(index, reps, flat, axes)``: ``index`` (rank x n) gives each
+    offset's entry per axis, axis j's entries in the slice ``axes[j]``;
+    ``reps`` (dim x T) holds the integer coefficients of one offset per
+    entry, and ``flat`` each entry's position in the (rank x T) product
+    ``gens.T @ reps``.  So an offset's coordinate on axis j is its entry's:
+    ``(gens.T @ reps).take(flat)[index[j]]`` equals ``(gens.T @ offsets)[j]``
+    bit for bit.  The arrays are read-only.
+    """
+    offsets = _window_offsets(lat, window)[0]
+    firsts, inverses = [], []
+    for row in lat.generators.T @ offsets:
+        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+        firsts.append(first)
+        inverses.append(inverse)
+    starts = np.cumsum([0] + [len(first) for first in firsts]).tolist()
+    size = starts[-1]
+    # the narrowest index type: the gathers read index rows of window size
+    dtype = np.uint8 if size <= 2**8 else np.uint16 if size <= 2**16 else np.intp
+    index = np.array([inverse + start for inverse, start in zip(inverses, starts)], dtype=dtype)
+    reps = offsets[:, np.concatenate(firsts)]
+    axes = tuple(slice(start, stop) for start, stop in zip(starts, starts[1:]))
+    flat = np.concatenate([np.arange(a.start, a.stop) + j * size for j, a in enumerate(axes)])
+    for a in (index, reps, flat):
+        a.flags.writeable = False
+    return index, reps, flat, axes
+
+
+def _window_select(lat: WindingLattice, x0: np.ndarray, window: float, coeffs: bool = False) -> tuple:
+    """The points of a checked window at the real point x0, on the window's
+    axis table: ``(x, index, axes, kept)``.
+
+    ``x`` holds the real coordinates x_j = 2 pi v + x0_j of the table's
+    values v, axis j's in ``x[axes[j]]``, and ``index`` (rank x N) the
+    entries of the kept points, one row per axis, so that point m's
+    coordinates are ``x[index[:, m]]``.  ``kept`` is the kept points'
+    integer coefficients over the basis (dim x N) with ``coeffs``, else
+    None.  The points come in lattice order.
+
+    The candidates are the window's cached offsets around the rounded
+    minimizer, out to the norm d0 + sqrt(d0^2 + window) that a kept point's
+    offset cannot pass, d0 the rounded point's own distance; adding the
+    integer centre keeps the order.  The table's coordinates are formed from
+    the absolute coefficients of one offset per entry, as a point's are from
+    its own, and a candidate's squared distance is the sum of its gathered
+    squares, in axis order.  Where at most one axis takes more than one
+    value, the entry's offset is the point's own: each point's coordinates
+    and distance are those its coefficients give, bit for bit, whatever the
+    rounding of the centre.
     """
     if lat.dim == 0:
-        return np.zeros((1, lat.rank))
-    gens = lat.generators
-    offsets, norms, proj = _window_offsets(lat, float(window))
+        axes = tuple(slice(j, j + 1) for j in range(lat.rank))
+        return x0.copy(), np.arange(lat.rank)[:, None], axes, np.zeros((0, 1))
+    gens, window = lat.generators, float(window)
+    offsets, norms, proj = _window_offsets(lat, window)
+    index, reps, flat, axes = _axis_table(lat, window)
     base = np.round(proj @ (-x0 / (2.0 * np.pi)))
     near = x0 + 2.0 * np.pi * (base @ gens)
     d0 = math.sqrt(near @ near)
     # the margin covers the slack of the distance test below and the norms' rounding
     near_enough = norms <= (d0 + math.sqrt(d0 * d0 + window)) * (1.0 + 1e-6) + 1e-6
-    # one contiguous row per coordinate, in place where it can be, and each
-    # array freed once read: fresh arrays of this size cost more in page
-    # faults than in arithmetic, and the fewer live at once, the less of the
-    # heap the allocator has to return to the system and fault in again
-    coeffs = np.compress(near_enough, offsets, axis=1)
-    coeffs += base[:, None]
-    pts = gens.T @ coeffs
-    del coeffs
-    x = pts * (2.0 * np.pi)
+    x = gens.T @ (reps + base[:, None])
+    x *= 2.0 * np.pi
     x += x0[:, None]
-    d2 = _row_sums_in_place(np.multiply(x, x, out=x))
+    x = x.take(flat)
+    squares = x * x
+    # the window-sized arrays are filled in place and freed once read:
+    # fresh arrays of this size cost more in page faults than in arithmetic
+    # (every entry is in range: mode "clip" only spares the buffered copy
+    # that mode "raise" makes of ``out``)
+    rows = index.compress(near_enough, axis=1)
+    d2 = squares.take(rows[0])
+    if len(rows) > 1:
+        term = np.empty_like(d2)
+        for row in rows[1:]:
+            d2 += squares.take(row, out=term, mode="clip")
+        del term
     radius2 = d2.min() + window
     keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
-    del x, d2
-    return np.compress(keep, pts, axis=1).T
-
-
-def _row_sums_in_place(rows: np.ndarray) -> np.ndarray:
-    """The column sums of ``rows``, added row by row into its first row, which
-    is returned: the sums of ``functools.reduce(np.add, rows)``, without its
-    fresh arrays."""
-    for row in rows[1:]:
-        rows[0] += row
-    return rows[0]
+    del d2
+    kept = None
+    if coeffs:
+        kept = offsets.compress(near_enough, axis=1).compress(keep, axis=1)
+        kept += base[:, None]
+    return x, rows.compress(keep, axis=1), axes, kept
 
 
 def _coeffs_of(lat: WindingLattice, vector: np.ndarray) -> np.ndarray:

@@ -138,7 +138,13 @@ def test_kernel_domain_refusals_are_usage_errors(capsys, argv, message):
 def test_kernel_level_cube_over_the_cap_is_refused(capsys, level_cutoff):
     code, out, err = run(capsys, "kernel", "SU5", "--heat", "1.0", "--route", "spectral",
                          "--point", "0.1,0.2,0.3,0.4", "--level-cutoff", level_cutoff)
-    assert code == 1
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_weyl_group_over_the_closure_cap_is_refused(capsys):
+    code, out, err = run(capsys, "weyl", "A9")
+    assert code == 2
     assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 

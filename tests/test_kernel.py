@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -306,9 +310,63 @@ def test_pathsum_terms_match_prod_reference():
             t = time.effective
             points = enumerate_points(lat, phi, time.decay_scale(), 1e-14, lam=rs.lam)
             terms = _pathsum_terms_by_prod(rs, phi, points, t)
-            got = kernel._pathsum_terms(rs, phi, points, kernel._path_plan(rs, phi.signature, time, 1e-14))
+            got = kernel._pathsum_terms(rs, phi, kernel._path_plan(rs, phi.signature, time, 1e-14))
             bound = _pathsum_bound(rs, phi, points, t, terms)
             assert abs(got - terms.sum()) <= bound, (rs.name, phi, time)
+
+
+def _pathsum_by_point(rs, phi, time, lat):
+    """Reference path sum with one exp of each point's whole exponent
+    i lam (|x_m|^2 - |theta|^2) / 4t + i rho^2 t / lam, x_m = phi + 2 pi m,
+    its squared norm added axis by axis, off walls and in one block."""
+    t = time.effective
+    x0, theta = phi.phi_vector(), phi.theta_vector()
+    x = enumerate_points(lat, phi, time.decay_scale(), 1e-14, lam=rs.lam).T * (2.0 * np.pi)
+    x += x0[:, None]
+    factors = rs.positive_roots @ x
+    if not phi.is_compact:
+        factors = factors + 1j * (rs.positive_roots @ theta)[:, None]
+    norms = x[0] * x[0]
+    for row in x[1:]:
+        norms += row * row
+    norms -= theta @ theta
+    phases = 1j * rs.lam * norms
+    phases /= 4.0 * t
+    phases += 1j * (rs.rho @ rs.rho) / rs.lam * t
+    direction = np.where(np.array(phi.signature) == "R", rs.rho, 0.0)
+    roots, w = wall_denominator(rs, x0 if phi.is_compact else phi.complex_vector(), direction)
+    assert not len(roots)
+    terms = complex(np.multiply(np.exp(phases), factors.prod(axis=0)).sum()) / (2.0**rs.p * w)
+    return np.exp(-(rs.n / 2.0) * np.log(4j * np.pi * t)) * terms
+
+
+def _single_axis_windows():
+    """Every domain of SU(1,1) and the catalogued forms whose winding
+    sublattice has dimension 1, and the compact A1."""
+    cases = [pytest.param(A1, None, id="A1")]
+    for name in ("SU(1,1)", "SU(2,1)", "SL(3,R)", "SO(4,1)", "SO(3,2)", "SU(3,1)", "SU(2,2)", "SO(3,3)",
+                 "SO(5,1)", "USp(4,2)", "Sp(6,R)"):
+        fam = parse_group(name)
+        rs = root_system_of(fam)
+        for dom in enumerate_domains(fam):
+            if domain_sublattice(winding_lattice(rs), dom).dim == 1:
+                cases.append(pytest.param(rs, dom, id=f"{name} {dom.label}"))
+    return cases
+
+
+@pytest.mark.parametrize("rs,dom", _single_axis_windows())
+def test_single_axis_windows_keep_the_bits_of_one_exp_per_point(rs, dom):
+    """Where one axis varies, the axis tables give each term the exponent of
+    its whole squared norm: the path sum equals the per-point reference."""
+    rng = np.random.default_rng(rs.rank)
+    signature = dom.signature if dom else ("R",) * rs.rank
+    lat = domain_sublattice(winding_lattice(rs), signature)
+    for _ in range(4):
+        phi = RadialPoint.mixed(rng.uniform(0.12, 1.55, rs.rank), signature)
+        for time in (TimeParameter.real(1.0), TimeParameter.real(1.0, 0.05), TimeParameter.heat(0.7)):
+            req = KernelRequest(rs=rs, phi=phi, time=time, domain=dom)
+            got = (noncompact_pathsum(req) if dom else compact_pathsum(req)).value
+            assert got == _pathsum_by_point(rs, phi, time, lat), (phi, time)
 
 
 def test_pathsum_terms_do_not_depend_on_the_factor_block(monkeypatch):
@@ -317,11 +375,10 @@ def test_pathsum_terms_do_not_depend_on_the_factor_block(monkeypatch):
     for rs, lat, phi, times in _pathsum_cases():
         for time in times:
             plan = kernel._path_plan(rs, phi.signature, time, 1e-14)
-            points = enumerate_points(lat, phi, time.decay_scale(), 1e-14, lam=rs.lam)
             sums = []
             for block in (10**9, 7 * len(rs.positive_roots)):
                 monkeypatch.setattr(kernel, "_FACTOR_BLOCK", block)
-                sums.append(kernel._pathsum_terms(rs, phi, points, plan))
+                sums.append(kernel._pathsum_terms(rs, phi, plan))
             assert sums[0] == sums[1], (rs.name, phi, time)
 
 
@@ -361,9 +418,9 @@ def _pathsum_terms_by_mpmath(mp, rs, phi, points, t):
 
 
 def _mpmath_cases():
-    """(rs, lattice, point, time), windows of at most about 650 points: A2
-    and B3 in heat mode off and on a wall, two undamped domains and a
-    damped one."""
+    """(rs, lattice, point, time), windows of at most about 860 points: A2
+    and B3 in heat mode off and on a wall, three undamped domains and two
+    damped ones, among them windows with two and three varying axes."""
     cases = []
     for family, rank, tau in [("A", 2, 80.0), ("B", 3, 40.0)]:
         rs = build_root_system(family, rank)
@@ -374,7 +431,9 @@ def _mpmath_cases():
                                       id=f"{family}{rank}-heat-{where}"))
     for name, label, time in [("SU(2,1)", "D1", TimeParameter.real(1.0)),
                               ("SO(3,3)", "D2", TimeParameter.real(1.0)),
-                              ("Sp(6,R)", "D2", TimeParameter.real(1.0, 0.05))]:
+                              ("SO(3,2)", "D2", TimeParameter.real(1.0)),
+                              ("Sp(6,R)", "D2", TimeParameter.real(1.0, 0.05)),
+                              ("Sp(6,R)", "D3", TimeParameter.real(1.0, 0.05))]:
         dom = _domain(name, label)
         rs = root_system_of(parse_group(name))
         phi = RadialPoint.mixed(np.linspace(1.1, 0.4, rs.rank), dom.signature)
@@ -391,7 +450,7 @@ def test_pathsum_terms_match_mpmath(rs, lat, phi, time):
     with mpmath.workdps(40):
         terms = _pathsum_terms_by_mpmath(mpmath.mp, rs, phi, points, t)
         want = complex(mpmath.fsum(terms))
-    got = kernel._pathsum_terms(rs, phi, points, kernel._path_plan(rs, phi.signature, time, 1e-14))
+    got = kernel._pathsum_terms(rs, phi, kernel._path_plan(rs, phi.signature, time, 1e-14))
     # the reference errs by about 1e-38 sum_m |term_m|: the whole bound is the code's
     bound = _pathsum_bound(rs, phi, points, t, np.array([complex(z) for z in terms]))
     assert abs(got - want) <= bound, (len(points), abs(got - want), bound)
@@ -474,6 +533,33 @@ def test_spectral_table_too_large_is_refused():
     )
     with pytest.raises(ResourceError, match="path sum"):
         compact_spectral(req)
+
+
+CAP_PROBE = """
+import resource, time
+from liekernel import (KernelRequest, RadialPoint, ResourceError, TimeParameter, build_root_system,
+                       compact_spectral, generate_weyl_group)
+rs = build_root_system("A", 4)
+generate_weyl_group(rs)
+req = KernelRequest(rs=rs, phi=RadialPoint.real([0.3, 0.5, 0.7, 0.2]), time=TimeParameter.heat(0.1))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+try:
+    compact_spectral(req)
+except ResourceError:
+    print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_spectral_table_past_the_cap_is_refused_before_its_levels_are_built():
+    """A4 at heat tau=0.1 needs 1.8M levels x 120 Weyl images: the level
+    search stops at its first layer past the cap, before allocating it, in
+    a fresh process whose peak resident size shows what the refusal built."""
+    src = pathlib.Path(kernel.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", CAP_PROBE], capture_output=True, text=True, check=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    seconds, grown_kb = proc.stdout.split()
+    assert float(seconds) < 0.1 and int(grown_kb) < 20 * 1024, proc.stdout
 
 
 @pytest.mark.parametrize("level_cutoff", [60, 1000000])

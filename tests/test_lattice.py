@@ -15,6 +15,7 @@ from liekernel import (
 )
 from liekernel.lattice import (
     _WINDOW_CACHE_SIZE,
+    _axis_table,
     _coeffs_of,
     _ellipsoid_points,
     _signature_preserving,
@@ -354,6 +355,25 @@ def test_enumerate_points_cut_keeps_the_uncut_result(rs, lat, t_likes):
         got = enumerate_points(lat, x0, t_like, 1e-14, lam=rs.lam)
         want = _points_uncut(lat, x0, t_like, 1e-14, rs.lam)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x0, t_like)
+
+
+@pytest.mark.parametrize("rs,lat", _window_lattices())
+def test_axis_table_reproduces_every_offsets_coordinates(rs, lat):
+    """Each axis' entries are the distinct values of that coordinate over
+    the window's offsets, and each offset's entry is its own coordinate,
+    bit for bit, whatever the axes' values have in common."""
+    gens = lat.generators
+    for t_like in (0.3, 30.0):
+        window = float(4.0 * t_like * np.log(1e14) / rs.lam)
+        offsets = _window_offsets(lat, window)[0]
+        index, reps, flat, axes = _axis_table(lat, window)
+        values = (gens.T @ reps).take(flat)
+        coords = gens.T @ offsets
+        assert index.shape == coords.shape and np.issubdtype(index.dtype, np.unsignedinteger)
+        for j, axis in enumerate(axes):
+            assert np.array_equal(values[index[j]], coords[j]), (j, t_like)
+            assert axis.start <= index[j].min() and index[j].max() < axis.stop
+            assert np.array_equal(values[axis], np.unique(coords[j]))
 
 
 def test_window_offsets_cache_stays_bounded():
