@@ -16,6 +16,7 @@ import numpy as np
 
 from . import kernel as kmod
 from .domains import domain_count, enumerate_domains, parse_group, root_system_of
+from .errors import ConfigurationError, LieKernelError
 from .lattice import RadialPoint, domain_sublattice, winding_lattice
 from .rootsys import build_root_system, cartan_matrix, rescale
 from .volumes import coset_volume, group_volume, torus_volume, torus_volume_quadrature
@@ -155,6 +156,32 @@ def sublattice_purity(cases) -> float:
 def domain_counts(cases) -> int:
     """Number of groups in the {name: count} mapping with another domain count."""
     return sum(domain_count(parse_group(name)) != want for name, want in cases.items())
+
+
+def noncompact_forms(max_rank: int) -> list:
+    """Names of the non-compact classical forms of rank 1 to ``max_rank``:
+    SU(p,q), SL(n,R), SO(p,q) with p+q >= 5, USp(2p,2q) and Sp(2n,R), p >= q >= 1."""
+    names = []
+    for r in range(1, max_rank + 1):
+        names += [f"SU({r + 1 - q},{q})" for q in range(1, (r + 1) // 2 + 1)] + [f"SL({r + 1},R)"]
+        names += [f"SO({m - q},{q})" for m in (2 * r, 2 * r + 1) if m >= 5 for q in range(1, m // 2 + 1)]
+        names += [f"USp({2 * (r - q)},{2 * q})" for q in range(1, r // 2 + 1)] + [f"Sp({2 * r},R)"]
+    return names
+
+
+def domain_enumeration(names) -> int:
+    """Number of groups whose ``enumerate_domains`` neither lists ``domain_count``
+    distinct signature masks nor refuses with ``ConfigurationError``."""
+    bad = 0
+    for name in names:
+        family = parse_group(name)
+        try:
+            bad += len({dom.signature for dom in enumerate_domains(family)}) != domain_count(family)
+        except ConfigurationError:
+            pass
+        except LieKernelError:
+            bad += 1
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +381,10 @@ CHECKS = {
     ),
     "domain-counts": Check(
         lambda: domain_counts(CATALOGUED_DOMAIN_COUNTS), 0, "domain counts match the catalogued values"
+    ),
+    "domain-enumeration": Check(
+        lambda: domain_enumeration(noncompact_forms(6)), 0,
+        "every non-compact form up to rank 6 lists domain_count's domains or is refused as unsupported",
     ),
     "kernel-weyl-invariance": Check(
         lambda: kernel_symmetry(_a2_weyl_draws(5, 10, 0.4)), 1e-9,

@@ -6,10 +6,12 @@ representation, so that an element with complex radial vector phi has
 eigenvalue multiset { exp(i mu_k . phi) }.  Classification inverts that map;
 domain enumeration lists the signature masks the family's eigenvalue
 conditions allow.  Explicit coordinates (and hence masks and classification)
-ship for the systems the reference tables cover: rank <= 3 for the A family
-and its real forms, all ranks for the B family and Sp(2n,R), rank 3 for
-USp(2p,2q), and p+q = 6 for even orthogonal groups (through the A3 ~ D3
-identification).  Domain counts are available for every (p, q).
+ship for SU(p,q) and SL(n,R) at every rank, whose weight pairs differ along
+the axes 2k of the A pair frame; for SO(p,q) with p+q odd and Sp(2n,R) at
+every rank; for USp(2p,2q) where its mixed quartets fit (|p-q| <= 1 at rank
+3, p = q elsewhere); and for even orthogonal groups at p+q = 6 (through the
+A3 ~ D3 identification).  Sp(2,R) and USp(2) are SL(2,R) and SU(2).  Domain
+counts are available for every (p, q).
 """
 
 from __future__ import annotations
@@ -103,6 +105,10 @@ class GroupFamily:
             raise ConfigurationError("SL needs n >= 2")
         if self.kind is GroupKind.SO and self.p + self.q < 5:
             raise ConfigurationError("SO supported for p+q >= 5")
+        if self.kind in (GroupKind.SP, GroupKind.USP) and self.p + self.q == 1:
+            same = "SL(2,R)" if self.kind is GroupKind.SP else "SU(2)"
+            raise ConfigurationError(f"{self.name} is {same}, the same matrices; use {same} "
+                                     "(parse_group maps the name)")
 
     @property
     def name(self) -> str:
@@ -174,8 +180,9 @@ def parse_group(name: str) -> GroupFamily:
         if head == "SP":
             if n % 2:
                 raise ConfigurationError(f"Sp(2n,R) needs an even matrix size, got {n}")
-            return GroupFamily(GroupKind.SP, n // 2)
-        return GroupFamily(GroupKind.SL, n)
+            if n != 2:
+                return GroupFamily(GroupKind.SP, n // 2)
+        return GroupFamily(GroupKind.SL, n)  # Sp(2,R) is SL(2,R)
     if trail_r:
         raise ConfigurationError(f"trailing R only applies to SL and Sp: {name!r}")
 
@@ -191,6 +198,8 @@ def parse_group(name: str) -> GroupFamily:
     if head == "USP":
         if p % 2 or q % 2:
             raise ConfigurationError(f"USp takes even arguments USp(2p,2q): {name!r}")
+        if (p, q) == (2, 0):
+            return GroupFamily(GroupKind.SU, 2)  # USp(2) is SU(2)
         return GroupFamily(GroupKind.USP, p // 2, q // 2)
     raise ConfigurationError(f"cannot parse group name {name!r}")
 
@@ -230,18 +239,6 @@ class _System:
     eigen_group: object = None  # stabilizer of the weight multiset, if larger than W
 
 
-def _apair_diff_axes(rs: RootSystem) -> list:
-    """Axis index carried by gamma_{2k-1} for each A-family weight pair."""
-    axes = []
-    for k in range(0, rs.rank, 2):
-        g = rs.simple_roots[k]
-        axis = int(np.argmax(np.abs(g)))
-        if not np.allclose(np.delete(g, axis), 0.0, atol=1e-12):
-            return []  # not axis-aligned; no concrete coordinates at this rank
-        axes.append(axis)
-    return axes
-
-
 def _system_a(n: int) -> _System:
     rs = build_root_system("A", n - 1)
     chain = [rs.weights[0]]
@@ -250,16 +247,11 @@ def _system_a(n: int) -> _System:
     weights = np.array(chain)
     if not np.allclose(weights.sum(axis=0), 0.0, atol=1e-10):
         raise InternalError("defining-representation weights do not sum to zero")
-    diff_axes = _apair_diff_axes(rs)
-    slots = []
-    concrete = bool(diff_axes) or n == 2
-    if n == 2:
-        diff_axes = [0]
-    for k in range(n // 2):
-        slots.append(("apair", 2 * k, 2 * k + 1, diff_axes[k] if diff_axes else -1))
+    # weights 2k and 2k+1 differ by gamma_2k, which is the pair frame's axis 2k
+    slots = [("apair", 2 * k, 2 * k + 1, 2 * k) for k in range(n // 2)]
     if n % 2:
         slots.append(("asingle", n - 1))
-    return _System(rs, weights, tuple(slots), concrete)
+    return _System(rs, weights, tuple(slots), True)
 
 
 def _system_b(r: int) -> _System:

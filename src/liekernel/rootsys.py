@@ -1,15 +1,18 @@
 """Classical root systems and the derived constants everything else consumes.
 
 Simple roots are stored as explicit Cartesian vectors in rank-dimensional
-Euclidean space.  For A1, A2, A3, B2 and C3 the coordinates reproduce the
-per-family conventions used by the reference tables of the non-compact group
-catalogue, so winding vectors and eigenvalue phrases compare verbatim; the
-remaining supported systems use compatible standard realizations.
+Euclidean space.  The A family at every rank is one rule, the pair frame of
+the sum-zero hyperplane, on which the difference of each weight pair of the
+defining representation is an axis; for A1-A3 it gives the coordinates of
+the non-compact group catalogue's reference tables bit for bit, as the
+literal B2 and C3 frames do, so winding vectors and eigenvalue phrases
+compare verbatim.  The other systems use standard orthogonal realizations.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,28 +98,34 @@ class RootSystem:
         return f"RootSystem({self.name}, n={self.n}, p={self.p})"
 
 
+def _pair_frame_roots(rank: int) -> np.ndarray:
+    """A_r simple roots (e_i - e_i+1)/sqrt(2) in the pair frame of the sum-zero
+    hyperplane of R^(r+1): axis 2k is (e_2k - e_2k+1)/sqrt(2), and axis 2k+1
+    contrasts the coordinates before 2k+2 with the one or two that follow.
+
+    With v the integer direction of axis j, entry (i, j) is
+    sign(d) sqrt(d^2 / 2|v|^2), d = v_i - v_i+1: one correctly rounded integer
+    quotient before the square root, so A1-A3 reproduce the reference
+    tables' 1, 1/2, sqrt(2)/2 and sqrt(3)/2 bit for bit.
+    """
+    n = rank + 1
+    g = np.zeros((rank, rank))
+    for j in range(rank):
+        lo, hi = (j, j + 2) if j % 2 == 0 else (0, min(j + 3, n))
+        head, tail = j + 1 - lo, hi - j - 1  # coordinates lo..j against j+1..hi-1
+        v = [0] * lo + [tail] * head + [-head] * tail + [0] * (n - hi)
+        norm2 = 2 * sum(x * x for x in v)
+        for i in range(rank):
+            d = v[i] - v[i + 1]
+            g[i, j] = math.copysign(math.sqrt(d * d / norm2), d)
+    return g
+
+
 def _simple_roots(family: str, rank: int) -> np.ndarray:
     """Cartesian simple roots in the package's fixed per-family convention."""
     s2h = np.sqrt(2.0) / 2.0  # exact half of sqrt(2); doubling is lossless
-    s3h = np.sqrt(3.0) / 2.0
     if family == "A":
-        if rank == 1:
-            return np.array([[1.0]])
-        if rank == 2:
-            return np.array([[1.0, 0.0], [-0.5, s3h]])
-        if rank == 3:
-            return np.array(
-                [
-                    [1.0, 0.0, 0.0],
-                    [-0.5, s2h, -0.5],
-                    [0.0, 0.0, 1.0],
-                ]
-            )
-        # general rank: Cholesky realization of the unit-length Gram matrix
-        gram = np.eye(rank)
-        for i in range(rank - 1):
-            gram[i, i + 1] = gram[i + 1, i] = -0.5
-        return np.linalg.cholesky(gram)
+        return _pair_frame_roots(rank)
     if family == "B":
         g = np.zeros((rank, rank))
         for i in range(rank - 1):

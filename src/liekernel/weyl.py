@@ -25,7 +25,9 @@ __all__ = [
     "casimir_eigenvalue",
 ]
 
-_CLOSURE_CAP = 10**6
+# matrix entries a closure may store, |W| r^2: A7 (2.0e6), B6 and C6 (1.7e6)
+# and D6 pass, A8, B7, C7 and D7 are refused
+_ENTRY_CAP = 4 * 10**6
 _MERGE_DECIMALS = 9
 _WALL_TOL = 1e-12
 
@@ -89,8 +91,11 @@ def _close_group(gens, start, name: str, weights: np.ndarray | None = None) -> W
 
     Breadth first, deduplicated on a rounded grid, elements sorted by that
     key in reverse; every determinant must be +-1.  ``weights`` as in
-    ``WeylGroup``.
+    ``WeylGroup``.  A closure past ``_ENTRY_CAP`` stored entries means
+    malformed generators, since ``generate_weyl_group`` refuses larger
+    groups before it starts.
     """
+    cap = _ENTRY_CAP // gens[0].size
     seen = {}
     for m in start:
         seen.setdefault(tuple(np.round(m, _MERGE_DECIMALS).ravel()), m)
@@ -102,11 +107,8 @@ def _close_group(gens, start, name: str, weights: np.ndarray | None = None) -> W
                 cand = g @ m
                 k = tuple(np.round(cand, _MERGE_DECIMALS).ravel())
                 if k not in seen:
-                    if len(seen) >= _CLOSURE_CAP:
-                        raise InternalError(
-                            f"closure of {name} exceeded {_CLOSURE_CAP} elements; "
-                            "generators look malformed"
-                        )
+                    if len(seen) >= cap:
+                        raise InternalError(f"closure of {name} exceeded {cap} elements; generators look malformed")
                     seen[k] = cand
                     fresh.append(cand)
         frontier = fresh
@@ -126,15 +128,16 @@ def _close_group(gens, start, name: str, weights: np.ndarray | None = None) -> W
 def generate_weyl_group(rs: RootSystem) -> WeylGroup:
     """Closure of the simple-root reflections, deduplicated on a rounded grid.
 
-    A group of more than ``_CLOSURE_CAP`` elements is refused before any
-    product, by its closed-form order: (r+1)! for A_r, 2^r r! for B_r and
-    C_r, 2^(r-1) r! for D_r.
+    A group whose |W| r^2 matrix entries pass ``_ENTRY_CAP`` is refused
+    before any product, by its closed-form order: (r+1)! for A_r, 2^r r! for
+    B_r and C_r, 2^(r-1) r! for D_r.
     """
     r = rs.rank
     order = math.factorial(r) * {"A": r + 1, "B": 2**r, "C": 2**r, "D": 2 ** (r - 1)}[rs.family]
     name = f"the Weyl group of {rs.name}"
-    if order > _CLOSURE_CAP:
-        raise ResourceError(f"{name} has {order} elements, more than the closure cap {_CLOSURE_CAP}")
+    if order * r * r > _ENTRY_CAP:
+        raise ResourceError(f"{name} has {order} elements, {order * r * r} matrix entries to close, "
+                            f"more than the closure cap of {_ENTRY_CAP}")
     gens = [reflection_matrix(g) for g in rs.simple_roots]
     group = _close_group(gens, [np.eye(r)], name, rs.weights)
     if group.order != order:

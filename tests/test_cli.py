@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -143,9 +144,13 @@ def test_kernel_level_cube_over_the_cap_is_refused(capsys, level_cutoff):
 
 
 def test_weyl_group_over_the_closure_cap_is_refused(capsys):
-    code, out, err = run(capsys, "weyl", "A9")
-    assert code == 2
-    assert out == "" and err.startswith("error:") and "Traceback" not in err
+    # A8 and B7 are the first A and B systems past the cap; refused before any product
+    for system in ("A8", "B7", "A9"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "weyl", system)
+        assert time.perf_counter() - start < 1.0, system
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 def test_kernel_empty_grid_is_usage_error(capsys):

@@ -1,4 +1,6 @@
 import itertools
+import re
+import time
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from liekernel import (
     LieKernelError,
     NotInGroupError,
     RadialPoint,
+    ResourceError,
     build_element,
     checks,
     classify_element,
@@ -43,6 +46,8 @@ CATALOGUE_GROUPS = [
     "SU(2,1)", "SL(3,R)", "SO(4,1)", "SO(3,2)", "SU(3,1)",
     "SU(2,2)", "SO(3,3)", "SO(5,1)", "USp(4,2)", "Sp(6,R)",
 ]
+# A-family forms past rank 3, on the pair frame's coordinates
+A_BEYOND_RANK3 = ["SU(4,1)", "SU(3,2)", "SL(5,R)", "SU(3,3)"]
 
 
 def test_parse_group_spellings():
@@ -209,7 +214,8 @@ def test_classify_su2_trace_convention():
 @pytest.mark.parametrize(
     "name",
     CATALOGUE_GROUPS
-    + ["SU(2)", "SU(1,1)", "SU(3)", "SO(5)", "USp(6)", "SU(4)", "SO(6)", "SO(4,3)", "SO(5,2)", "SO(6,1)"],
+    + ["SU(2)", "SU(1,1)", "SU(3)", "SO(5)", "USp(6)", "SU(4)", "SO(6)", "SO(4,3)", "SO(5,2)", "SO(6,1)"]
+    + A_BEYOND_RANK3,
 )
 def test_roundtrip_all_domains(name):
     fam = parse_group(name)
@@ -350,7 +356,7 @@ def test_closed_form_blocks_match_expm():
             assert np.abs(closed - want).max() <= 1e-14 * np.abs(closed).max()
 
 
-@pytest.mark.parametrize("name", CATALOGUE_GROUPS)
+@pytest.mark.parametrize("name", CATALOGUE_GROUPS + A_BEYOND_RANK3)
 def test_zero_patterns_build_and_classify_or_refuse(name):
     # every domain, every set of zeroed coordinates, both signs, raw and
     # canonicalized: a zero puts the point on a domain boundary or gives a
@@ -467,11 +473,50 @@ def test_domain_of_radial():
 
 def test_enumerate_unsupported_rank_raises():
     with pytest.raises(ConfigurationError):
-        enumerate_domains(parse_group("SU(3,2)"))  # rank 4 A-family coordinates
+        enumerate_domains(parse_group("SO(4,4)"))  # rank-4 even orthogonal, as SO(6,2)
     with pytest.raises(ConfigurationError):
         enumerate_domains(parse_group("SO(6,2)"))  # rank-4 even orthogonal
     # counts remain available: SO(6,2) allows 0, 1 or 2 imaginary parameters
     assert checks.domain_counts({"SU(3,2)": 3, "SO(6,2)": 3}) == 0
+
+
+def test_rank1_symplectic_groups_are_the_unimodular_ones():
+    from liekernel.domains import _zeta
+
+    assert parse_group("Sp(2,R)") == parse_group("SP2R") == parse_group("SL(2,R)")
+    assert parse_group("USp(2)") == parse_group("USp(2,0)") == parse_group("SU(2)")
+    for kind, same in ((GroupKind.SP, "SL(2,R)"), (GroupKind.USP, "SU(2)")):
+        with pytest.raises(ConfigurationError, match=re.escape(same)):
+            GroupFamily(kind, 1)
+    # a 2 x 2 matrix of determinant 1 keeps the symplectic form: one element, two names
+    boost = np.array([[np.cosh(0.4), np.sinh(0.4)], [np.sinh(0.4), np.cosh(0.4)]])
+    rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    unitary = np.diag([np.exp(0.35j), np.exp(-0.35j)])
+    for g, names in ((boost, ("Sp(2,R)", "SL(2,R)")), (rot, ("Sp(2,R)", "SL(2,R)")),
+                     (unitary, ("USp(2)", "SU(2)"))):
+        assert np.abs(g.T @ _zeta(1) @ g - _zeta(1)).max() < 1e-15
+        (dom_a, pt_a), (dom_b, pt_b) = (classify_element(parse_group(name), g) for name in names)
+        assert dom_a == dom_b and pt_a == pt_b
+
+
+def test_domain_enumeration_up_to_rank_6(monkeypatch):
+    # the support boundary: every non-compact form lists domain_count's domains,
+    # apart from even SO with p+q >= 8 and the USp forms that need mixed quartets
+    names = checks.noncompact_forms(6)
+    assert len(names) == 71
+    assert checks.domain_enumeration(names) == 0
+    refused = set()
+    for name in names:
+        try:
+            enumerate_domains(parse_group(name))
+        except ConfigurationError:
+            refused.add(name)
+    even_so = {f"SO({m - q},{q})" for m in (8, 10, 12) for q in range(1, m // 2 + 1)}
+    quartets = {"USp(6,2)", "USp(8,2)", "USp(6,4)", "USp(10,2)", "USp(8,4)"}
+    assert refused == even_so | quartets
+    # a count the enumeration does not meet is caught; a refusal is not counted
+    monkeypatch.setattr(checks, "domain_count", lambda family: domain_count(family) + 1)
+    assert checks.domain_enumeration(["SU(3,2)", "SO(4,4)"]) == 1
 
 
 def test_classification_lattice_refines_windings():
@@ -592,7 +637,7 @@ def _assert_same_match(fam, g, rng=None):
 
 # SU(4), SO(4,2) and USp(2,4) have domains whose phase rows differ from a
 # pivoted QR's
-@pytest.mark.parametrize("name", ["SU(1,1)"] + CATALOGUE_GROUPS + ["SU(4)", "SO(4,2)", "USp(2,4)"])
+@pytest.mark.parametrize("name", ["SU(1,1)"] + CATALOGUE_GROUPS + ["SU(4)", "SO(4,2)", "USp(2,4)"] + A_BEYOND_RANK3)
 def test_pruned_match_equals_permutation_search(name):
     fam = parse_group(name)
     rng = np.random.default_rng(808)
@@ -623,6 +668,34 @@ def test_pruned_match_refuses_the_guard_band_as_permutation_search():
         _match_domain(dom, _spectrum(eig))
     with pytest.raises(ClassificationError, match="guard band"):
         _match_by_permutations(_system(fam), dom, eig)
+
+
+@pytest.mark.parametrize(
+    "name", A_BEYOND_RANK3 + ["SU(5,1)", "SU(4,2)", "SL(6,R)", "SU(6,1)", "SU(5,2)", "SU(4,3)", "SL(7,R)"]
+)
+def test_a_family_rank_4_to_6_builds_classifies_and_evolves(name):
+    from liekernel import KernelRequest, TimeParameter, noncompact_pathsum
+
+    fam = parse_group(name)
+    rng = np.random.default_rng(1010)
+    for dom in enumerate_domains(fam):
+        for _ in range(2):
+            canon = canonical_radial(fam, RadialPoint(tuple(rng.uniform(0.15, 1.5, fam.rank)), dom.signature))
+            dom2, pt2 = classify_element(fam, build_element(fam, canon))
+            assert dom2 == dom
+            assert np.abs(np.array(pt2.values) - np.array(canon.values)).max() < 1e-13
+            req = KernelRequest(rs=root_system_of(fam), phi=pt2, time=TimeParameter.real(1.0, 0.05), domain=dom)
+            assert np.isfinite(noncompact_pathsum(req).value)
+
+
+def test_build_element_past_the_weyl_closure_cap_is_refused_up_front():
+    # SO(8,7) is B7, whose Weyl group of 645,120 elements passes the closure cap
+    fam = parse_group("SO(8,7)")
+    dom = enumerate_domains(fam)[-1]
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="B7 has 645120 elements"):
+        build_element(fam, RadialPoint(tuple(np.linspace(0.2, 1.4, fam.rank)), dom.signature))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("name", ["SO(5,4)", "Sp(8,R)"])

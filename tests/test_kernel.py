@@ -419,8 +419,9 @@ def _pathsum_terms_by_mpmath(mp, rs, phi, points, t):
 
 def _mpmath_cases():
     """(rs, lattice, point, time), windows of at most about 860 points: A2
-    and B3 in heat mode off and on a wall, three undamped domains and two
-    damped ones, among them windows with two and three varying axes."""
+    and B3 in heat mode off and on a wall, three undamped domains and three
+    damped ones, the rank-4 SU(3,2) D3 on the A pair frame among them, with
+    windows of two and three varying axes."""
     cases = []
     for family, rank, tau in [("A", 2, 80.0), ("B", 3, 40.0)]:
         rs = build_root_system(family, rank)
@@ -433,7 +434,8 @@ def _mpmath_cases():
                               ("SO(3,3)", "D2", TimeParameter.real(1.0)),
                               ("SO(3,2)", "D2", TimeParameter.real(1.0)),
                               ("Sp(6,R)", "D2", TimeParameter.real(1.0, 0.05)),
-                              ("Sp(6,R)", "D3", TimeParameter.real(1.0, 0.05))]:
+                              ("Sp(6,R)", "D3", TimeParameter.real(1.0, 0.05)),
+                              ("SU(3,2)", "D3", TimeParameter.real(1.0, 0.05))]:
         dom = _domain(name, label)
         rs = root_system_of(parse_group(name))
         phi = RadialPoint.mixed(np.linspace(1.1, 0.4, rs.rank), dom.signature)

@@ -48,10 +48,39 @@ def test_a1_constants():
     assert abs(float(rs.simple_roots[0, 0]) - 1.0) < 1e-15
 
 
+# the reference tables' A1-A3 simple roots, which the pair frame reproduces bit for bit
+S2H, S3H = np.sqrt(2.0) / 2.0, np.sqrt(3.0) / 2.0
+A_REFERENCE = {
+    1: [[1.0]],
+    2: [[1.0, 0.0], [-0.5, S3H]],
+    3: [[1.0, 0.0, 0.0], [-0.5, S2H, -0.5], [0.0, 0.0, 1.0]],
+}
+
+
+def test_a1_reference_coordinates():
+    assert build_root_system("A", 1).simple_roots.tobytes() == np.array(A_REFERENCE[1]).tobytes()
+
+
 def test_a2_reference_coordinates():
     rs = build_root_system("A", 2)
     assert np.allclose(rs.simple_roots[0], [1.0, 0.0])
     assert np.allclose(rs.simple_roots[1], [-0.5, np.sqrt(3.0) / 2.0])
+    assert rs.simple_roots.tobytes() == np.array(A_REFERENCE[2]).tobytes()
+
+
+def test_a3_reference_coordinates():
+    assert build_root_system("A", 3).simple_roots.tobytes() == np.array(A_REFERENCE[3]).tobytes()
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_a_pair_frame(rank):
+    # orthonormal frame: unit roots with the A_r Gram matrix, and the
+    # difference of weight pair k, gamma_2k, exactly on axis 2k
+    g = build_root_system("A", rank).simple_roots
+    gram = np.eye(rank) - 0.5 * (np.eye(rank, k=1) + np.eye(rank, k=-1))
+    assert np.abs(g @ g.T - gram).max() <= 2e-16
+    for k in range(0, rank, 2):
+        assert g[k].tolist() == np.eye(rank)[k].tolist()
 
 
 def test_b2_reference_coordinates():

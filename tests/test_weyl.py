@@ -25,7 +25,10 @@ def test_weyl_orders(family, rank, order):
     assert checks.weyl_orders([(family, rank, order)]) == 0
 
 
-@pytest.mark.parametrize("family,rank,order", [("A", 9, 3628800), ("B", 8, 10321920), ("D", 9, 92897280)])
+# A8, B7, C7 and D7 are the first systems whose |W| r^2 entries pass the cap
+@pytest.mark.parametrize("family,rank,order", [("A", 8, 362880), ("B", 7, 645120), ("C", 7, 645120),
+                                               ("D", 7, 322560), ("A", 9, 3628800), ("B", 8, 10321920),
+                                               ("D", 9, 92897280)])
 def test_weyl_group_beyond_the_closure_cap_is_refused_up_front(monkeypatch, family, rank, order):
     def no_closure(*args):
         raise AssertionError("the closure ran")
@@ -33,6 +36,14 @@ def test_weyl_group_beyond_the_closure_cap_is_refused_up_front(monkeypatch, fami
     monkeypatch.setattr(weyl, "_close_group", no_closure)
     with pytest.raises(ResourceError, match=f"{family}{rank} has {order} elements"):
         generate_weyl_group(build_root_system(family, rank))
+
+
+def test_closure_of_malformed_generators_is_stopped(monkeypatch):
+    # a rotation by one radian generates no finite group
+    monkeypatch.setattr(weyl, "_ENTRY_CAP", 400)
+    c, s = np.cos(1.0), np.sin(1.0)
+    with pytest.raises(InternalError, match="exceeded 100 elements"):
+        weyl._close_group([np.array([[c, -s], [s, c]])], [np.eye(2)], "a rotation")
 
 
 def test_weyl_group_closure_has_the_closed_form_order(monkeypatch):
