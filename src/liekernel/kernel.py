@@ -363,7 +363,7 @@ def _spectral_data(rs: RootSystem, t_like: float, tol: float, level_cutoff: int 
     nvecs = (labels + 1) @ rs.weights
     lam_l = (np.einsum("li,li->l", nvecs, nvecs) - rs.rho @ rs.rho) / rs.lam
     dims = np.prod(nvecs @ rs.positive_roots.T, axis=1) / np.prod(rs.positive_roots @ rs.rho)
-    return lam_l, dims, split_levels(group, labels), dims / group_volume(rs)
+    return lam_l, dims, split_levels(rs, labels), dims / group_volume(rs)
 
 
 @functools.lru_cache(maxsize=64)

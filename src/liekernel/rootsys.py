@@ -177,8 +177,11 @@ def _close_roots(simple: np.ndarray) -> list[np.ndarray]:
     return list(store.values())
 
 
+@functools.cache
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the root system of a classical family.
+    """Construct the root system of a classical family, once per (family,
+    rank) as given; its arrays are read-only, as every caller shares them.
+    A changed system is a new one (``dataclasses.replace``, as ``rescale``).
 
     Parameters
     ----------
@@ -244,6 +247,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         p=p,
     )
     _validate(rs)
+    for a in (simple, positive, highest, highest_coeffs, weights, rho):
+        a.flags.writeable = False
     return rs
 
 

@@ -1,7 +1,8 @@
 """Weyl group machinery: reflections, characters, dimensions, and the
 intertwining operator.  The group acts on weight coordinates by integer
-matrices, and a character's signed orbit sum is an entry of a product of
-head and tail tables of powers, one matrix product for all levels."""
+matrices, and a character's signed orbit sum is an entry of a bilinear form
+between head and tail tables of powers over two parabolic coset spaces, one
+pair of matrix products for all levels."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ _ENTRY_CAP = 4 * 10**6
 _MERGE_DECIMALS = 9
 _WALL_TOL = 1e-12
 
-# entries per block of ``orbit_sums``: heads x tails of the matrix product,
+# entries per block of ``orbit_sums``: heads x tails of the second product,
 # levels x Weyl images of the terms multiplied out on a wall; the temporaries
 # of one block stay cache-sized
 _BLOCK = 2**15
@@ -196,7 +197,7 @@ def character(rs: RootSystem, l, phi) -> complex:
     """
     levels = _check_dominant(l, rs.rank)[None]
     phi = _check_point(phi, rs.rank)
-    sums, denom = orbit_sums(rs, split_levels(generate_weyl_group(rs), levels), phi)
+    sums, denom = orbit_sums(rs, split_levels(rs, levels), phi)
     return complex(sums[0]) / denom
 
 
@@ -252,45 +253,80 @@ def _distinct_rows(rows) -> tuple:
     return rows[first], place.reshape(-1)
 
 
-def split_levels(group: WeylGroup, levels) -> tuple:
+@functools.cache
+def _cosets(rs: RootSystem) -> tuple:
+    """The two coset spaces of the orbit sums over the Weyl group of ``rs``:
+    (images, reps, cosets, signs), read-only.
+
+    With h = r // 2, the head weights omega_j (j < h) are fixed exactly by
+    the parabolic subgroup W_T = <s_k : k >= h>, so w's head images
+    w(omega_j) depend only on its coset a = w W_T; likewise its tail images
+    on b = w W_H, W_H = <s_k : k < h>.  ``images[j]`` are the distinct
+    w(omega_j) in weight coordinates, ``reps[j]`` the index among them that
+    each coset takes (cosets in W/W_T for j < h, in W/W_H for j >= h), and
+    ``cosets`` (2, |W|) each w's (a, b).  W_H and W_T meet in the identity,
+    so w is the one element of both its cosets: ``signs`` (|W/W_T|,
+    |W/W_H|) holds parity(w) at (a, b) and 0 elsewhere, |W| nonzeros,
+    complex for the product with the complex head table.
+    """
+    group = generate_weyl_group(rs)
+    images, places = zip(*map(_distinct_rows, group.weight_matrices.transpose(1, 0, 2)))
+    places, half = np.stack(places, axis=1), rs.rank // 2
+    # a coset is known by its images, whose stabilizer is the parabolic subgroup
+    (head_reps, a), (tail_reps, b) = _distinct_rows(places[:, :half]), _distinct_rows(places[:, half:])
+    signs = np.zeros((len(head_reps), len(tail_reps)), dtype=complex)
+    signs[a, b] = group.parities
+    if np.count_nonzero(signs) != group.order:
+        raise InternalError("two Weyl elements share both their head and tail cosets")
+    cosets = (images, (*head_reps.T, *tail_reps.T), np.stack([a, b]), signs)
+    for x in images + cosets[1] + cosets[2:]:
+        x.flags.writeable = False
+    return cosets
+
+
+def split_levels(rs: RootSystem, levels) -> tuple:
     """The dominant weights l, rows of ``levels`` (L, r) in lexicographic
     order, as ``orbit_sums`` reads them: (m, phases, powers, heads, head,
-    tails, tail), m = l + 1 the weight coordinates of l + rho.
+    tails, tail, cosets, signs), m = l + 1 the weight coordinates of l + rho.
 
     ``phases`` holds v u per axis j, distinct value v of m_j and distinct
-    image u = w(omega_j) (row j of w's weight matrix); ``powers[j]`` places
-    them by value and element.  ``heads`` are the distinct value-coded first
-    r // 2 axes, ``tails`` the rest, and ``head``, ``tail`` each level's row.
-    The arrays are read-only, as the spectral tables share them.
+    image u = w(omega_j) (row j of w's weight matrix).  ``heads`` are the
+    distinct value-coded first h = r // 2 axes, ``tails`` the rest, and
+    ``head``, ``tail`` each level's row.  ``powers[j]`` places axis j's
+    phases by value and coset: values x |W/W_T| on a head axis, values x
+    |W/W_H| on a tail axis.  ``cosets`` and ``signs`` are the Weyl group's
+    (``_cosets``).  The arrays are read-only, as the spectral tables share
+    them.
     """
+    images, reps, cosets, signs = _cosets(rs)
     m = np.asarray(levels, dtype=np.int64) + 1
-    phases, powers, codes = [], [], []
-    for rows, col in zip(group.weight_matrices.transpose(1, 0, 2), m.T):
-        images, image = _distinct_rows(rows)
+    phases, powers, codes, offset = [], [], [], 0
+    for distinct, rep, col in zip(images, reps, m.T):
         values, code = np.unique(col, return_inverse=True)
-        powers.append(sum(map(len, phases)) + len(images) * np.arange(len(values))[:, None] + image)
-        phases.append(np.multiply.outer(values, images.astype(float)).reshape(-1, len(m.T)))
+        phases.append(np.multiply.outer(values, distinct.astype(float)).reshape(-1, len(m.T)))
+        powers.append(offset + len(distinct) * np.arange(len(values))[:, None] + rep)
+        offset += len(phases[-1])
         codes.append(code.reshape(-1))
-    codes, half = np.stack(codes, axis=1), len(m.T) // 2
+    codes, half = np.stack(codes, axis=1), rs.rank // 2
     split = (m, np.concatenate(phases), tuple(powers), *_distinct_rows(codes[:, :half]),
-             *_distinct_rows(codes[:, half:]))
-    for a in split[:2] + split[2] + split[3:]:
-        a.flags.writeable = False
+             *_distinct_rows(codes[:, half:]), cosets, signs)
+    for x in split[:2] + split[2] + split[3:7]:
+        x.flags.writeable = False
     return split
 
 
-def _head_tail(rs: RootSystem, split, phi) -> tuple:
-    """H[head, w] = prod_{j<h} exp(i m_j w(omega_j).phi) and T[tail, w] over
-    the axes j >= h, with parity(w) on axis 0: a level's signed term at w is
-    H[head, w] T[tail, w].  With no head axis (rank 1) H is a row of ones."""
-    _, phases, powers, heads, _, tails, _ = split
-    group = generate_weyl_group(rs)
+def _coset_tables(rs: RootSystem, split, phi) -> tuple:
+    """H[head, a] = prod_{j<h} exp(i m_j u_j.phi) over the distinct heads and
+    the cosets a of W/W_T, u_j = w(omega_j) for any w in a, and T[tail, b]
+    over the axes j >= h and the cosets b of W/W_H.  A level's signed term
+    at w is H[head, a(w)] T[tail, b(w)] parity(w).  With no head axis
+    (rank 1) H is the 1 x 1 table of one."""
+    _, phases, powers, heads, _, tails, _, _, signs = split
     factors = np.exp(1j * (phases @ (rs.weights @ phi)))
     axes = [factors[index] for index in powers]
-    axes[0] *= group.parities
-    tables = []
-    for rows, own in ((heads, axes[: len(heads.T)]), (tails, axes[len(heads.T) :])):
-        table = own[0][rows[:, 0]] if own else np.ones((1, group.order), dtype=complex)
+    tables, half = [], len(heads.T)
+    for rows, own, width in ((heads, axes[:half], len(signs)), (tails, axes[half:], len(signs.T))):
+        table = own[0][rows[:, 0]] if own else np.ones((1, width), dtype=complex)
         for c, power in zip(rows.T[1:], own[1:]):
             table *= power[c]
         tables.append(table)
@@ -298,14 +334,17 @@ def _head_tail(rs: RootSystem, split, phi) -> tuple:
 
 
 def _term_sums(split, head_table, tail_table, walls) -> np.ndarray:
-    """Level sums with each term multiplied out: H[head, w] T[tail, w] times
-    prod_beta i m.walls[beta, :, w], summed over w, in blocks of levels."""
-    m, _, _, _, head, _, tail = split
+    """Level sums with each term multiplied out: H[head, a(w)] T[tail, b(w)]
+    parity(w) times prod_beta i m.walls[beta, :, w], summed over w, in
+    blocks of levels."""
+    m, _, _, _, head, _, tail, (a, b), signs = split
+    head_rows = head_table[:, a] * signs[a, b]
+    tail_rows = tail_table[:, b]
     sums = np.empty(len(m), dtype=complex)
-    step = max(1, _BLOCK // head_table.shape[1])
+    step = max(1, _BLOCK // len(a))
     for start in range(0, len(m), step):
         rows = slice(start, start + step)
-        terms = head_table[head[rows]] * tail_table[tail[rows]]
+        terms = head_rows[head[rows]] * tail_rows[tail[rows]]
         for wall in walls:
             terms *= 1j * (m[rows] @ wall)
         sums[rows] = terms.sum(axis=1)
@@ -317,29 +356,35 @@ def orbit_sums(rs: RootSystem, split, phi) -> tuple:
     denominator (2i)^p w(phi), by the wall rule without a direction, so that
     on a Weyl wall the quotient of the two is its exact limit.
 
-    A term is a head factor times a tail factor, so a level's signed sum is
-    the entry (head, tail) of the product H @ T^T of ``_head_tail``'s
-    tables, in blocks of about ``_BLOCK`` heads x tails; phi may be complex.
-    On a wall each term gains prod_beta i beta.w(l + rho), which does not
-    split: the terms are multiplied out.  The wall roots' reflections fix
-    the exponential and flip the sign of that product, so the signed terms
-    of a coset add up instead of cancelling, as powers of v.d would.  Each
+    A term is a head factor, which depends on w only through its coset in
+    W/W_T, times a tail factor, which depends only on its coset in W/W_H,
+    times parity(w).  So a level's signed sum is the entry (head, tail) of
+    (H @ C) @ T^T, with H and T ``_coset_tables``' tables and C the cached
+    ``signs``: heads x |W/W_T| x |W/W_H| and heads x |W/W_H| x tails
+    multiply-adds, against heads x tails x |W| over the elements themselves
+    (D4: 48 x 32 cosets for 192 elements).  The second product is walked in
+    blocks of about ``_BLOCK`` heads x tails; phi may be complex.  On a wall
+    each term gains prod_beta i beta.w(l + rho), which does not split: the
+    terms are multiplied out.  The wall roots' reflections fix the
+    exponential and flip the sign of that product, so the signed terms of a
+    coset add up instead of cancelling, as powers of v.d would.  Each
     level's signed sum is formed before any level weight multiplies it:
     d_l exp(-lambda_l t) on the cancelling terms would lose digits.
     """
     phi = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
     roots, w = wall_denominator(rs, phi)
-    head_table, tail_table = _head_tail(rs, split, phi)
+    head_table, tail_table = _coset_tables(rs, split, phi)
     if len(roots):
         # beta.w(l + rho) = m.(G_w weights beta)
         walls = generate_weyl_group(rs).weight_matrices @ (rs.weights @ roots.T)
         return _term_sums(split, head_table, tail_table, walls.T), (2j) ** rs.p * w
-    *_, head, tails, tail = split
+    *_, head, tails, tail, _, signs = split
+    left = head_table @ signs
     sums = np.empty(len(head), dtype=complex)
     step = max(1, _BLOCK // len(tails))
-    for start in range(0, len(head_table), step):
+    for start in range(0, len(left), step):
         lo, hi = np.searchsorted(head, [start, start + step])
-        block = head_table[start : start + step] @ tail_table.T
+        block = left[start : start + step] @ tail_table.T
         sums[lo:hi] = block[head[lo:hi] - start, tail[lo:hi]]
     return sums, (2j) ** rs.p * w
 

@@ -672,13 +672,85 @@ def test_matrix_product_equals_explicit_terms_off_walls(family, rank, tau, cutof
     rs = build_root_system(family, rank)
     order = generate_weyl_group(rs).order
     split = _spectral_data(rs, tau, 1e-14, cutoff)[2]
-    heads, tails = split[3], split[5]
+    _, _, _, heads, head, tails, tail, (a, b), signs = split
     if cutoff is not None:
         # the product walks several blocks of heads
         assert len(heads) * len(tails) > 2 * weyl._BLOCK
     phi = np.random.default_rng(rank).uniform(-3.0, 3.0, rank)
-    explicit = weyl._term_sums(split, *weyl._head_tail(rs, split, phi), np.zeros((0, rank, order)))
+    head_table, tail_table = weyl._coset_tables(rs, split, phi)
+    # one term per level and Weyl element w, at w's two cosets
+    explicit = sum(signs[a[k], b[k]] * head_table[head, a[k]] * tail_table[tail, b[k]] for k in range(order))
     assert np.abs(orbit_sums(rs, split, phi)[0] - explicit).max() <= 1e-13 * order
+
+
+# the ten compact systems and four larger ones, on level_cutoff tables
+COSET_SYSTEMS = sorted(checks.SYSTEMS) + [("A", 5), ("B", 4), ("C", 4), ("D", 5)]
+
+
+def _parabolic(rs, simple):
+    """The rounded matrices of the subgroup generated by the reflections of
+    the simple roots ``simple``, in sorted order."""
+    gens = [weyl.reflection_matrix(rs.simple_roots[k]) for k in simple]
+    mats = weyl._close_group(gens, [np.eye(rs.rank)], "a parabolic subgroup").matrices if gens else [np.eye(rs.rank)]
+    return sorted(tuple(np.round(m, 9).ravel()) for m in mats)
+
+
+@pytest.mark.parametrize("family,rank", COSET_SYSTEMS)
+def test_coset_signs_hold_each_parity_once(family, rank):
+    """C has |W| nonzeros, the parity of the one w in both cosets, and the
+    identity's cosets are the parabolic subgroups W_T = <s_k : k >= h> and
+    W_H = <s_k : k < h>."""
+    rs = build_root_system(family, rank)
+    group = generate_weyl_group(rs)
+    *_, (a, b), signs = _spectral_data(rs, 1.0, 1e-14, 1)[2]
+    assert np.count_nonzero(signs) == group.order
+    assert (signs[a, b] == group.parities).all()
+    identity = np.flatnonzero(np.abs(group.matrices - np.eye(rank)).max(axis=(1, 2)) < 1e-12)
+    half = rank // 2
+    for coset, simple in ((a, range(half, rank)), (b, range(half))):
+        members = sorted(tuple(np.round(m, 9).ravel()) for m in group.matrices[coset == coset[identity]])
+        assert members == _parabolic(rs, simple)
+        assert (np.bincount(coset) == len(members)).all()
+
+
+@pytest.mark.parametrize("family,rank", COSET_SYSTEMS)
+def test_coset_sums_match_direct_exponentials(family, rank):
+    """Level sums at regular points, on a wall, at the identity and at
+    complex points within 1e-13 of the sum of the terms' moduli."""
+    rs = build_root_system(family, rank)
+    labels = _spectral_levels(rs, 1.0, 1e-14, 2)
+    split = _spectral_data(rs, 1.0, 1e-14, 2)[2]
+    rng = np.random.default_rng(rank * 13 + ord(family))
+    points = [rng.uniform(-3.0, 3.0, rank), _wall_point(rs, rng), np.zeros(rank),
+              rng.uniform(-3.0, 3.0, rank) + 1j * rng.uniform(-0.3, 0.3, rank)]
+    for phi in points:
+        terms = _direct_terms(rs, labels, phi)
+        sums = orbit_sums(rs, split, phi)[0]
+        assert (np.abs(sums - terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1)).all()
+
+
+@pytest.mark.parametrize("family,rank", COSET_SYSTEMS)
+def test_character_at_complex_points_matches_its_numerator(family, rank):
+    """chi_l(phi) at complex phi against the signed orbit sum of
+    exp(i w(l + rho).phi) over (2i)^p prod_alpha sin(alpha.phi/2)."""
+    rs = build_root_system(family, rank)
+    rng = np.random.default_rng(rank * 17 + ord(family))
+    phi = rng.uniform(-3.0, 3.0, rank) + 1j * rng.uniform(-0.3, 0.3, rank)
+    denom = (2j) ** rs.p * np.prod(np.sin(rs.positive_roots @ phi / 2.0))
+    for l in ([0] * rank, [1] * rank, rng.integers(0, 4, rank)):
+        terms = _direct_terms(rs, [l], phi)[0]
+        assert abs(character(rs, l, phi) - terms.sum() / denom) <= 1e-13 * np.abs(terms).sum() / abs(denom)
+
+
+@pytest.mark.parametrize("family,rank", [("D", 4), ("A", 4)])
+def test_coset_product_does_a_third_of_the_per_element_work(family, rank):
+    """The cached tables at tau = 2 take heads x |W/W_T| x |W/W_H| plus
+    heads x |W/W_H| x tails multiply-adds per point, at most a third of
+    heads x tails x |W| over the Weyl elements themselves."""
+    rs = build_root_system(family, rank)
+    _, _, _, heads, _, tails, _, _, signs = _spectral_data(rs, 2.0, 1e-14, None)[2]
+    per_element = len(heads) * len(tails) * generate_weyl_group(rs).order
+    assert len(heads) * signs.size + len(heads) * len(signs.T) * len(tails) <= per_element / 3
 
 
 def test_orbit_coordinates_beyond_int16_do_not_wrap():
