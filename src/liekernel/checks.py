@@ -50,6 +50,20 @@ def rho_identity(systems) -> float:
     return worst
 
 
+def root_data(max_rank: int) -> int:
+    """Mismatches over A1, B2, C2 and D3 up to rank ``max_rank``: |Phi+| against
+    r(r+1)/2, r^2, r^2, r(r-1); the highest root's coefficients against
+    Bourbaki's; rho^2/lambda against n/24 to 1e-12."""
+    bad = 0
+    for fam, r in [(f, r) for f, low in zip("ABCD", (1, 2, 2, 3)) for r in range(low, max_rank + 1)]:
+        rs = build_root_system(fam, r)
+        count, coeffs = {"A": (r * (r + 1) // 2, [1] * r), "B": (r * r, [1] + [2] * (r - 1)),
+                         "C": (r * r, [2] * (r - 1) + [1]), "D": (r * (r - 1), [1] + [2] * (r - 3) + [1, 1])}[fam]
+        bad += (rs.p != count) + (rs.highest_root_coeffs.tolist() != coeffs)
+        bad += not abs(float(rs.rho @ rs.rho) / rs.lam - rs.n / 24.0) <= 1e-12
+    return bad
+
+
 def root_weight_duality(systems) -> float:
     """Worst entry of gamma_i . w_j - gamma_i^2/2 delta_ij."""
     worst = 0.0
@@ -313,6 +327,10 @@ class Check(NamedTuple):
 CHECKS = {
     "rho2-over-lambda": Check(
         lambda: rho_identity(SYSTEMS), 1e-12, "rho^2/lambda == n/24 over all supported systems"
+    ),
+    "root-data": Check(
+        lambda: root_data(12), 0,
+        "|Phi+|, Bourbaki's highest root and rho^2/lambda = n/24 on A1-A12, B2-B12, C2-C12, D3-D12",
     ),
     "root-weight-duality": Check(
         lambda: root_weight_duality(SYSTEMS), 1e-12, "gamma_i . w_j == gamma_i^2/2 delta_ij"

@@ -279,30 +279,17 @@ def _system_d6() -> _System:
     a3 = _system_a(4)
     rs = a3.rs
     mus = a3.weights
-    sums = [mus[i] + mus[j] for i, j in itertools.combinations(range(4), 2)]
-    # group into +-v pairs
-    vecs = []
-    used = set()
-    for i, v in enumerate(sums):
-        if i in used:
-            continue
-        for j in range(i + 1, 6):
-            if j not in used and np.allclose(sums[j], -v, atol=1e-10):
-                used.update((i, j))
-                vecs.append(v)
-                break
-    if len(vecs) != 3:
-        raise InternalError("six-dimensional weight pairing failed")
+    # the weights mu_i + mu_j of the vector representation pair up as +-v,
+    # v = mu_0 + mu_k, since the four mu sum to zero
+    vecs = [mus[0] + mus[k] for k in (1, 2, 3)]
     # pure axis-1 pair goes last; the two x/z mixers form the quartet
     vecs.sort(key=lambda v: abs(v[1]))
     weights = np.vstack([vecs, [-v for v in vecs]])
     slots = (("quartet", (0, 1, 3, 4), (0, 2)), ("pair", 2, 5, 1))
     # the vector-eigenvalue map is blind to the sign of a single rotation
     # plane, so its stabilizer extends W(A3) by one axis flip (order 48)
-    group = generate_weyl_group(rs)
-    flip = np.diag([1.0, -1.0, 1.0])
-    gens = [e.matrix for e in group] + [flip]
-    eigen_group = _close_group(gens, gens, "the SO(6) eigenvalue stabilizer")
+    gens = [*generate_weyl_group(rs).matrices, np.diag([1.0, -1.0, 1.0])]
+    eigen_group = _close_group(gens, gens, "the SO(6) eigenvalue stabilizer", rs.weights)
     return _System(rs, weights, slots, True, eigen_group)
 
 

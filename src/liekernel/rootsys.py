@@ -7,6 +7,10 @@ defining representation is an axis; for A1-A3 it gives the coordinates of
 the non-compact group catalogue's reference tables bit for bit, as the
 literal B2 and C3 frames do, so winding vectors and eigenvalue phrases
 compare verbatim.  The other systems use standard orthogonal realizations.
+
+Every root is a Weyl image of a simple root, so the roots are closed in
+integer simple-root coordinates by ``integer_orbit``, which also closes the
+Weyl groups (``weyl._close_group``).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import ArgumentError, ConfigurationError, InternalError
 
 __all__ = ["RootSystem", "build_root_system", "cartan_matrix", "rescale"]
 
-_DEDUP_DECIMALS = 10
+_SORT_DECIMALS = 10  # positive roots are sorted by height, then coordinates
 
 
 @dataclass(frozen=True)
@@ -157,24 +161,40 @@ def _simple_roots(family: str, rank: int) -> np.ndarray:
     raise ConfigurationError(f"unknown family {family!r}; supported: A, B, C, D")
 
 
-def _close_roots(simple: np.ndarray) -> list[np.ndarray]:
-    """Full root set by reflection closure, full precision vectors."""
-    store: dict[tuple, np.ndarray] = {}
-    for v in list(simple) + list(-simple):
-        store[tuple(np.round(v, _DEDUP_DECIMALS))] = np.asarray(v, dtype=float)
-    changed = True
-    while changed:
-        changed = False
-        current = list(store.values())
-        for a in current:
-            aa = a @ a
-            for b in current:
-                r = b - 2.0 * (a @ b) / aa * a
-                key = tuple(np.round(r, _DEDUP_DECIMALS))
-                if key not in store:
-                    store[key] = r
-                    changed = True
-    return list(store.values())
+def integer_orbit(gens, start, name: str, cap: int | None = None) -> tuple:
+    """Orbit of the integer arrays ``start`` under right multiplication by
+    the integer matrices ``gens``, breadth first (start items, then each
+    item's images by the generators in order), items known by their bytes:
+    (items stacked, ``sources``), ``sources[k]`` item k's (parent, generator)
+    or (index in ``start``, -1).  Past ``cap`` items: ``InternalError``."""
+    gens = np.asarray(gens, dtype=np.int64)
+    seen, levels, sources = set(), [], []
+    candidates, base = np.asarray(start, dtype=np.int64), None
+    while len(candidates):
+        fresh = []
+        for k, x in enumerate(candidates):
+            key = x.tobytes()
+            if key not in seen:
+                if cap is not None and len(seen) >= cap:
+                    raise InternalError(f"closure of {name} exceeded {cap} elements; generators look malformed")
+                seen.add(key)
+                fresh.append(k)
+                sources.append((k, -1) if base is None else (base + k // len(gens), k % len(gens)))
+        base = len(seen) - len(fresh)
+        levels.append(candidates[fresh])
+        # the next candidates: each item of this level times each generator
+        images = np.moveaxis(np.tensordot(levels[-1], gens, (-1, 1)), -2, 1)
+        candidates = images.reshape(-1, *levels[-1].shape[1:])
+    return np.concatenate(levels), sources
+
+
+def _cartan(g: np.ndarray, name: str) -> np.ndarray:
+    """``cartan_matrix`` of the simple roots ``g`` (rows)."""
+    raw = 2.0 * (g @ g.T) / (g * g).sum(axis=1, keepdims=True)
+    m = np.round(raw).astype(int)
+    if not np.allclose(raw, m, atol=1e-9):
+        raise InternalError(f"non-integral Cartan matrix for {name}")
+    return m
 
 
 @functools.cache
@@ -206,26 +226,21 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise ConfigurationError(f"D-family needs rank >= 3, got {rank} (D3 ~ A3 is the smallest)")
 
     simple = _simple_roots(family, rank)
-    records = []
-    for v in _close_roots(simple):
-        coeffs = np.linalg.solve(simple.T, v)
-        rounded = np.round(coeffs)
-        if not np.allclose(coeffs, rounded, atol=1e-8):
-            raise InternalError(f"non-integral root expansion for {family}{rank}: {coeffs}")
-        ci = rounded.astype(int)
-        if coeffs.sum() > 1e-9:
-            if (ci < 0).any():
-                raise InternalError(f"mixed-sign positive root in {family}{rank}: {ci}")
-            records.append((int(ci.sum()), tuple(np.round(v, _DEDUP_DECIMALS)), v, ci))
-    records.sort(key=lambda rec: (rec[0], rec[1]))
-    positive = np.array([rec[2] for rec in records])
+    # the simple reflections b -> b - (M b)_i e_i on rows b of simple-root coordinates
+    eye = np.eye(rank, dtype=np.int64)
+    reflections = eye - _cartan(simple, f"{family}{rank}")[:, :, None] * eye[:, None, :]
+    roots, _ = integer_orbit(reflections, eye, f"the roots of {family}{rank}")
+    coeffs = roots[(roots >= 0).all(axis=1)]
+    positive = coeffs @ simple
+    order = np.lexsort(np.vstack([np.round(positive, _SORT_DECIMALS).T[::-1], coeffs.sum(axis=1)]))
+    coeffs, positive = coeffs[order], positive[order]
     p = len(positive)
 
     n = 2 * p + rank
     rho = positive.sum(axis=0) / 2.0
     lam = 2.0 / rank * float((positive**2).sum())
     highest = positive[-1]
-    highest_coeffs = records[-1][3]
+    highest_coeffs = coeffs[-1]
     if (highest_coeffs <= 0).any():
         raise InternalError(f"highest-root coefficients not positive: {highest_coeffs}")
 
@@ -262,12 +277,7 @@ def _validate(rs: RootSystem) -> None:
 
 def cartan_matrix(rs: RootSystem) -> np.ndarray:
     """Integer Cartan matrix M_jk = 2 gamma_j.gamma_k / gamma_j^2."""
-    g = rs.simple_roots
-    raw = 2.0 * (g @ g.T) / (g * g).sum(axis=1, keepdims=True)
-    m = np.round(raw).astype(int)
-    if not np.allclose(raw, m, atol=1e-9):
-        raise InternalError(f"non-integral Cartan matrix for {rs.name}")
-    return m
+    return _cartan(rs.simple_roots, rs.name)
 
 
 def rescale(rs: RootSystem, factor: float) -> RootSystem:

@@ -1,8 +1,8 @@
 """Weyl group machinery: reflections, characters, dimensions, and the
-intertwining operator.  The group acts on weight coordinates by integer
-matrices, and a character's signed orbit sum is an entry of a bilinear form
-between head and tail tables of powers over two parabolic coset spaces, one
-pair of matrix products for all levels."""
+intertwining operator.  The group is the integer orbit of the simple
+reflections acting on weight coordinates, and a character's signed orbit sum
+is an entry of a bilinear form between head and tail tables of powers over
+two parabolic coset spaces, one pair of matrix products for all levels."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, InternalError, ResourceError, SingularPointError
-from .rootsys import RootSystem
+from .rootsys import RootSystem, integer_orbit
 
 __all__ = [
     "WeylElement",
@@ -29,7 +29,8 @@ __all__ = [
 # matrix entries a closure may store, |W| r^2: A7 (2.0e6), B6 and C6 (1.7e6)
 # and D6 pass, A8, B7, C7 and D7 are refused
 _ENTRY_CAP = 4 * 10**6
-_MERGE_DECIMALS = 9
+# elements are listed by their Cartesian matrices at this many decimals, reversed
+_SORT_DECIMALS = 9
 _WALL_TOL = 1e-12
 
 # entries per block of ``orbit_sums``: heads x tails of the second product,
@@ -52,21 +53,17 @@ class WeylElement:
 class WeylGroup:
     """Finite reflection group; elements listed once, identity first.
 
-    Given the fundamental weights (rows), it also carries every element in
-    their basis: weight coordinates c map to c @ weight_matrices[k].  These
-    matrices are integral, as the group preserves the weight lattice.
+    ``matrices`` (|W|, r, r) are the elements in Cartesian coordinates and
+    ``parities`` their determinants.  ``weight_matrices`` are the same
+    elements in the basis of fundamental weights, integer matrices: weight
+    coordinates c map to c @ weight_matrices[k].
     """
 
-    def __init__(self, elements: list[WeylElement], weights: np.ndarray | None = None):
-        self.elements = elements
-        self.matrices = np.stack([e.matrix for e in elements])
-        self.parities = np.array([e.parity for e in elements])
-        self.weight_matrices = None
-        if weights is not None:
-            basis = weights @ self.matrices.transpose(0, 2, 1) @ np.linalg.inv(weights)
-            self.weight_matrices = np.rint(basis).astype(np.int64)
-            if np.abs(basis - self.weight_matrices).max() > 1e-9:
-                raise InternalError("Weyl group is not integral in the basis of fundamental weights")
+    def __init__(self, matrices: np.ndarray, parities: np.ndarray, weight_matrices: np.ndarray):
+        self.matrices = matrices
+        self.parities = parities
+        self.weight_matrices = weight_matrices
+        self.elements = [WeylElement(matrix=m, parity=int(e)) for m, e in zip(matrices, parities)]
 
     @property
     def order(self) -> int:
@@ -87,47 +84,33 @@ def reflection_matrix(root: np.ndarray) -> np.ndarray:
     return np.eye(len(root)) - 2.0 * np.outer(root, root) / (root @ root)
 
 
-def _close_group(gens, start, name: str, weights: np.ndarray | None = None) -> WeylGroup:
-    """Closure of ``start`` under left multiplication by ``gens``.
-
-    Breadth first, deduplicated on a rounded grid, elements sorted by that
-    key in reverse; every determinant must be +-1.  ``weights`` as in
-    ``WeylGroup``.  A closure past ``_ENTRY_CAP`` stored entries means
-    malformed generators, since ``generate_weyl_group`` refuses larger
-    groups before it starts.
-    """
-    cap = _ENTRY_CAP // gens[0].size
-    seen = {}
-    for m in start:
-        seen.setdefault(tuple(np.round(m, _MERGE_DECIMALS).ravel()), m)
-    frontier = list(seen.values())
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for g in gens:
-                cand = g @ m
-                k = tuple(np.round(cand, _MERGE_DECIMALS).ravel())
-                if k not in seen:
-                    if len(seen) >= cap:
-                        raise InternalError(f"closure of {name} exceeded {cap} elements; generators look malformed")
-                    seen[k] = cand
-                    fresh.append(cand)
-        frontier = fresh
-
-    elements = []
-    for m in seen.values():
-        det = np.linalg.det(m)
-        parity = int(round(det))
-        if abs(det - parity) > 1e-9 or parity not in (-1, 1):
-            raise InternalError(f"element of {name} has determinant {det}, not +-1")
-        elements.append(WeylElement(matrix=m, parity=parity))
-    elements.sort(key=lambda e: tuple(np.round(e.matrix, _MERGE_DECIMALS).ravel()), reverse=True)
-    return WeylGroup(elements, weights)
+def _close_group(gens, start, name: str, weights: np.ndarray) -> WeylGroup:
+    """Closure of ``start`` under left multiplication by ``gens`` (Cartesian),
+    as the ``integer_orbit`` of their matrices in the basis of the weights
+    (rows), checked integral once; each element's Cartesian matrix is g @ m
+    for the generator g and parent m it was found from.  Sorted by rounded
+    Cartesian matrix, reversed.  Past ``_ENTRY_CAP`` stored entries the
+    generators are malformed: ``generate_weyl_group`` refuses larger groups."""
+    mats = np.concatenate([gens, start])
+    basis = weights @ mats.transpose(0, 2, 1) @ np.linalg.inv(weights)
+    keys = np.rint(basis).astype(np.int64)
+    if np.abs(basis - keys).max() > 1e-9:
+        raise InternalError(f"the generators of {name} are not integral in the basis of fundamental weights")
+    weight_matrices, sources = integer_orbit(keys[: len(gens)], keys[len(gens) :], name,
+                                             _ENTRY_CAP // gens[0].size)
+    matrices = []
+    for parent, g in sources:
+        matrices.append(start[parent] if g < 0 else gens[g] @ matrices[parent])
+    matrices = np.stack(matrices)
+    order = np.lexsort(np.round(matrices, _SORT_DECIMALS).reshape(len(matrices), -1).T[::-1])[::-1]
+    parities = np.rint(np.linalg.det(weight_matrices)).astype(np.int64)
+    return WeylGroup(matrices[order], parities[order], weight_matrices[order])
 
 
 @functools.cache
 def generate_weyl_group(rs: RootSystem) -> WeylGroup:
-    """Closure of the simple-root reflections, deduplicated on a rounded grid.
+    """Closure of the simple-root reflections, whose matrices in the basis
+    of fundamental weights have row i e_i - M[:, i], M the Cartan matrix.
 
     A group whose |W| r^2 matrix entries pass ``_ENTRY_CAP`` is refused
     before any product, by its closed-form order: (r+1)! for A_r, 2^r r! for

@@ -691,7 +691,7 @@ def _parabolic(rs, simple):
     """The rounded matrices of the subgroup generated by the reflections of
     the simple roots ``simple``, in sorted order."""
     gens = [weyl.reflection_matrix(rs.simple_roots[k]) for k in simple]
-    mats = weyl._close_group(gens, [np.eye(rs.rank)], "a parabolic subgroup").matrices if gens else [np.eye(rs.rank)]
+    mats = weyl._close_group(gens, [np.eye(rs.rank)], "a parabolic subgroup", rs.weights).matrices if gens else [np.eye(rs.rank)]
     return sorted(tuple(np.round(m, 9).ravel()) for m in mats)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,33 @@ def test_highest_root_coeffs_positive_integers():
         rs = build_root_system(family, rank)
         assert (rs.highest_root_coeffs >= 1).all()
         assert np.abs(rs.highest_root_coeffs @ rs.simple_roots - rs.highest_root).max() < 1e-12
+
+
+def test_root_data_up_to_rank_12():
+    assert checks.root_data(12) == 0
+
+
+def test_root_data_counts_each_mismatch(monkeypatch):
+    def broken(family, rank):
+        rs = build_root_system(family, rank)
+        if (family, rank) == ("C", 5):
+            return replace(rs, highest_root_coeffs=rs.highest_root_coeffs[::-1])
+        if (family, rank) == ("D", 4):
+            return replace(rs, p=rs.p - 1)
+        return rs
+
+    monkeypatch.setattr(checks, "build_root_system", broken)
+    assert checks.root_data(5) == 2
+
+
+@pytest.mark.parametrize("family,rank", SYSTEMS + [("A", 8), ("B", 8), ("C", 8), ("D", 8)])
+def test_positive_roots_are_their_coefficients_times_the_simple_roots(family, rank):
+    # bit for bit: no last-bit noise, as the float closure left in three C3 roots
+    rs = build_root_system(family, rank)
+    coeffs = np.rint(np.linalg.solve(rs.simple_roots.T, rs.positive_roots.T).T)
+    assert coeffs.min() >= 0
+    assert (coeffs @ rs.simple_roots).tobytes() == rs.positive_roots.tobytes()
+    assert coeffs[-1].tolist() == rs.highest_root_coeffs.tolist()
 
 
 def test_a1_constants():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,14 @@ from liekernel import (
     InternalError,
     ResourceError,
     build_root_system,
+    cartan_matrix,
     casimir_eigenvalue,
     character,
     dimension,
     generate_weyl_group,
     weyl_function,
 )
-from liekernel import checks, weyl
+from liekernel import checks, domains, weyl
 from liekernel.weyl import WeylGroup, weight_orbit, weyl_order_from_intertwiner
 
 RNG = np.random.default_rng(20240817)
@@ -39,11 +42,10 @@ def test_weyl_group_beyond_the_closure_cap_is_refused_up_front(monkeypatch, fami
 
 
 def test_closure_of_malformed_generators_is_stopped(monkeypatch):
-    # a rotation by one radian generates no finite group
+    # a shear is an integer matrix of infinite order: it generates no finite group
     monkeypatch.setattr(weyl, "_ENTRY_CAP", 400)
-    c, s = np.cos(1.0), np.sin(1.0)
     with pytest.raises(InternalError, match="exceeded 100 elements"):
-        weyl._close_group([np.array([[c, -s], [s, c]])], [np.eye(2)], "a rotation")
+        weyl._close_group([np.array([[1.0, 1.0], [0.0, 1.0]])], [np.eye(2)], "a shear", np.eye(2))
 
 
 def test_weyl_group_closure_has_the_closed_form_order(monkeypatch):
@@ -54,9 +56,52 @@ def test_weyl_group_closure_has_the_closed_form_order(monkeypatch):
         assert generate_weyl_group(build_root_system(family, rank)).order == order
     # a closure that comes out short is caught
     close = weyl._close_group
-    monkeypatch.setattr(weyl, "_close_group", lambda *args: WeylGroup(close(*args).elements[:-1]))
+
+    def short(*args):
+        group = close(*args)
+        return WeylGroup(group.matrices[:-1], group.parities[:-1], group.weight_matrices[:-1])
+
+    monkeypatch.setattr(weyl, "_close_group", short)
     with pytest.raises(InternalError, match="7 elements, not 8"):
         generate_weyl_group.__wrapped__(build_root_system("B", 2))
+
+
+@pytest.mark.parametrize("family,rank", sorted(checks.SYSTEMS) + [("A", 5), ("B", 4), ("B", 5), ("C", 4),
+                                                                ("C", 5), ("D", 5)])
+def test_weight_matrices_and_parities_of_every_element(family, rank):
+    """Each element's integer weight matrix is its Cartesian matrix M in the
+    basis of fundamental weights, its parity is det M, and the group has
+    its closed-form order; the simple reflections' weight matrices have row
+    i e_i - C[:, i], C the Cartan matrix."""
+    rs = build_root_system(family, rank)
+    group = generate_weyl_group(rs)
+    basis = rs.weights @ group.matrices.transpose(0, 2, 1) @ np.linalg.inv(rs.weights)
+    assert group.weight_matrices.dtype == np.int64
+    assert np.abs(basis - group.weight_matrices).max() <= 1e-12
+    assert (group.parities == np.rint(np.linalg.det(group.matrices))).all()
+    order = math.factorial(rank) * {"A": rank + 1, "B": 2**rank, "C": 2**rank, "D": 2 ** (rank - 1)}[family]
+    assert group.order == order
+    elements = {m.tobytes() for m in group.weight_matrices}
+    assert len(elements) == order
+    cartan = cartan_matrix(rs)
+    for i in range(rank):
+        reflection = np.eye(rank, dtype=np.int64)
+        reflection[i] -= cartan[:, i]
+        assert reflection.tobytes() in elements
+
+
+def test_so6_eigenvalue_stabilizer_extends_w_a3():
+    system = domains._system(domains.parse_group("SO(3,3)"))
+    stabilizer, w_a3 = system.eigen_group, generate_weyl_group(system.rs)
+    assert stabilizer.order == 48
+    elements = {m.tobytes() for m in stabilizer.weight_matrices}
+    assert len(elements) == 48 and {m.tobytes() for m in w_a3.weight_matrices} <= elements
+    # the axis-1 flip diag(1, -1, 1) in the basis of A3's fundamental weights
+    assert np.array([[1, -1, 0], [0, -1, 0], [0, -1, 1]], dtype=np.int64).tobytes() in elements
+    weights = system.rs.weights
+    basis = weights @ stabilizer.matrices.transpose(0, 2, 1) @ np.linalg.inv(weights)
+    assert np.abs(basis - stabilizer.weight_matrices).max() <= 1e-12
+    assert np.abs(np.linalg.det(stabilizer.matrices) - stabilizer.parities).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3)])
