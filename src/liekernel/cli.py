@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import checks as checks_mod
 from . import kernel as kmod
 from .domains import (
     GroupFamily,
@@ -43,11 +44,22 @@ __all__ = ["main", "render_json", "render_csv"]
 
 def _fmt_float(x: float) -> str:
     x = float(x) + 0.0  # normalize -0.0
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ArgumentError("non-finite value in output")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return f"{x:.1f}"
     return f"{x:.17g}"
+
+
+# the renderers of the scalar types, by exact type: the values of a dict or
+# a list are formatted in its own pass, without a render_json call each
+_SCALARS = {
+    float: _fmt_float,
+    int: str,
+    bool: lambda b: "true" if b else "false",
+    str: encode_basestring_ascii,  # json.dumps(s)
+    type(None): lambda _: "null",
+}
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -55,19 +67,17 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f'{pad}  "{k}": {render_json(v, indent + 1)}' for k, v in obj.items()
-        ]
+        items = [f'{pad}  "{k}": ' + (render(v) if (render := _SCALARS.get(type(v))) else render_json(v, indent + 1))
+                 for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
             return "[]"
-        flat = all(isinstance(v, (int, float, str, bool)) for v in seq)
-        if flat:
-            return "[" + ", ".join(render_json(v) for v in seq) + "]"
-        items = [f"{pad}  " + render_json(v, indent + 1) for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        items = [render(v) if (render := _SCALARS.get(type(v))) else render_json(v, indent + 1) for v in seq]
+        if all(isinstance(v, (int, float, str, bool)) for v in seq):
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -186,6 +196,11 @@ def cmd_volume(args) -> int:
     return 0
 
 
+# most points a --grid may ask for: a two-route SU3 grid of this many points
+# takes about 4 s and 270 MB, its records held until they are written
+_GRID_CAP = 10**5
+
+
 def _time_parameter(args) -> kmod.TimeParameter:
     if args.heat is not None and args.t is not None:
         raise ArgumentError("choose one of --heat and --t")
@@ -198,7 +213,9 @@ def _time_parameter(args) -> kmod.TimeParameter:
     raise ArgumentError("a time is required: --heat TAU or --t T [--eps E]")
 
 
-def _grid_points(args, rank: int, signature) -> list:
+def _grid_values(args, rank: int) -> np.ndarray:
+    """The points of --grid (or --point alone) as rows (N, rank), N checked
+    against ``_GRID_CAP`` before any point is built."""
     if not 0 <= args.axis < rank:
         raise ArgumentError(f"--axis must lie in 0..{rank - 1}, got {args.axis}")
     base = np.zeros(rank)
@@ -215,7 +232,7 @@ def _grid_points(args, rank: int, signature) -> list:
     if not spec:
         if not args.point:
             raise ArgumentError("provide --grid START:STOP:N or --point v1,v2,...")
-        return [RadialPoint(tuple(base), signature)]
+        return base[None]
     try:
         start, stop, num = spec.split(":")
         start, stop, num = float(start), float(stop), int(num)
@@ -223,25 +240,24 @@ def _grid_points(args, rank: int, signature) -> list:
         raise ArgumentError(f"bad grid spec {spec!r}; want START:STOP:N") from exc
     if num < 1:
         raise ArgumentError("grid needs at least one point")
-    pts = []
-    for v in np.linspace(start, stop, num):
-        vec = base.copy()
-        vec[args.axis] = v
-        pts.append(RadialPoint(tuple(vec), signature))
-    return pts
+    if num > _GRID_CAP:
+        raise ResourceError(f"grid of {num} points is more than the cap of {_GRID_CAP}")
+    values = np.repeat(base[None], num, axis=0)
+    values[:, args.axis] = np.linspace(start, stop, num)
+    return values
 
 
-def _closed_form(fam: GroupFamily, domain_label: str, point: RadialPoint, tp) -> complex | None:
+def _closed_form(fam: GroupFamily, domain_label: str, values: list, tp) -> complex | None:
     if fam.rank != 1:
         return None
     try:
         if not fam.is_compact and domain_label == "D0":
-            value = kmod.su11_kernel_d0(point.values[0], tp)
+            value = kmod.su11_kernel_d0(values[0], tp)
         else:
             # the printed series is 0/0 on a wall
-            if len(wall_denominator(root_system_of(fam), np.asarray(point.values))[0]):
+            if len(wall_denominator(root_system_of(fam), np.asarray(values))[0]):
                 return None
-            value = kmod.su2_pathsum_series(point.values[0], tp)
+            value = kmod.su2_pathsum_series(values[0], tp)
     except LieKernelError:
         return None
     return value if np.isfinite(value.real) and np.isfinite(value.imag) else None
@@ -264,11 +280,8 @@ def cmd_kernel(args) -> int:
         raise ArgumentError(f"{fam.name} is non-compact; pick a domain with --domain")
     signature = domain.signature if domain else ("R",) * rs.rank
     tp = _time_parameter(args)
-    points = _grid_points(args, rs.rank, signature)
-    if not points:
-        raise ArgumentError("empty evaluation grid")
+    values = _grid_values(args, rs.rank)
     compact = IMAGINARY not in signature
-    pathsum = kmod.compact_pathsum if compact else kmod.noncompact_pathsum
 
     routes = [args.route] if args.route != "both" else ["pathsum", "spectral"]
     if "spectral" in routes and not compact:
@@ -277,17 +290,18 @@ def cmd_kernel(args) -> int:
         raise ArgumentError("the spectral route needs damping in real time: give --eps > 0, "
                             "or use --route pathsum")
 
-    def evaluate(point):
-        rec = {
-            "phi": [float(v) for v in point.values],
-            "signature": "".join(point.signature),
-        }
-        req = kmod.KernelRequest(rs=rs, phi=point, time=tp, tol=args.tol, level_cutoff=args.level_cutoff,
-                                 domain=domain)
-        for route in routes:
-            try:
-                kv = kmod.compact_spectral(req) if route == "spectral" else pathsum(req)
-            except SingularPointError:  # a wall root orthogonal to the real axes: no limit
+    # the first point stands for the grid's checks; each route takes every point in one call
+    req = kmod.KernelRequest(rs=rs, phi=RadialPoint(tuple(values[0]), signature), time=tp, tol=args.tol,
+                             level_cutoff=args.level_cutoff, domain=domain)
+    grid = {"pathsum": kmod.pathsum_grid, "spectral": kmod.spectral_grid}
+    results = [(route, grid[route](req, values)) for route in routes]
+    label, sig = domain.label if domain else "", "".join(signature)
+    records = []
+    for i, phi in enumerate(values.tolist()):
+        rec = {"phi": phi, "signature": sig}
+        for route, kvs in results:
+            kv = kvs[i]
+            if isinstance(kv, SingularPointError):  # a wall root orthogonal to the real axes: no limit
                 rec[f"{route}_skipped"] = "wall point"
                 continue
             rec[f"{route}_re"] = float(kv.value.real)
@@ -300,13 +314,11 @@ def cmd_kernel(args) -> int:
                 complex(rec["pathsum_re"], rec["pathsum_im"])
                 - complex(rec["spectral_re"], rec["spectral_im"])
             )
-        closed = _closed_form(fam, domain.label if domain else "", point, tp)
+        closed = _closed_form(fam, label, phi, tp)
         if closed is not None:
             rec["closed_re"] = float(closed.real)
             rec["closed_im"] = float(closed.imag)
-        return rec
-
-    records = [evaluate(p) for p in points]
+        records.append(rec)
     payload = {
         "group": fam.name,
         "domain": domain.label if domain else "compact",
@@ -409,6 +421,8 @@ def cmd_domains(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks as checks_mod
+
     if args.list:
         for name in checks_mod.CHECKS:
             print(name)

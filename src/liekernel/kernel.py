@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -23,13 +24,21 @@ from .errors import (
     ConvergenceError,
     PoleError,
     ResourceError,
+    SingularPointError,
     UnsupportedOperationError,
 )
-from .lattice import REAL, RadialPoint, domain_sublattice, winding_lattice
-from .lattice import _POINT_CAP, _ellipsoid_points, _window, _window_select
+from .lattice import IMAGINARY, REAL, RadialPoint, domain_sublattice, winding_lattice
+from .lattice import (
+    _POINT_CAP,
+    _axis_factors,
+    _ellipsoid_points,
+    _window,
+    _window_blocks,
+    _window_select,
+)
 from .rootsys import RootSystem
 from .volumes import coset_volume, group_volume
-from .weyl import generate_weyl_group, orbit_sums, split_levels, wall_denominator
+from .weyl import _BLOCK, _WALL_TOL, _matvecs, generate_weyl_group, orbit_sums, split_levels, wall_denominator
 
 __all__ = [
     "TimeMode",
@@ -40,6 +49,8 @@ __all__ = [
     "compact_pathsum",
     "compact_spectral",
     "noncompact_pathsum",
+    "pathsum_grid",
+    "spectral_grid",
     "su2_resolvent",
     "su2_resolvent_poles",
     "su2_spectral_series",
@@ -182,12 +193,15 @@ def _path_plan(rs: RootSystem, signature: tuple, time: TimeParameter, tol: float
     the signature, the window (its arguments checked), the complex time t
     and the prefactor (4 pi i t)^{-n/2}, rho's part on the real axes (the
     wall-limit direction d), the positive roots' products with d, and the
-    phase constant i rho^2 t / lam.  The arrays are read-only."""
+    phase constant i rho^2 t / lam, and the mask of the real axes.  The
+    arrays are read-only."""
     t = time.effective
-    direction = np.where(np.array(signature) == REAL, rs.rho, 0.0)
+    real = np.array(signature) == REAL
+    direction = np.where(real, rs.rho, 0.0)
     slopes = rs.positive_roots @ direction
-    direction.flags.writeable = slopes.flags.writeable = False
+    real.flags.writeable = direction.flags.writeable = slopes.flags.writeable = False
     return {
+        "real": real,
         "sub": domain_sublattice(winding_lattice(rs), signature),
         "window": _window(time.decay_scale(), tol, rs.lam),
         "t": t,
@@ -198,49 +212,94 @@ def _path_plan(rs: RootSystem, signature: tuple, time: TimeParameter, tol: float
     }
 
 
-def _pathsum_terms(rs: RootSystem, phi: RadialPoint, plan: dict) -> complex:
-    """Sum of van Vleck terms over the window's points of phi's winding
-    sublattice, from real rows x_m = phi + 2 pi m: theta enters as
-    constants, i beta.theta and -theta^2; ``plan`` is the ``_path_plan`` of
-    phi's signature.
+def _pathsum_terms(rs: RootSystem, values: np.ndarray, signature: tuple, plan: dict) -> list:
+    """Sums of van Vleck terms over the window's points of the winding
+    sublattice of ``signature``, at the points ``values`` (P, r) of that
+    signature, from real rows x_m = phi + 2 pi m: theta enters as
+    constants, i beta.theta and -theta^2; ``plan`` is the signature's
+    ``_path_plan``.  Per point, the sum over (2^p w(phi)), or the
+    ``SingularPointError`` of a wall with no limit along d.
 
-    On a wall, the s^k coefficient of prod_beta beta.(z_m + s d) exp(i lam
-    (z_m + s d)^2 / 4t), z_m = x_m + i theta, over that of the denominator:
-    the wall rule along d, rho's part on the real axes.
+    Points off the walls are evaluated together, in ``_window_blocks`` of
+    points that share a window centre.  On a wall, one point at a time, the
+    s^k coefficient of prod_beta beta.(z_m + s d) exp(i lam (z_m + s d)^2 / 4t),
+    z_m = x_m + i theta, over that of the denominator: the wall rule along
+    d, rho's part on the real axes.
     """
-    x0, theta = phi.phi_vector(), phi.theta_vector()
-    t, direction = plan["t"], plan["direction"]
-    # real root products on a compact point, formed as the numerators' are
-    roots, w = wall_denominator(rs, x0 if phi.is_compact else phi.complex_vector(), direction)
-    k = len(roots)
-    table, index, axes, _ = _window_select(plan["sub"], x0, plan["window"])
-    shift = None if phi.is_compact else 1j * (rs.positive_roots @ theta)[:, None]
-    nums = np.empty(index.shape[1], dtype=float if shift is None and not k else complex)
-    # the points gathered and their root factors formed in blocks, each
-    # column as the whole product forms it
+    x0, theta, z = values, None, values
+    if IMAGINARY in signature:
+        x0, theta = np.where(plan["real"], values, 0.0), np.where(plan["real"], 0.0, values)
+        z = values * _axis_factors(signature)
+    # z is real on a compact signature: its root products are formed as the numerators' are
+    sines = np.sin(_matvecs(rs.positive_roots, z) / 2.0)
+    on_wall = (np.abs(sines) <= _WALL_TOL).any(axis=1).tolist()
+    # the blocks as if off the walls, then each wall point by the wall rule
+    sums = np.empty(len(values), dtype=complex)
+    for rows in _window_blocks(plan["sub"], x0, plan["window"], _BLOCK):
+        if not all(on_wall[rows]):
+            sums[rows] = _window_sums(rs, x0[rows], None if theta is None else theta[rows], plan, 0)
+    scale = 2.0**rs.p
+    out = [None if wall else s / (scale * complex(d))
+           for s, d, wall in zip(sums.tolist(), np.prod(sines, axis=1).tolist(), on_wall)]
+    for i in [i for i, wall in enumerate(on_wall) if wall]:
+        try:
+            roots, d = wall_denominator(rs, z[i], plan["direction"])
+        except SingularPointError as exc:
+            out[i] = exc
+            continue
+        at = slice(i, i + 1)
+        s = _window_sums(rs, x0[at], None if theta is None else theta[at], plan, len(roots))[0]
+        out[i] = complex(s) / (scale * d)
+    return out
+
+
+def _window_sums(rs: RootSystem, x0: np.ndarray, theta: np.ndarray, plan: dict, k: int) -> np.ndarray:
+    """The sums of terms at the points x0 + i theta (P, r) of one window
+    centre, theta None on a compact signature: the Gaussians times
+    prod_beta beta.(x_m + i theta), or on a wall of k roots the
+    ``_numerators``, over the candidates each point keeps.  A run of
+    consecutive points that keep the same candidates is taken together,
+    with one matrix product per point for its root factors and its terms
+    summed over its own candidates: each point's sum has the bits it has
+    alone."""
+    x, index, axes, keep, _ = _window_select(plan["sub"], x0, plan["window"])
+    gauss = _gaussians(rs, theta, x, index, axes, plan)
+    shift = None if theta is None else 1j * _matvecs(rs.positive_roots, theta)[:, :, None]
+    cuts = [] if keep is None else (np.flatnonzero((keep[1:] != keep[:-1]).any(axis=1)) + 1).tolist()
     step = max(1, _FACTOR_BLOCK // len(rs.positive_roots))
-    for start in range(0, index.shape[1], step):
-        cols = slice(start, start + step)
-        x = table.take(index[:, cols])
-        factors = rs.positive_roots @ x
-        if shift is not None:
-            factors = factors + shift
-        if k:
-            # d.x_m added axis by axis: a matrix-vector product's columns depend on its length
-            nums[cols] = _numerators(rs, factors, (direction[:, None] * x).sum(axis=0), plan, k)
-        else:
-            nums[cols] = factors.prod(axis=0)
-    gauss = _gaussians(rs, theta, table, index, axes, plan)
-    # a BLAS dot of this length can wait milliseconds on a second thread
-    return complex(np.multiply(gauss, nums, out=gauss).sum()) / (2.0**rs.p * w)
+    sums = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(x)]):
+        rows, terms = index, gauss[lo:hi]
+        if keep is not None:
+            rows, terms = index.compress(keep[lo], axis=1), terms.compress(keep[lo], axis=1)
+        nums = np.empty(terms.shape, dtype=float if shift is None and not k else complex)
+        # the points gathered and their root factors formed in blocks, each
+        # column as the whole product forms it
+        for start in range(0, rows.shape[1], step):
+            cols = slice(start, start + step)
+            coords = x[lo:hi].take(rows[:, cols], axis=1)
+            factors = np.matmul(rs.positive_roots, coords)
+            if shift is not None:
+                factors = factors + shift[lo:hi]
+            if k:
+                # d.x_m added axis by axis: a matrix-vector product's columns depend on its length
+                along = (plan["direction"][:, None] * coords[0]).sum(axis=0)
+                nums[:, cols] = _numerators(rs, factors[0], along, plan, k)
+            else:
+                nums[:, cols] = factors.prod(axis=1)
+        terms *= nums
+        # a BLAS dot of this length can wait milliseconds on a second thread
+        sums.append(terms.sum(axis=1))
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
 def _gaussians(rs: RootSystem, theta: np.ndarray, table: np.ndarray, index: np.ndarray, axes: tuple,
                plan: dict) -> np.ndarray:
     """exp(i lam (|x_m|^2 - |theta|^2) / 4t + i rho^2 t / lam) for the points
-    of a ``_window_select`` table, as the product over the axes of
-    exp(i lam x_j^2 / 4t): one exp per table entry, and one gathered factor
-    per point and axis that takes more than one value.
+    of a ``_window_select`` table, (P, N), as the product over the axes of
+    exp(i lam x_j^2 / 4t): one exp per table entry and point, and one
+    gathered factor per candidate and axis that takes more than one value;
+    theta is None on a compact signature.
 
     The constant goes into the table of the axis with the most values,
     together with the squares of the axes of one value, added in axis
@@ -254,20 +313,22 @@ def _gaussians(rs: RootSystem, theta: np.ndarray, table: np.ndarray, index: np.n
     norms = None
     for j, a in enumerate(axes):
         if j == main or counts[j] == 1:
-            norms = squares[a] if norms is None else norms + squares[a]
-    # (x_m + i theta)^2 = |x_m|^2 - |theta|^2: x_m vanishes on the imaginary axes
-    squares[axes[main]] = norms - theta @ theta
+            norms = squares[:, a] if norms is None else norms + squares[:, a]
+    if theta is not None:
+        # (x_m + i theta)^2 = |x_m|^2 - |theta|^2: x_m vanishes on the imaginary axes
+        norms = norms - (theta[:, None, :] @ theta[:, :, None])[:, 0]
+    squares[:, axes[main]] = norms
     phases = 1j * rs.lam * squares
     # divided entry by entry: a rounded i lam / 4t shared by all terms moves them coherently
     phases /= 4.0 * t
-    phases[axes[main]] += plan["rho_phase"]
+    phases[:, axes[main]] += plan["rho_phase"]
     factors = np.exp(phases, out=phases)
-    gauss = factors.take(index[main])
+    gauss = factors.take(index[main], axis=1)
     varying = [j for j in range(len(axes)) if j != main and counts[j] > 1]
     if varying:
         term = np.empty_like(gauss)
         for j in varying:
-            gauss *= factors.take(index[j], out=term, mode="clip")
+            gauss *= factors.take(index[j], axis=1, out=term, mode="clip")
     return gauss
 
 
@@ -299,23 +360,60 @@ def compact_pathsum(req: KernelRequest) -> KernelValue:
     """
     if not req.phi.is_compact:
         raise ArgumentError("compact_pathsum needs a point with no imaginary axis")
-    return _pathsum(req)
+    return _one(_pathsum_values(req, np.array([req.phi.values])))
 
 
 def noncompact_pathsum(req: KernelRequest) -> KernelValue:
     """Kernel on a non-compact evolution domain by the restricted path sum."""
     if req.domain is None:
         raise ArgumentError("noncompact_pathsum needs an evolution domain")
-    return _pathsum(req)
+    return _one(_pathsum_values(req, np.array([req.phi.values])))
 
 
-def _pathsum(req: KernelRequest) -> KernelValue:
-    """The sum over classical paths on the winding sublattice of the point's
-    signature: the whole lattice when no axis is imaginary."""
-    rs = req.rs
-    plan = _path_plan(rs, req.phi.signature, req.time, req.tol)
-    value = plan["prefactor"] * _pathsum_terms(rs, req.phi, plan)
-    return KernelValue(value, *_pathsum_tag(rs, req, plan["t"]))
+def _one(results: list) -> KernelValue:
+    """The value of a one-point grid, raising its wall point's error."""
+    (value,) = results
+    if isinstance(value, SingularPointError):
+        raise SingularPointError(str(value)) from value
+    return value
+
+
+def _grid_values(req: KernelRequest, values) -> np.ndarray:
+    """``values`` as finite points (P, r) of the request's rank."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"grid values must be real numbers, got {values!r}") from exc
+    if values.ndim != 2 or values.shape[1] != req.rs.rank:
+        raise ArgumentError(f"grid values must have shape (points, {req.rs.rank}), got {values.shape}")
+    if not np.isfinite(values).all():
+        raise ArgumentError("radial values must be finite")
+    return values
+
+
+def pathsum_grid(req: KernelRequest, values) -> list:
+    """The sum over classical paths of ``req`` at each row of ``values``
+    (P, r), points in the signature of ``req.phi`` (phi on its real axes,
+    theta on its imaginary ones): the winding sublattice of the signature,
+    the whole lattice when no axis is imaginary.  Per point a
+    ``KernelValue``, or the ``SingularPointError`` of a wall point with no
+    limit along the real axes, in place of raising it: the other points
+    keep their values.  The points are evaluated together, as
+    ``_pathsum_terms`` says."""
+    return _pathsum_values(req, _grid_values(req, values))
+
+
+def _pathsum_values(req: KernelRequest, values: np.ndarray) -> list:
+    """``pathsum_grid`` at checked values."""
+    rs, signature, time = req.rs, req.phi.signature, req.time
+    plan = _path_plan(rs, signature, time, req.tol)
+    if IMAGINARY in signature:
+        theta = np.where(plan["real"], 0.0, values)
+        tags = [_pathsum_tag(rs, time, th2, plan["t"]) for th2 in np.einsum("ij,ij->i", theta, theta).tolist()]
+    else:
+        tags = itertools.repeat(_pathsum_tag(rs, time, 0.0, plan["t"]))
+    return [s if isinstance(s, SingularPointError) else KernelValue(plan["prefactor"] * s, *tag)
+            for s, tag in zip(_pathsum_terms(rs, values, signature, plan), tags)]
 
 
 def _spectral_levels(rs: RootSystem, t_like: float, tol: float, level_cutoff: int | None,
@@ -384,6 +482,19 @@ def compact_spectral(req: KernelRequest) -> KernelValue:
     A domain with no imaginary axis is the compact group, as in
     ``compact_pathsum``.
     """
+    return _spectral_values(req, np.array([req.phi.values]))[0]
+
+
+def spectral_grid(req: KernelRequest, values) -> list:
+    """The sum over unitary representations of ``req`` at each row of
+    ``values`` (P, r), real points: a ``KernelValue`` per point.  The
+    points' level sums are formed in blocks of about ``_BLOCK`` points x
+    levels, each weighted and summed over its levels at once."""
+    return _spectral_values(req, _grid_values(req, values))
+
+
+def _spectral_values(req: KernelRequest, values: np.ndarray) -> list:
+    """``spectral_grid`` at checked values."""
     if not req.phi.is_compact:
         raise ArgumentError("compact_spectral needs a point with no imaginary axis")
     if req.time.conditionally_convergent:
@@ -391,21 +502,22 @@ def compact_spectral(req: KernelRequest) -> KernelValue:
             "spectral series does not converge for real time with epsilon=0; "
             "supply an Abel regulator epsilon > 0 or use heat mode"
         )
-    rs = req.rs
-    split, weights = _level_weights(rs, req.time, req.tol, req.level_cutoff)
-    sums, denom = orbit_sums(rs, split, req.phi.values)
-    value = complex(weights @ sums / denom)
-    return KernelValue(value, ConvergenceTag.CONVERGENT)
+    split, weights = _level_weights(req.rs, req.time, req.tol, req.level_cutoff)
+    out, step = [], max(1, _BLOCK // len(weights))
+    for start in range(0, len(values), step):
+        sums, denoms = orbit_sums(req.rs, split, values[start : start + step])
+        # one dot per point: a matrix-vector product of this size waits on BLAS threads
+        out += (np.matmul(weights, sums[:, :, None])[:, 0] / denoms).tolist()
+    return [KernelValue(value, ConvergenceTag.CONVERGENT) for value in out]
 
 
-def _pathsum_tag(rs: RootSystem, req: KernelRequest, t: complex):
-    """A path sum's convergence tag and warning; with no imaginary axis
-    (theta = 0) only the time decides them."""
-    theta = req.phi.theta_vector()
-    theta2 = float(theta @ theta)
+def _pathsum_tag(rs: RootSystem, time: TimeParameter, theta2: float, t: complex):
+    """A path sum's convergence tag and warning at a point with |theta|^2 =
+    ``theta2``; with no imaginary axis (theta = 0) only the time decides
+    them."""
     # real part of the theta-direction exponent i*lam*(-theta^2)/(4t)
     growth = (1j * rs.lam * (-theta2) / (4.0 * t)).real
-    if req.time.mode is TimeMode.HEAT:
+    if time.mode is TimeMode.HEAT:
         if theta2 > 0 and growth > 0:
             return (
                 ConvergenceTag.GROWING,
@@ -413,7 +525,7 @@ def _pathsum_tag(rs: RootSystem, req: KernelRequest, t: complex):
                 "no stable heat solution exists on this domain",
             )
         return ConvergenceTag.CONVERGENT, None
-    if req.time.conditionally_convergent:
+    if time.conditionally_convergent:
         return (
             ConvergenceTag.OSCILLATORY,
             "real time with epsilon=0: conditionally defined, truncated on an Abel window",

@@ -364,8 +364,8 @@ def enumerate_points(lat: WindingLattice, phi, t_like: float, tol: float, lam: f
     lexicographic in their integer coordinates over the basis of ``lat``.
     """
     window = _window(t_like, tol, lam)
-    x0 = _check_point(phi.phi_vector() if isinstance(phi, RadialPoint) else phi, lat.rank).real
-    return (lat.generators.T @ _window_select(lat, x0, window, coeffs=True)[3]).T
+    x0 = _check_point(phi.phi_vector() if isinstance(phi, RadialPoint) else phi, lat.rank).real[None]
+    return (lat.generators.T @ _window_select(lat, x0, window, coeffs=True)[4]).T
 
 
 def _window(t_like: float, tol: float, lam: float) -> float:
@@ -413,63 +413,99 @@ def _axis_table(lat: WindingLattice, window: float) -> tuple:
     return index, reps, flat, axes
 
 
+def _window_blocks(lat: WindingLattice, x0: np.ndarray, window: float, block: int):
+    """The points x0 (P, rank) as slices for ``_window_select``: runs of
+    consecutive points whose real minimizers round to the same centre, one
+    matrix product for all points, cut so that a block's points times the
+    window's offsets stay within ``block`` entries."""
+    if not lat.dim or len(x0) == 1:
+        return [slice(start, start + block) for start in range(0, len(x0), block)]
+    offsets, _, proj = _window_offsets(lat, float(window))
+    centres = np.round(proj @ (-x0.T / (2.0 * np.pi)))
+    cuts = (np.flatnonzero((centres[:, 1:] != centres[:, :-1]).any(axis=0)) + 1).tolist()
+    step = max(1, block // offsets.shape[1])
+    return [slice(start, min(start + step, hi)) for lo, hi in zip([0, *cuts], [*cuts, len(x0)])
+            for start in range(lo, hi, step)]
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _centre_table(lat: WindingLattice, window: float, centre: tuple) -> tuple:
+    """What a window centre c gives each point rounded to it, read-only:
+    the shift 2 pi c @ gens, each axis-table entry's coordinate
+    2 pi (gens.T @ (reps + c)) and the entry's axis."""
+    _, reps, flat, _ = _axis_table(lat, window)
+    base = np.array(centre)
+    coords = lat.generators.T @ (reps + base[:, None])
+    coords *= 2.0 * np.pi
+    table = (2.0 * np.pi * (base @ lat.generators), coords.take(flat), flat // reps.shape[1])
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def _window_select(lat: WindingLattice, x0: np.ndarray, window: float, coeffs: bool = False) -> tuple:
-    """The points of a checked window at the real point x0, on the window's
-    axis table: ``(x, index, axes, kept)``.
+    """The points of a checked window at the real points x0 (P, rank) whose
+    minimizers round to the same centre, that of the first point, on the
+    window's axis table: ``(x, index, axes, keep, kept)``.
 
-    ``x`` holds the real coordinates x_j = 2 pi v + x0_j of the table's
-    values v, axis j's in ``x[axes[j]]``, and ``index`` (rank x N) the
-    entries of the kept points, one row per axis, so that point m's
-    coordinates are ``x[index[:, m]]``.  ``kept`` is the kept points'
-    integer coefficients over the basis (dim x N) with ``coeffs``, else
-    None.  The points come in lattice order.
+    ``x`` (P, T) holds each point's real coordinates x_j = 2 pi v + x0_j of
+    the table's values v, axis j's in ``x[:, axes[j]]``, and ``index``
+    (rank x N) the entries of the candidates some point keeps, one row per
+    axis, so that candidate m's coordinates at point p are
+    ``x[p, index[:, m]]``.  ``keep`` (P, N) marks the candidates each point
+    keeps, the set it keeps alone; None for a lone point, which keeps them
+    all.  ``kept`` is the candidates' integer coefficients over the basis
+    (dim x N) with ``coeffs``, else None.  The candidates come in lattice
+    order.
 
-    The candidates are the window's cached offsets around the rounded
-    minimizer, out to the norm d0 + sqrt(d0^2 + window) that a kept point's
-    offset cannot pass, d0 the rounded point's own distance; adding the
-    integer centre keeps the order.  The table's coordinates are formed from
-    the absolute coefficients of one offset per entry, as a point's are from
-    its own, and a candidate's squared distance is the sum of its gathered
-    squares, in axis order.  Where at most one axis takes more than one
+    The candidates are the window's cached offsets around the centre, out
+    to the norm d0 + sqrt(d0^2 + window) that a kept point's offset cannot
+    pass, d0 the farthest point's distance from the centre; adding the
+    integer centre keeps the order.  A point's closest lattice point is
+    among its own candidates, so the candidates of the others change
+    neither its radius nor the set it keeps.  The table's coordinates are
+    formed from the absolute coefficients of one offset per entry, as a
+    point's are from its own, and a candidate's squared distance is the sum
+    of its gathered squares, in axis order.  Where at most one axis takes more than one
     value, the entry's offset is the point's own: each point's coordinates
     and distance are those its coefficients give, bit for bit, whatever the
     rounding of the centre.
     """
     if lat.dim == 0:
         axes = tuple(slice(j, j + 1) for j in range(lat.rank))
-        return x0.copy(), np.arange(lat.rank)[:, None], axes, np.zeros((0, 1))
-    gens, window = lat.generators, float(window)
+        return x0.copy(), np.arange(lat.rank)[:, None], axes, None, np.zeros((0, 1))
+    window = float(window)
     offsets, norms, proj = _window_offsets(lat, window)
-    index, reps, flat, axes = _axis_table(lat, window)
-    base = np.round(proj @ (-x0 / (2.0 * np.pi)))
-    near = x0 + 2.0 * np.pi * (base @ gens)
-    d0 = math.sqrt(near @ near)
+    index, _, _, axes = _axis_table(lat, window)
+    base = np.round(proj @ (-x0[0] / (2.0 * np.pi)))
+    shift, coords, entry_axes = _centre_table(lat, window, tuple(base.tolist()))
+    near = x0 + shift
+    # the farthest point's reach covers every point's
+    d0 = math.sqrt((near * near).sum(axis=1).max())
     # the margin covers the slack of the distance test below and the norms' rounding
     near_enough = norms <= (d0 + math.sqrt(d0 * d0 + window)) * (1.0 + 1e-6) + 1e-6
-    x = gens.T @ (reps + base[:, None])
-    x *= 2.0 * np.pi
-    x += x0[:, None]
-    x = x.take(flat)
+    x = coords + x0.take(entry_axes, axis=1)
     squares = x * x
     # the window-sized arrays are filled in place and freed once read:
     # fresh arrays of this size cost more in page faults than in arithmetic
     # (every entry is in range: mode "clip" only spares the buffered copy
     # that mode "raise" makes of ``out``)
     rows = index.compress(near_enough, axis=1)
-    d2 = squares.take(rows[0])
+    d2 = squares.take(rows[0], axis=1)
     if len(rows) > 1:
         term = np.empty_like(d2)
         for row in rows[1:]:
-            d2 += squares.take(row, out=term, mode="clip")
+            d2 += squares.take(row, axis=1, out=term, mode="clip")
         del term
-    radius2 = d2.min() + window
-    keep = d2 <= radius2 + 1e-12 * max(1.0, radius2)
+    radius2 = d2.min(axis=1) + window
+    keep = d2 <= (radius2 + 1e-12 * np.maximum(1.0, radius2))[:, None]
     del d2
+    used = keep[0] if len(keep) == 1 else keep.any(axis=0)
     kept = None
     if coeffs:
-        kept = offsets.compress(near_enough, axis=1).compress(keep, axis=1)
+        kept = offsets.compress(near_enough, axis=1).compress(used, axis=1)
         kept += base[:, None]
-    return x, rows.compress(keep, axis=1), axes, kept
+    return x, rows.compress(used, axis=1), axes, None if len(keep) == 1 else keep.compress(used, axis=1), kept
 
 
 def _coeffs_of(lat: WindingLattice, vector: np.ndarray) -> np.ndarray:

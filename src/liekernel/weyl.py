@@ -33,9 +33,10 @@ _ENTRY_CAP = 4 * 10**6
 _SORT_DECIMALS = 9
 _WALL_TOL = 1e-12
 
-# entries per block of ``orbit_sums``: heads x tails of the second product,
-# levels x Weyl images of the terms multiplied out on a wall; the temporaries
-# of one block stay cache-sized
+# entries per block of ``orbit_sums`` and of the kernel's point axis: points
+# x table entries or window offsets, points x heads x tails of the second
+# product, levels x Weyl images of the terms multiplied out on a wall; the
+# temporaries of one block stay cache-sized
 _BLOCK = 2**15
 
 
@@ -180,8 +181,8 @@ def character(rs: RootSystem, l, phi) -> complex:
     """
     levels = _check_dominant(l, rs.rank)[None]
     phi = _check_point(phi, rs.rank)
-    sums, denom = orbit_sums(rs, split_levels(rs, levels), phi)
-    return complex(sums[0]) / denom
+    sums, denoms = orbit_sums(rs, split_levels(rs, levels), phi[None])
+    return complex(sums[0, 0]) / complex(denoms[0])
 
 
 def wall_denominator(rs: RootSystem, phi, direction=None) -> tuple:
@@ -299,27 +300,30 @@ def split_levels(rs: RootSystem, levels) -> tuple:
 
 
 def _coset_tables(rs: RootSystem, split, phi) -> tuple:
-    """H[head, a] = prod_{j<h} exp(i m_j u_j.phi) over the distinct heads and
-    the cosets a of W/W_T, u_j = w(omega_j) for any w in a, and T[tail, b]
-    over the axes j >= h and the cosets b of W/W_H.  A level's signed term
-    at w is H[head, a(w)] T[tail, b(w)] parity(w).  With no head axis
-    (rank 1) H is the 1 x 1 table of one."""
+    """H[p, head, a] = prod_{j<h} exp(i m_j u_j.phi_p) over the points phi
+    (P, r), the distinct heads and the cosets a of W/W_T, u_j = w(omega_j)
+    for any w in a, and T[p, b, tail] over the cosets b of W/W_H and the
+    axes j >= h: one exp per phase entry and point.  A level's signed term
+    at w is H[p, head, a(w)] T[p, b(w), tail] parity(w).  With no head axis
+    (rank 1) H holds one head of ones per point."""
     _, phases, powers, heads, _, tails, _, _, signs = split
-    factors = np.exp(1j * (phases @ (rs.weights @ phi)))
-    axes = [factors[index] for index in powers]
-    tables, half = [], len(heads.T)
-    for rows, own, width in ((heads, axes[:half], len(signs)), (tails, axes[half:], len(signs.T))):
-        table = own[0][rows[:, 0]] if own else np.ones((1, width), dtype=complex)
-        for c, power in zip(rows.T[1:], own[1:]):
-            table *= power[c]
-        tables.append(table)
-    return tuple(tables)
+    factors = np.exp(1j * _matvecs(phases, _matvecs(rs.weights, phi)))
+    head_table = tail_table = None
+    for j, c in enumerate(heads.T):
+        power = factors.take(powers[j], axis=1).take(c, axis=1)
+        head_table = power if head_table is None else np.multiply(head_table, power, out=head_table)
+    for j, c in enumerate(tails.T, len(heads.T)):
+        power = factors.take(powers[j].T, axis=1).take(c, axis=2)
+        tail_table = power if tail_table is None else np.multiply(tail_table, power, out=tail_table)
+    if head_table is None:
+        head_table = np.ones((len(phi), 1, len(signs)), dtype=complex)
+    return head_table, tail_table
 
 
 def _term_sums(split, head_table, tail_table, walls) -> np.ndarray:
-    """Level sums with each term multiplied out: H[head, a(w)] T[tail, b(w)]
-    parity(w) times prod_beta i m.walls[beta, :, w], summed over w, in
-    blocks of levels."""
+    """Level sums at one point with each term multiplied out: H[head, a(w)]
+    T[tail, b(w)] parity(w) times prod_beta i m.walls[beta, :, w], summed
+    over w, in blocks of levels."""
     m, _, _, _, head, _, tail, (a, b), signs = split
     head_rows = head_table[:, a] * signs[a, b]
     tail_rows = tail_table[:, b]
@@ -335,41 +339,70 @@ def _term_sums(split, head_table, tail_table, walls) -> np.ndarray:
 
 
 def orbit_sums(rs: RootSystem, split, phi) -> tuple:
-    """Signed orbit sum of every level of a ``split_levels`` at phi, and the
-    denominator (2i)^p w(phi), by the wall rule without a direction, so that
-    on a Weyl wall the quotient of the two is its exact limit.
+    """Signed orbit sums of every level of a ``split_levels`` at each point
+    phi (P, r), (P, L), and the denominators (2i)^p w(phi), (P,), by the
+    wall rule without a direction, so that on a Weyl wall the quotient of
+    the two is its exact limit.
 
     A term is a head factor, which depends on w only through its coset in
     W/W_T, times a tail factor, which depends only on its coset in W/W_H,
     times parity(w).  So a level's signed sum is the entry (head, tail) of
-    (H @ C) @ T^T, with H and T ``_coset_tables``' tables and C the cached
+    (H @ C) @ T, with H and T ``_coset_tables``' tables and C the cached
     ``signs``: heads x |W/W_T| x |W/W_H| and heads x |W/W_H| x tails
-    multiply-adds, against heads x tails x |W| over the elements themselves
-    (D4: 48 x 32 cosets for 192 elements).  The second product is walked in
-    blocks of about ``_BLOCK`` heads x tails; phi may be complex.  On a wall
-    each term gains prod_beta i beta.w(l + rho), which does not split: the
-    terms are multiplied out.  The wall roots' reflections fix the
-    exponential and flip the sign of that product, so the signed terms of a
-    coset add up instead of cancelling, as powers of v.d would.  Each
+    multiply-adds per point, against heads x tails x |W| over the elements
+    themselves (D4: 48 x 32 cosets for 192 elements).  The points are taken
+    in blocks of about ``_BLOCK`` table entries, each point with the matrix
+    products a single point gets, the second in blocks of about ``_BLOCK``
+    points x heads x tails; phi may be complex.  On a wall each term gains
+    prod_beta i beta.w(l + rho), which does not split: the terms are
+    multiplied out, one point at a time.  The wall roots' reflections fix
+    the exponential and flip the sign of that product, so the signed terms
+    of a coset add up instead of cancelling, as powers of v.d would.  Each
     level's signed sum is formed before any level weight multiplies it:
     d_l exp(-lambda_l t) on the cancelling terms would lose digits.
     """
     phi = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
-    roots, w = wall_denominator(rs, phi)
-    head_table, tail_table = _coset_tables(rs, split, phi)
-    if len(roots):
+    m, phases, _, heads, head, tails, tail, _, signs = split
+    sines = np.sin(_matvecs(rs.positive_roots, phi) / 2.0)
+    sums = np.empty((len(phi), len(m)), dtype=complex)
+    denoms = np.prod(sines, axis=1) * (2j) ** rs.p
+    # each level's place in a head block's product
+    places = head * len(tails) + tail
+    # the blocks as if off the walls, then each wall point multiplied out;
+    # a point's entries in the phase, head and tail tables and in the products
+    width = max(len(phases), len(heads) * max(signs.shape), len(tails) * (len(heads) + len(signs.T)))
+    step = max(1, _BLOCK // width)
+    on_wall = (np.abs(sines) <= _WALL_TOL).any(axis=1).tolist()
+    for start in range(0, len(phi), step):
+        at = slice(start, start + step)
+        if all(on_wall[at]):
+            continue
+        head_table, tail_table = _coset_tables(rs, split, phi[at])
+        count = len(head_table)
+        left = (head_table.reshape(-1, len(signs)) @ signs).reshape(count, len(heads), -1)
+        # the second product in blocks of heads, one matrix product per point
+        chunk = max(1, _BLOCK // (count * len(tails)))
+        for first in range(0, len(heads), chunk):
+            lo, hi = np.searchsorted(head, [first, first + chunk])
+            block = (left[:, first : first + chunk] @ tail_table).reshape(count, -1)
+            sums[at, lo:hi] = block.take(places[lo:hi] - first * len(tails) if first else places[lo:hi], axis=1)
+    for i in [i for i, wall in enumerate(on_wall) if wall]:
+        roots, w = wall_denominator(rs, phi[i])
+        head_table, tail_table = _coset_tables(rs, split, phi[i : i + 1])
         # beta.w(l + rho) = m.(G_w weights beta)
         walls = generate_weyl_group(rs).weight_matrices @ (rs.weights @ roots.T)
-        return _term_sums(split, head_table, tail_table, walls.T), (2j) ** rs.p * w
-    *_, head, tails, tail, _, signs = split
-    left = head_table @ signs
-    sums = np.empty(len(head), dtype=complex)
-    step = max(1, _BLOCK // len(tails))
-    for start in range(0, len(left), step):
-        lo, hi = np.searchsorted(head, [start, start + step])
-        block = left[start : start + step] @ tail_table.T
-        sums[lo:hi] = block[head[lo:hi] - start, tail[lo:hi]]
-    return sums, (2j) ** rs.p * w
+        sums[i] = _term_sums(split, head_table[0], tail_table[0].T, walls.T)
+        denoms[i] = (2j) ** rs.p * w
+    return sums, denoms
+
+
+def _matvecs(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """matrix @ p for each row p of ``points`` (P, n), (P, m): one
+    matrix-vector product per point, the one a single point gets, where a
+    matrix product's entries would depend on P."""
+    if len(points) == 1:
+        return (matrix @ points[0])[None]
+    return np.matmul(matrix, points[:, :, None])[:, :, 0]
 
 
 def dimension(rs: RootSystem, l) -> int:

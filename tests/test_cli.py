@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from liekernel import build_root_system, casimir_eigenvalue, cli, dimension, group_volume
+from liekernel import build_root_system, casimir_eigenvalue, checks, cli, dimension, group_volume
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -217,6 +217,80 @@ def test_kernel_spectral_route_rejected_off_compact(capsys):
     assert "spectral" in err
 
 
+def test_kernel_grid_over_the_cap_is_refused_before_any_point(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kernel", "SU2", "--heat", "0.5", "--grid", "0:1:1000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "cap" in err and "Traceback" not in err
+
+
+TWO_ROUTE_PAYLOAD = """{
+  "group": "SU(2)",
+  "domain": "compact",
+  "time_mode": "heat",
+  "time_value": 0.5,
+  "epsilon": 0.0,
+  "records": [
+    {
+      "phi": [0.0],
+      "signature": "R",
+      "pathsum_re": 0.067588623628547409,
+      "pathsum_im": 0.0,
+      "pathsum_tag": "CONVERGENT",
+      "spectral_re": 0.067588623628547381,
+      "spectral_im": 0.0,
+      "spectral_tag": "CONVERGENT",
+      "discrepancy": 2.7755575615628914e-17
+    },
+    {
+      "phi": [3.1415926535897931],
+      "signature": "R",
+      "pathsum_re": 5.4913452533802737e-06,
+      "pathsum_im": 0.0,
+      "pathsum_tag": "CONVERGENT",
+      "spectral_re": 5.4913452533801839e-06,
+      "spectral_im": 0.0,
+      "spectral_tag": "CONVERGENT",
+      "discrepancy": 8.9785492408955836e-20,
+      "closed_re": 5.4913452533802737e-06,
+      "closed_im": 0.0
+    },
+    {
+      "phi": [6.2831853071795862],
+      "signature": "R",
+      "pathsum_re": 7.5422144779297152e-17,
+      "pathsum_im": 0.0,
+      "pathsum_tag": "CONVERGENT",
+      "spectral_re": 7.7916566625621772e-17,
+      "spectral_im": 0.0,
+      "spectral_tag": "CONVERGENT",
+      "discrepancy": 2.4944218463246198e-18
+    }
+  ]
+}
+"""
+
+
+def test_kernel_payload_bytes(capsys):
+    """The exact bytes of a two-route payload through both SU(2) walls: keys
+    in order, floats at 17 significant digits and integral ones with one
+    decimal, flat lists on one line, closed-form columns only off the
+    walls."""
+    code, out, _ = run(capsys, "kernel", "SU2", "--heat", "0.5", "--route", "both",
+                       "--grid", f"0:{2 * np.pi!r}:3")
+    assert code == 0 and out == TWO_ROUTE_PAYLOAD
+
+
+def test_render_json_of_numpy_scalars_and_nested_values():
+    obj = {"a": [np.float64(1.5), 2, True, "x"], "b": [np.int64(3), None], "c": {}, "d": [], "e": -0.0,
+           "f": [[1.0, 2.0], {"g": False}]}
+    assert cli.render_json(obj) == (
+        '{\n  "a": [1.5, 2, true, "x"],\n  "b": [\n    3,\n    null\n  ],\n  "c": {},\n  "d": [],\n'
+        '  "e": 0.0,\n  "f": [\n    [1.0, 2.0],\n    {\n      "g": false\n    }\n  ]\n}'
+    )
+
+
 def test_determinism_byte_identical(capsys):
     args = ["kernel", "SU3", "--heat", "0.5", "--route", "both", "--point", "0.8,0.5"]
     _, first, _ = run(capsys, *args)
@@ -320,7 +394,7 @@ def test_check_whole_suite_passes(capsys):
     code, out, _ = run(capsys, "check")
     data = json.loads(out)
     assert code == 0 and data["passed"]
-    assert [r["name"] for r in data["checks"]] == list(cli.checks_mod.CHECKS)
+    assert [r["name"] for r in data["checks"]] == list(checks.CHECKS)
     failed = [r["name"] for r in data["checks"] if not r["passed"]]
     assert not failed
 
@@ -415,7 +489,7 @@ import contextlib, io, json, sys
 from liekernel.cli import main
 
 def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy") or m == "liekernel.checks")
 
 loaded = {"import liekernel.cli": heavy()}
 for argv in json.loads(sys.argv[1]):
@@ -427,7 +501,8 @@ print(json.dumps(loaded))
 
 
 def test_cli_loads_no_scipy_or_sympy():
-    """scipy is imported only where it is used, and sympy not at all."""
+    """scipy is imported only where it is used, sympy not at all, and the
+    invariant suite only by ``check``."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(LEAN_COMMANDS)],

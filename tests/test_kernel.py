@@ -17,6 +17,7 @@ from liekernel import (
     PoleError,
     RadialPoint,
     ResourceError,
+    SingularPointError,
     TimeParameter,
     UnsupportedOperationError,
     build_root_system,
@@ -36,7 +37,7 @@ from liekernel import (
     su11_resolvent_d0,
     winding_lattice,
 )
-from liekernel import checks, kernel, weyl
+from liekernel import checks, kernel, lattice, weyl
 from liekernel.domains import (
     build_element,
     canonical_radial,
@@ -310,7 +311,8 @@ def test_pathsum_terms_match_prod_reference():
             t = time.effective
             points = enumerate_points(lat, phi, time.decay_scale(), 1e-14, lam=rs.lam)
             terms = _pathsum_terms_by_prod(rs, phi, points, t)
-            got = kernel._pathsum_terms(rs, phi, kernel._path_plan(rs, phi.signature, time, 1e-14))
+            plan = kernel._path_plan(rs, phi.signature, time, 1e-14)
+            got = kernel._pathsum_terms(rs, np.array([phi.values]), phi.signature, plan)[0]
             bound = _pathsum_bound(rs, phi, points, t, terms)
             assert abs(got - terms.sum()) <= bound, (rs.name, phi, time)
 
@@ -378,7 +380,7 @@ def test_pathsum_terms_do_not_depend_on_the_factor_block(monkeypatch):
             sums = []
             for block in (10**9, 7 * len(rs.positive_roots)):
                 monkeypatch.setattr(kernel, "_FACTOR_BLOCK", block)
-                sums.append(kernel._pathsum_terms(rs, phi, plan))
+                sums.append(kernel._pathsum_terms(rs, np.array([phi.values]), phi.signature, plan)[0])
             assert sums[0] == sums[1], (rs.name, phi, time)
 
 
@@ -452,7 +454,8 @@ def test_pathsum_terms_match_mpmath(rs, lat, phi, time):
     with mpmath.workdps(40):
         terms = _pathsum_terms_by_mpmath(mpmath.mp, rs, phi, points, t)
         want = complex(mpmath.fsum(terms))
-    got = kernel._pathsum_terms(rs, phi, kernel._path_plan(rs, phi.signature, time, 1e-14))
+    plan = kernel._path_plan(rs, phi.signature, time, 1e-14)
+    got = kernel._pathsum_terms(rs, np.array([phi.values]), phi.signature, plan)[0]
     # the reference errs by about 1e-38 sum_m |term_m|: the whole bound is the code's
     bound = _pathsum_bound(rs, phi, points, t, np.array([complex(z) for z in terms]))
     assert abs(got - want) <= bound, (len(points), abs(got - want), bound)
@@ -610,7 +613,7 @@ def test_level_sums_from_power_tables_match_direct_exponentials(family, rank, ta
     points = [rng.uniform(-3.0, 3.0, rank) for _ in range(3)] + [_wall_point(rs, rng), np.zeros(rank)]
     for k, phi in enumerate(points):
         terms = _direct_terms(rs, labels, phi)
-        sums, denom = orbit_sums(rs, split, phi)
+        (sums,), (denom,) = orbit_sums(rs, split, phi[None])
         assert (np.abs(sums - terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1)).all()
         if k < 3:
             assert abs(denom - (2j) ** rs.p * np.prod(np.sin(rs.positive_roots @ phi / 2.0))) <= 1e-13
@@ -650,7 +653,7 @@ def test_folded_level_sums_equal_per_axis_left_fold(family, rank, tau):
     rng = np.random.default_rng(rank * 7 + int(tau))
     for phi in (rng.uniform(-3.0, 3.0, rank), _wall_point(rs, rng), np.zeros(rank)):
         terms = _left_fold_terms(rs, coords, phi) * group.parities
-        sums = orbit_sums(rs, split, phi)[0]
+        sums = orbit_sums(rs, split, phi[None])[0][0]
         assert (np.abs(sums - terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1)).all()
 
 
@@ -677,10 +680,11 @@ def test_matrix_product_equals_explicit_terms_off_walls(family, rank, tau, cutof
         # the product walks several blocks of heads
         assert len(heads) * len(tails) > 2 * weyl._BLOCK
     phi = np.random.default_rng(rank).uniform(-3.0, 3.0, rank)
-    head_table, tail_table = weyl._coset_tables(rs, split, phi)
+    (head_table,), (tail_table,) = weyl._coset_tables(rs, split, phi[None])
+    tail_table = tail_table.T
     # one term per level and Weyl element w, at w's two cosets
     explicit = sum(signs[a[k], b[k]] * head_table[head, a[k]] * tail_table[tail, b[k]] for k in range(order))
-    assert np.abs(orbit_sums(rs, split, phi)[0] - explicit).max() <= 1e-13 * order
+    assert np.abs(orbit_sums(rs, split, phi[None])[0][0] - explicit).max() <= 1e-13 * order
 
 
 # the ten compact systems and four larger ones, on level_cutoff tables
@@ -725,7 +729,7 @@ def test_coset_sums_match_direct_exponentials(family, rank):
               rng.uniform(-3.0, 3.0, rank) + 1j * rng.uniform(-0.3, 0.3, rank)]
     for phi in points:
         terms = _direct_terms(rs, labels, phi)
-        sums = orbit_sums(rs, split, phi)[0]
+        sums = orbit_sums(rs, split, phi[None])[0][0]
         assert (np.abs(sums - terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1)).all()
 
 
@@ -757,7 +761,7 @@ def test_orbit_coordinates_beyond_int16_do_not_wrap():
     split = _spectral_data(A1, 1.0, 1e-14, 40000)[2]
     assert split[0].max() == 40001 > np.iinfo(np.int16).max
     phi = np.array([0.37])
-    sums, _ = orbit_sums(A1, split, phi)
+    (sums,), _ = orbit_sums(A1, split, phi[None])
     labels = _spectral_levels(A1, 1.0, 1e-14, 40000)
     # phases reach 4e4 rad, where each exponent carries ~1e-11 of rounding
     assert np.abs(sums - _direct_terms(A1, labels, phi).sum(axis=1)).max() <= 1e-10
@@ -1030,3 +1034,83 @@ def test_convolution_semigroup():
 def test_convolution_rank_restriction():
     with pytest.raises(UnsupportedOperationError):
         radial_convolve(A2, np.ones(32), np.ones(32))
+
+
+def _grid_cases():
+    """(rs, domain, values, times, skipped points): on each compact system a line of 0..4 pi
+    along the first axis, which spans several window centres and crosses
+    walls, and the identity; SU(2) through both of its walls; the domains
+    SU(2,1) D1 and Sp(6,R) D1, the latter with the wall point (0.7, 0.7, 0)
+    of a wall orthogonal to its real axis."""
+    cases = []
+    for family, rank in sorted(checks.SYSTEMS):
+        rs = build_root_system(family, rank)
+        values = np.repeat(np.random.default_rng(rank * 19 + ord(family)).uniform(0.1, 0.9, rank)[None], 41, axis=0)
+        values[:, 0] = np.linspace(0.0, 4.0 * np.pi, 41)
+        cases.append(pytest.param(rs, None, np.vstack([values, np.zeros(rank)]),
+                                  (TimeParameter.heat(0.5), TimeParameter.real(1.0, 0.1)), 0, id=f"{family}{rank}"))
+    cases.append(pytest.param(A1, None, np.linspace(0.0, 2.0 * np.pi, 3)[:, None], (TimeParameter.heat(0.5),), 0,
+                              id="SU(2) walls"))
+    for name, wall in (("SU(2,1)", None), ("Sp(6,R)", (0.7, 0.7, 0.0))):
+        rs = root_system_of(parse_group(name))
+        values = np.repeat(np.linspace(0.3, 0.9, rs.rank)[None], 30, axis=0)
+        values[:, 0] = np.linspace(0.1, 1.5, 30)
+        cases.append(pytest.param(rs, _domain(name, "D1"), values if wall is None else np.vstack([values, wall]),
+                                  (TimeParameter.real(1.0), TimeParameter.real(1.0, 0.05)), 0 if wall is None else 2,
+                                  id=f"{name} D1"))
+    return cases
+
+
+@pytest.mark.parametrize("rs,dom,values,times,skips", _grid_cases())
+def test_grid_values_equal_per_point_values(rs, dom, values, times, skips):
+    """A grid's values, each route taking every point in one call, within
+    1e-14 of each point's own call, tags and warnings equal; a wall point
+    with no limit along the real axes is the same SingularPointError."""
+    signature = dom.signature if dom else ("R",) * rs.rank
+    if dom is None and rs.rank > 1:
+        window = kernel._path_plan(rs, signature, times[0], 1e-14)["window"]
+        assert len(lattice._window_blocks(winding_lattice(rs), values, window, kernel._BLOCK)) > 1
+    routes = [(kernel.pathsum_grid, noncompact_pathsum if dom else compact_pathsum)]
+    if dom is None:
+        routes.append((kernel.spectral_grid, compact_spectral))
+    skipped = 0
+    for time in times:
+        req = KernelRequest(rs=rs, phi=RadialPoint(tuple(values[0]), signature), time=time, domain=dom)
+        for grid_route, point_route in routes:
+            for v, got in zip(values, grid_route(req, values)):
+                one = KernelRequest(rs=rs, phi=RadialPoint(tuple(v), signature), time=time, domain=dom)
+                if isinstance(got, SingularPointError):
+                    skipped += 1
+                    with pytest.raises(SingularPointError):
+                        point_route(one)
+                    continue
+                want = point_route(one)
+                assert abs(got.value - want.value) <= 1e-14 * abs(want.value), (v, time)
+                assert (got.tag, got.warning) == (want.tag, want.warning)
+    assert skipped == skips
+
+
+@pytest.mark.parametrize("route,tau", [("pathsum_grid", 20.0), ("spectral_grid", 0.5)])
+def test_grid_temporaries_stay_within_blocks(monkeypatch, route, tau):
+    """A 20,000-point grid walks its points in blocks: the memory traced
+    while a route runs stays within 16 B x 64 x _BLOCK entries, room for a
+    few temporaries of rank or coset factor x _BLOCK entries, plus 200 B
+    for each point's value.  A whole-grid pass on these windows and levels
+    would trace 38 MB and 637 MB."""
+    import tracemalloc
+
+    block = 2**12
+    monkeypatch.setattr(kernel, "_BLOCK", block)
+    monkeypatch.setattr(weyl, "_BLOCK", block)
+    values = np.column_stack([np.linspace(0.2, 2.2, 20000), np.full(20000, 0.5)])
+    req = KernelRequest(rs=build_root_system("A", 2), phi=RadialPoint.real(values[0]), time=TimeParameter.heat(tau))
+    evaluate = getattr(kernel, route)
+    evaluate(req, values[:10])  # tables and windows built outside the trace
+    tracemalloc.start()
+    try:
+        result = evaluate(req, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == len(values)
+    assert peak <= 16 * 64 * block + 200 * len(values), peak
