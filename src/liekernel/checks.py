@@ -10,6 +10,7 @@ inputs and bounds, so each identity is coded once.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -412,13 +413,13 @@ CHECKS = {
 
 
 def run_checks(only: str | None = None) -> list:
-    """Run the (filtered) suite; returns records with measured residuals."""
+    """Run the (filtered) suite; returns records with measured residuals and seconds."""
     out = []
     for name, check in CHECKS.items():
         if only and only not in name:
             continue
+        start = time.perf_counter()
         residual = check.run()
-        out.append(
-            {"name": name, "passed": check.passes(residual), "residual": float(residual), "detail": check.detail}
-        )
+        out.append({"name": name, "passed": check.passes(residual), "residual": float(residual),
+                    "seconds": time.perf_counter() - start, "detail": check.detail})
     return out

@@ -428,6 +428,9 @@ def cmd_check(args) -> int:
             print(name)
         return 0
     results = checks_mod.run_checks(only=args.only)
+    # wall-clock times differ from run to run, so they go to stderr and stdout stays deterministic
+    for r in results:
+        print(f"{r.pop('seconds'):.6f} s  {r['name']}", file=sys.stderr)
     payload = {"checks": results, "passed": all(r["passed"] for r in results)}
     _emit(args, payload, results)
     return 0 if payload["passed"] else 1

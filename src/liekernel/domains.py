@@ -3,15 +3,18 @@
 Each supported family carries a "classification system": the compact
 parent's root system together with the weight forms of the defining
 representation, so that an element with complex radial vector phi has
-eigenvalue multiset { exp(i mu_k . phi) }.  Classification inverts that map;
-domain enumeration lists the signature masks the family's eigenvalue
-conditions allow.  Explicit coordinates (and hence masks and classification)
-ship for SU(p,q) and SL(n,R) at every rank, whose weight pairs differ along
-the axes 2k of the A pair frame; for SO(p,q) with p+q odd and Sp(2n,R) at
-every rank; for USp(2p,2q) where its mixed quartets fit (|p-q| <= 1 at rank
-3, p = q elsewhere); and for even orthogonal groups at p+q = 6 (through the
-A3 ~ D3 identification).  Sp(2,R) and USp(2) are SL(2,R) and SU(2).  Domain
-counts are available for every (p, q).
+eigenvalue multiset { exp(i mu_k . phi) }.  Classification inverts that map
+by reading the eigenvalue pattern: the eigenvalues group into the family's
+pairs (rotations, boosts, complex quartets) and singles, the first domain
+whose slots take those groups is the element's, and one solve gives its
+radial point.  Domain enumeration lists the signature masks the family's
+eigenvalue conditions allow.  Explicit coordinates (and hence masks and
+classification) ship for SU(p,q) and SL(n,R) at every rank, whose weight
+pairs differ along the axes 2k of the A pair frame; for SO(p,q) with p+q
+odd and Sp(2n,R) at every rank; for USp(2p,2q) where its mixed quartets fit
+(|p-q| <= 1 at rank 3, p = q elsewhere); and for even orthogonal groups at
+p+q = 6 (through the A3 ~ D3 identification).  Sp(2,R) and USp(2) are
+SL(2,R) and SU(2).  Domain counts are available for every (p, q).
 """
 
 from __future__ import annotations
@@ -314,26 +317,16 @@ def root_system_of(family: GroupFamily) -> RootSystem:
     return _system(family).rs
 
 
-def _rational_columns(weights: np.ndarray) -> tuple:
-    """(rows of Fractions, column scales): each column of ``weights`` divided
-    by its smallest nonzero magnitude, which makes the entries rational."""
-    scales = np.ones(weights.shape[1])
-    for j in range(weights.shape[1]):
-        nz = np.abs(weights[:, j])
-        nz = nz[nz > 1e-12]
-        if len(nz):
-            scales[j] = nz.min()
-    return [[_rationalize(x) for x in row] for row in weights / scales], scales
-
-
 def _dual_integral_basis(weights: np.ndarray) -> np.ndarray:
     """Basis rows of {m : mu_k . m integer for every weight row mu_k}.
 
-    The column-scaled problem is solved exactly over the integers and the
-    basis is unscaled at the end.
+    Each column divided by its smallest nonzero magnitude has rational
+    entries; that problem is solved exactly over the integers, and the basis
+    is unscaled at the end.
     """
     r = weights.shape[1]
-    fracs, scales = _rational_columns(weights)
+    scales = np.array([min((abs(x) for x in col if abs(x) > 1e-12), default=1.0) for col in weights.T])
+    fracs = [[_rationalize(x) for x in row] for row in weights / scales]
     denom = _lcm_denominators(f for row in fracs for f in row)
     basis = _hermite_normal_form(_transpose([[int(f * denom) for f in row] for row in fracs]))
     if len(basis[0]) != r:
@@ -621,193 +614,195 @@ def _unit_class(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def _spectrum(eig: np.ndarray) -> dict:
-    """What ``_match_domain`` reads of an element's eigenvalues on every
-    domain, computed once: the unit-modulus class (``_unit_class``'s guard
-    band raises first), the phases and the match tolerance; and, unless a
-    modulus vanishes, which no exp(i W phi) has, the log-moduli and the
-    pruning bounds of ``_assignments``.
-    """
-    unit = _unit_class(eig)
+    """What the read-off uses of an element's eigenvalues, computed once: the
+    unit-modulus class (``_unit_class``'s guard band raises first), the
+    phases, the match tolerance and the log-moduli, None where a modulus
+    vanishes, which no exp(i W phi) has."""
     mods = np.abs(eig)
-    args = np.angle(eig)
-    tol = 1e-8 * max(1.0, float(mods.max()))
-    spec = {"eig": eig, "unit": np.flatnonzero(unit).tolist(), "args": args, "tol": tol, "log_mod": None}
-    if mods.all():
-        log_mod = np.log(mods)
-        spec.update(
-            log_mod=log_mod,
-            logs=log_mod.tolist(),
-            phases=args.tolist(),
-            mod_bound=1e-7 + 1e-9 * (1.0 + float(np.abs(log_mod).max())),
-            # a modulus within 2 tol of 0 leaves the phase free: spread pi
-            spread=(2.0 * np.arcsin(1.001 * tol / np.maximum(mods, 1.001 * tol))).tolist(),
-        )
-    return spec
+    return {"eig": eig, "unit": _unit_class(eig).tolist(), "args": np.angle(eig),
+            "tol": 1e-8 * max(1.0, float(mods.max())), "log_mod": np.log(mods) if mods.all() else None}
 
 
-def _relations(rows: list, order: list) -> tuple:
-    """Per search depth d, the integer relation among the rows of slots
-    order[:d+1] that depth d adds, or None when it adds none.
+def _pair_up(spec: dict, idx: list, partner) -> tuple:
+    """Greedy pairs (i, j) of the eigenvalue indices ``idx``, largest |log|z||
+    first, each with the index nearest partner(z); and the indices whose
+    nearest partner misses by more than the guard band."""
+    eig = spec["eig"].tolist()
+    far = _GUARD_TOL * max(1.0, max(map(abs, eig)))
+    rest = sorted(idx, key=lambda k: -abs(spec["log_mod"][k]))
+    pairs, left = [], []
+    while rest:
+        i = rest.pop(0)
+        target = partner(eig[i])
+        j = min(rest, key=lambda k: abs(eig[k] - target), default=None)
+        if j is None or abs(eig[j] - target) > far:
+            left.append(i)
+        else:
+            rest.remove(j)
+            pairs.append((min(i, j), max(i, j)))
+    return sorted(pairs), left
 
-    A relation is ``(terms, l1)``: terms are (depth, c) pairs with
-    sum c rows[order[depth]] = 0 and c nonzero at d itself.  The relations up
-    to depth d span all relations among those rows, so checking each one as
-    it appears checks them all.  Without columns every row vanishes, and each
-    depth relates its row to nothing else.
-    """
-    out = []
-    for d in range(len(order)):
-        if not rows[0]:
-            out.append((((d, 1),), 1))
-            continue
-        found = [c for c in _kernel(_transpose([rows[s] for s in order[: d + 1]])) if c[d]]
-        if not found:
-            out.append(None)
-            continue
-        c = min(found, key=lambda c: (sum(map(bool, c)), sum(map(abs, c))))
-        out.append((tuple((p, k) for p, k in enumerate(c) if k), sum(map(abs, c))))
-    return tuple(out)
+
+def _groups(family: GroupFamily, spec: dict) -> dict:
+    """The element's eigenvalues grouped by the family's partner map, once for
+    every domain tried.  SU(p,q) pairs z with 1/conj(z) off the unit circle
+    and SL(n,R) z with conj(z) off the real axis, and leaves the rest
+    ``single``.  B, C and D set aside the eigenvalue nearest 1 for each zero
+    weight (``one``) and pair z with 1/z: ``unit``, positive ``real``,
+    ``negative`` real and ``complex`` pairs.  No domain takes ``unpaired``.
+    ``lone`` (beside the groups, read only by a refusal) lists the negative
+    real eigenvalues off the unit circle that no equal one pairs with."""
+    eig, tol, n = spec["eig"].tolist(), spec["tol"], len(spec["eig"])
+    negative = [i for i in range(n) if eig[i].real < 0 and abs(eig[i].imag) <= tol and not spec["unit"][i]]
+    lone = _pair_up(spec, negative, lambda z: z)[1]
+    if family.kind in (GroupKind.SU, GroupKind.SL):
+        su = family.kind is GroupKind.SU
+        alone = spec["unit"] if su else [abs(z.imag) <= tol for z in eig]
+        pairs, left = _pair_up(spec, [i for i in range(n) if not alone[i]],
+                               (lambda z: 1 / z.conjugate()) if su else (lambda z: z.conjugate()))
+        return {"pair": pairs, "single": [i for i in range(n) if alone[i]], "unpaired": left, "lone": lone}
+    zeros = sum(slot[0] == "zero" for slot in _system(family).slots)
+    ones = sorted(range(n), key=lambda i: abs(eig[i] - 1.0))[:zeros]
+    pairs, left = _pair_up(spec, [i for i in range(n) if i not in ones], lambda z: 1 / z)
+    out = {"one": ones, "unit": [], "real": [], "negative": [], "complex": [], "unpaired": left, "lone": lone}
+    for i, j in pairs:
+        real = max(abs(eig[i].imag), abs(eig[j].imag)) <= tol
+        kind = "real" if eig[i].real > 0 else "negative"
+        out["unit" if spec["unit"][i] and spec["unit"][j] else kind if real else "complex"].append((i, j))
+    return out
+
+
+# a domain's slots are filled in this order, paired ones before singles
+_DEMANDS = ("quartet", "pair", "boost", "rotation", "one", "single")
 
 
 @functools.cache
-def _matcher(dom: EvolutionDomain) -> dict:
-    """What ``_match_domain`` needs of a domain, built once.
+def _readoff_table(dom: EvolutionDomain) -> dict:
+    """What the read-off needs of a domain, built once.
 
-    The weight columns of its real (w_r) and imaginary (w_i) axes; the slots
-    whose weights vanish on the imaginary axes, which take unit-modulus
-    eigenvalues; the search order (those slots first); and, per search depth,
-    the integer relations that the depth's row adds among the w_i rows and
-    among the w_r rows of the slots before it.  The phase rows are the slots
-    whose w_r row adds no relation: an exact basis of w_r's row space, one per
-    real axis, which ``a_sub_inv`` solves for the real parameters, with every
-    lattice offset of their phases in ``offsets``.  Without real or imaginary
-    axes the arrays are empty, and their products are zeros.
+    ``demands``: the group kind each slot takes, with its weights, in fill
+    order.  An A-family pair slot takes a ``pair`` on an imaginary axis of
+    SU(p,q) and on a real axis of SL(n,R), and singles elsewhere.  A B, C or
+    D pair slot takes a unit pair on a real axis (``rotation``) and a real
+    pair on an imaginary one (``boost``).  A quartet is two such slots unless
+    exactly one of its axes is imaginary; then it takes a complex quartet,
+    its second weight's eigenvalue the conjugate of its first's.  The solve
+    uses the weight columns of the real (w_r) and imaginary (w_i) axes, and
+    one phase row per real axis: the first weights to raise the rank of w_r,
+    those of unit eigenvalues (zero on the imaginary axes) first, which
+    ``a_sub_inv`` solves at every lattice offset of their phases in
+    ``offsets``.
     """
-    weights = _system(dom.family).weights
+    sys = _system(dom.family)
     real_axes = [j for j, s in enumerate(dom.signature) if s == REAL]
     imag_axes = [j for j, s in enumerate(dom.signature) if s == IMAGINARY]
-    w_r = weights[:, real_axes]
-    w_i = weights[:, imag_axes]
-    slot_unit = np.array([np.allclose(w_i[k], 0.0, atol=1e-12) for k in range(len(weights))])
-    # the search visits unit slots first, as the permutation order does
-    order = np.flatnonzero(slot_unit).tolist() + np.flatnonzero(~slot_unit).tolist()
-    exact, _ = _rational_columns(weights)
-    relations = {}
-    for key, axes, w in (("modulus", imag_axes, w_i), ("phase", real_axes, w_r)):
-        relations[key] = _relations([[row[j] for j in axes] for row in exact], order)
-        for rel in filter(None, relations[key]):
-            if np.abs(sum(c * w[order[p]] for p, c in rel[0])).max(initial=0.0) > 1e-12:
-                raise InternalError("integer weight relation does not hold in floating point")
-    sub_rows = [order[d] for d, rel in enumerate(relations["phase"]) if rel is None]
+    w_r, w_i = sys.weights[:, real_axes], sys.weights[:, imag_axes]
+    demands = []
+    for kind, *slot in sys.slots:
+        if kind == "apair":
+            special = (slot[2] in imag_axes) == (dom.family.kind is GroupKind.SU)
+            demands += [("pair", tuple(slot[:2]))] if special else [("single", (w,)) for w in slot[:2]]
+        elif kind in ("asingle", "zero"):
+            demands.append(("single" if kind == "asingle" else "one", tuple(slot)))
+        elif kind == "pair":
+            demands.append(("boost" if slot[2] in imag_axes else "rotation", tuple(slot[:2])))
+        elif sum(ax in imag_axes for ax in slot[1]) != 1:
+            a, b, ma, mb = slot[0]
+            demands += [("boost" if slot[1][0] in imag_axes else "rotation", pair) for pair in ((a, ma), (b, mb))]
+        else:
+            a, b, ma, mb = slot[0]
+            if not (np.allclose(w_r[b], -w_r[a], atol=1e-12) and np.allclose(w_i[b], w_i[a], atol=1e-12)):
+                raise InternalError("a mixed quartet's second weight does not conjugate its first")
+            demands.append(("quartet", (a, ma, b, mb)))
+    on_real = [k for k in range(len(w_i)) if np.allclose(w_i[k], 0.0, atol=1e-12)]
+    sub_rows = []
+    for k in on_real + [k for k in range(len(w_i)) if k not in on_real]:
+        if len(sub_rows) < len(real_axes) and np.linalg.matrix_rank(w_r[sub_rows + [k]]) > len(sub_rows):
+            sub_rows.append(k)
     if len(sub_rows) != len(real_axes):
         raise InternalError("the weights do not span the real axes")
-    offsets = 2.0 * np.pi * np.array(list(itertools.product((-1, 0, 1), repeat=len(sub_rows))))
-    return {
-        "real_axes": real_axes,
-        "imag_axes": imag_axes,
-        "w_r": w_r,
-        "w_i": w_i,
-        "slot_unit": slot_unit,
-        "sub_rows": sub_rows,
-        "a_sub_inv": np.linalg.inv(w_r[sub_rows]),
-        "offsets": offsets,
-        "pinv_wi": np.linalg.pinv(-w_i),
-        "order": order,
-        "unit_depth": int(slot_unit.sum()),
-        "relations": relations,
-    }
+    arrays = {"w_r": w_r, "w_i": w_i, "a_sub_inv": np.linalg.inv(w_r[sub_rows]), "pinv_wi": np.linalg.pinv(-w_i),
+              "offsets": 2.0 * np.pi * np.array(list(itertools.product((-1, 0, 1), repeat=len(sub_rows))))}
+    for a in arrays.values():
+        a.flags.writeable = False
+    return {"demands": sorted(demands, key=lambda d: _DEMANDS.index(d[0])), "real_axes": real_axes,
+            "imag_axes": imag_axes, "sub_rows": sub_rows, **arrays}
 
 
-def _assignments(m: dict, spec: dict):
-    """Slot assignments (eigenvalue index per slot, by search depth) in the
-    order of ``itertools.permutations`` over unit slots then the rest.
-
-    A prefix is cut only where no completion can pass ``_match_domain``'s two
-    tests.  Those tests need |L_k + (w_i y)_k| <= 1e-7 (L the log-moduli) and
-    |exp(i (w_r x)_k - (w_i y)_k) - eig_k| <= tol for every slot k.  So an
-    integer relation c among the w_i rows of assigned slots bounds
-    |sum c_k L_k| by |c|_1 1e-7, and one among their w_r rows puts
-    sum c_k arg(eig_k) within sum |c_k| delta_k of 2 pi Z, delta_k the phase
-    error that 2 tol allows an eigenvalue of modulus |eig_k|.  Both bounds
-    carry a margin far above rounding.  The yielded list is reused.
-    """
-    order, unit_depth = m["order"], m["unit_depth"]
-    nw = len(order)
-    mod_rel, phase_rel = m["relations"]["modulus"], m["relations"]["phase"]
-    logs, phases, mod_bound, spread, unit = (spec[k] for k in ("logs", "phases", "mod_bound", "spread", "unit"))
-    free = [True] * nw
-    pos = [0] * nw
-
-    def fits(d):
-        rel = mod_rel[d]
-        if rel is not None and abs(sum(c * logs[pos[p]] for p, c in rel[0])) > rel[1] * mod_bound:
-            return False
-        rel = phase_rel[d]
-        if rel is None:
-            return True
-        drift = abs(math.remainder(sum(c * phases[pos[p]] for p, c in rel[0]), 2.0 * math.pi))
-        return drift <= sum(abs(c) * spread[pos[p]] for p, c in rel[0]) + 1e-9
-
-    def walk(d):
-        if d == nw:
-            yield pos
-            return
-        for e in unit if d < unit_depth else range(nw):
-            if free[e]:
-                pos[d] = e
-                if fits(d):
-                    free[e] = False
-                    yield from walk(d + 1)
-                    free[e] = True
-
-    return walk(0)
-
-
-def _match_domain(dom: EvolutionDomain, spec: dict):
-    """Solve exp(i W phi) = eig for phi with dom's signature, or return None;
-    ``spec`` is the ``_spectrum`` of eig.
-
-    Slots of weights that vanish on the imaginary axes need unit-modulus
-    eigenvalues; the other slots take the rest, which may include unit ones
-    (a zero imaginary parameter).  The first assignment of eigenvalues to
-    slots, in permutation order, that passes both tests wins, with the first
-    lattice offset of its phases that does.
-    """
-    m = _matcher(dom)
-    eig, log_mod, args, tol = spec["eig"], spec["log_mod"], spec["args"], spec["tol"]
-    if m["unit_depth"] > len(spec["unit"]) or log_mod is None:
+def _closest_two(items: list, key):
+    """Remove and return the two of ``items`` nearest by ``key``; None when
+    fewer than two are left."""
+    if len(items) < 2:
         return None
-    w_r, w_i = m["w_r"], m["w_i"]
+    two = min(itertools.combinations(items, 2), key=lambda pq: key(*pq))
+    items[:] = [item for item in items if item not in two]
+    return two
 
-    def verify(x, y, assign):
-        pred = np.exp(1j * (w_r @ x) - w_i @ y)
-        return bool(np.abs(pred - eig[assign]).max() <= tol)
 
+def _fill(table: dict, groups: dict, spec: dict):
+    """Eigenvalue index per weight, each of the domain's slots filled in turn
+    from the groups of its kind, or None when the slots do not take every
+    group.  At a zero parameter a slot takes equal eigenvalues: a quartet the
+    two pairs nearest conjugate (of the first kind with two: complex pairs,
+    negative pairs, which nothing else takes, real pairs, unit pairs), a
+    boost the unit pair nearest 1, and an A-family pair the two nearest
+    singles (negative ones first)."""
+    eig, tol = spec["eig"], spec["tol"]
+    pool = {kind: list(items) for kind, items in groups.items() if kind != "lone"}
     assign = np.empty(len(eig), dtype=int)
-    for pos in _assignments(m, spec):
-        assign[m["order"]] = pos
-        y = m["pinv_wi"] @ log_mod[assign]
-        damp = w_i @ y
-        if np.abs(damp + log_mod[assign]).max() > 1e-7:
-            continue
-        base = args[assign][m["sub_rows"]]
-        # every offset at once, with a margin over the rounding by which
-        # these products differ from verify's; verify decides, in order
-        cands = (base + m["offsets"]) @ m["a_sub_inv"].T
-        miss = np.abs(np.exp(1j * (cands @ w_r.T) - damp) - eig[assign]).max(axis=1)
-        x = None
-        for k in np.flatnonzero(miss <= 1.001 * tol):
-            cand = m["a_sub_inv"] @ (base + m["offsets"][k])
-            if verify(cand, y, assign):
-                x = cand
-                break
-        if x is None:
-            continue
-        values = np.zeros(len(dom.signature))
-        values[m["real_axes"]] = x
-        values[m["imag_axes"]] = y
-        return values
-    return None
+    for demand, ws in table["demands"]:
+        if demand == "quartet":
+            kind = next((k for k in ("complex", "negative", "real") if len(pool[k]) >= 2), "unit")
+            item = _closest_two(pool[kind], lambda p, q: min(abs(eig[k] - eig[p[0]].conjugate()) for k in q))
+            if item is not None:
+                (p, q), conj = item, eig[item[0][0]].conjugate()
+                item = p + (q if abs(eig[q[0]] - conj) <= abs(eig[q[1]] - conj) else q[::-1])
+        elif demand == "pair" and not pool["pair"]:
+            item = _closest_two(pool["single"], lambda i, j: (
+                abs(eig[i] - eig[j]) > 2 * tol, eig[i].real > 0, abs(eig[i] - eig[j])))
+        elif demand == "boost" and not pool["real"]:
+            item = min(pool["unit"], key=lambda p: abs(eig[p[0]] - 1.0), default=None)
+            if item is not None:
+                pool["unit"].remove(item)
+        else:
+            kind = {"boost": "real", "rotation": "unit"}.get(demand, demand)
+            item = pool[kind].pop(0) if pool[kind] else None
+        if item is None:
+            return None
+        assign[list(ws)] = item if isinstance(item, tuple) else (item,)
+    return None if any(pool.values()) else assign
+
+
+def _solve(table: dict, spec: dict, assign: np.ndarray):
+    """The point of the domain's signature with exp(i W phi) = eig[assign],
+    or None: the imaginary parameters from the log-moduli, the real ones from
+    the phase rows at the first lattice offset that fits every eigenvalue."""
+    eig, log_mod = spec["eig"][assign], spec["log_mod"][assign]
+    y = table["pinv_wi"] @ log_mod
+    damp = table["w_i"] @ y
+    if np.abs(damp + log_mod).max() > 1e-7:
+        return None
+    cands = (spec["args"][assign][table["sub_rows"]] + table["offsets"]) @ table["a_sub_inv"].T
+    miss = np.abs(np.exp(1j * (cands @ table["w_r"].T) - damp) - eig).max(axis=1)
+    fits = np.flatnonzero(miss <= spec["tol"])
+    if not len(fits):
+        return None
+    values = np.empty(len(table["real_axes"]) + len(y))
+    values[table["real_axes"]], values[table["imag_axes"]] = cands[fits[0]], y
+    return values
+
+
+def _refusal(groups) -> str:
+    """Which of the element's eigenvalue groups no catalogued domain takes."""
+    if groups is None:
+        return "an eigenvalue 0, which no exponential is"
+    if groups["unpaired"]:
+        return "eigenvalues that do not pair"
+    if groups["lone"]:
+        return "negative real eigenvalues that are not in equal pairs"
+    if groups.get("complex"):
+        return "a complex quartet z, 1/z, conj(z), 1/conj(z), a Cartan class with m >= 1 that no domain has yet"
+    return "complex radial parameters or boundary element"
 
 
 def classify_element(family: GroupFamily, matrix) -> tuple:
@@ -816,23 +811,28 @@ def classify_element(family: GroupFamily, matrix) -> tuple:
     The radial point is returned canonicalized (reduced modulo the domain's
     winding sublattice and the signature-preserving Weyl moves).
     """
-    sys = _system(family)
-    if not sys.concrete:
+    if not _system(family).concrete:
         raise ConfigurationError(f"classification coordinates not implemented for {family.name}")
-    eig = np.linalg.eigvals(check_defining_relation(family, matrix))
+    return _classify_spectrum(family, np.linalg.eigvals(check_defining_relation(family, matrix)))
+
+
+def _classify_spectrum(family: GroupFamily, eig: np.ndarray) -> tuple:
+    """``classify_element`` from the eigenvalues: the first domain, in
+    catalogue order, whose slots take the eigenvalue groups and whose one
+    solve fits them."""
     spec = _spectrum(eig)
-    for dom in _domains(family):
-        values = _match_domain(dom, spec)
-        if values is None:
-            continue
-        point = RadialPoint(tuple(values), dom.signature)
-        canonical = canonical_radial(family, point)
-        if not _eigen_multiset_close(sys, canonical, eig):
-            raise InternalError("canonicalization changed the eigenvalue multiset")
-        return dom, canonical
+    groups = None if spec["log_mod"] is None else _groups(family, spec)
+    for dom in _domains(family) if groups else ():
+        table = _readoff_table(dom)
+        assign = _fill(table, groups, spec)
+        values = None if assign is None else _solve(table, spec, assign)
+        if values is not None:
+            canonical = canonical_radial(family, RadialPoint(tuple(values), dom.signature))
+            if not _eigen_multiset_close(_system(family), canonical, eig):
+                raise InternalError("canonicalization changed the eigenvalue multiset")
+            return dom, canonical
     raise ClassificationError(
-        f"eigenvalues of this {family.name} element match no evolution domain "
-        f"(complex radial parameters or boundary element)",
+        f"eigenvalues of this {family.name} element match no evolution domain ({_refusal(groups)})",
         eigenvalues=eig,
     )
 

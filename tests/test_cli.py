@@ -385,9 +385,15 @@ def test_check_list_and_filter(capsys):
     code, out, _ = run(capsys, "check", "--list")
     assert code == 0
     assert "dual-series-su2" in out
-    code, out, _ = run(capsys, "check", "--only", "weyl-orders")
+    code, out, err = run(capsys, "check", "--only", "weyl-orders")
     data = json.loads(out)
     assert code == 0 and data["passed"]
+    # each check's seconds go to stderr, and stdout stays deterministic
+    seconds = [(float(line.split()[0]), line.split()[-1]) for line in err.splitlines()]
+    assert [name for _, name in seconds] == [r["name"] for r in data["checks"]] == ["weyl-orders"]
+    assert all(s >= 0.0 for s, _ in seconds) and "seconds" not in data["checks"][0]
+    assert run(capsys, "check", "--only", "weyl-orders")[1] == out
+    assert isinstance(checks.run_checks(only="weyl-orders")[0]["seconds"], float)
 
 
 def test_check_whole_suite_passes(capsys):

@@ -26,11 +26,9 @@ from liekernel import (
 from liekernel.domains import (
     GroupFamily,
     GroupKind,
+    _classify_spectrum,
     _least_cost_pairing,
-    _match_domain,
-    _matcher,
     _pairing_residual,
-    _spectrum,
     _system,
     _unit_class,
     canonical_radial,
@@ -301,6 +299,13 @@ def _random_algebra_element(fam, rng):
         return _eta(fam) @ (a - a.T)
     if fam.kind is GroupKind.SL:
         return a - np.trace(a) / d * np.eye(d)
+    if fam.kind is GroupKind.USP:
+        # the projections onto u(p,q) and sp(2n,C) commute: their product
+        # projects onto the intersection
+        eta, zeta = _eta(fam), _zeta(d // 2)
+        x = a + 1j * rng.normal(size=(d, d))
+        x = (x - eta @ x.conj().T @ eta) / 2
+        return (x + zeta @ x.T @ zeta) / 2
     return _zeta(d // 2) @ (a + a.T)  # Sp(2n,R)
 
 
@@ -464,7 +469,7 @@ def test_classification_ambiguous_for_loxodromic_symplectic():
     block = np.exp(u) * r
     g = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), np.exp(-u) * r]])
     # g^T zeta g = zeta holds for blockdiag(A, A^{-T})
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ClassificationError, match="complex quartet"):
         classify_element(fam, g)
 
 
@@ -566,108 +571,124 @@ def test_build_element_verifies_itself():
     check_defining_relation(fam, g)
 
 
-def _match_by_permutations(sys, dom, eig):
-    """The exhaustive matcher that ``_match_domain`` prunes: every assignment
-    in ``itertools.permutations`` order, each tested in full, every offset
-    by its own ``verify``."""
-    m = _matcher(dom)
-    nw = len(sys.weights)
-    slot_unit = m["slot_unit"]
+def _match_by_permutations(weights, signature, eig):
+    """The exhaustive reference for one domain: every assignment of the
+    eigenvalues to the weights in ``itertools.permutations`` order, unit-modulus
+    ones first to the weights that vanish on the imaginary axes, each solved
+    in full: the imaginary parameters by least squares on the log-moduli, the
+    real ones from phase rows (the first weights in that order to raise the
+    rank of the real-axis columns) at each 2 pi offset in {-1, 0, 1} per row,
+    each offset checked on every eigenvalue."""
+    real_axes = [j for j, s in enumerate(signature) if s == "R"]
+    imag_axes = [j for j, s in enumerate(signature) if s == "I"]
+    w_r, w_i = weights[:, real_axes], weights[:, imag_axes]
+    nw = len(weights)
+    slot_unit = np.array([np.allclose(row, 0.0, atol=1e-12) for row in w_i])
     eig_unit = _unit_class(eig)
     if slot_unit.sum() > eig_unit.sum():
         return None
-    unit_slots = np.where(slot_unit)[0]
-    nonunit_slots = np.where(~slot_unit)[0]
-    unit_eigs = np.where(eig_unit)[0].tolist()
-    log_mod = np.log(np.abs(eig))
-    args = np.angle(eig)
-    w_r, w_i = m["w_r"], m["w_i"]
-    scale = max(1.0, float(np.abs(eig).max()))
-
-    def verify(x, y, assign):
-        phase = w_r @ x if w_r.shape[1] else np.zeros(nw)
-        damp = w_i @ y if w_i.shape[1] else np.zeros(nw)
-        pred = np.exp(1j * phase - damp)
-        return bool(np.abs(pred - eig[assign]).max() <= 1e-8 * scale)
-
+    rows = []
+    for k in np.flatnonzero(slot_unit).tolist() + np.flatnonzero(~slot_unit).tolist():
+        if np.linalg.matrix_rank(w_r[rows + [k]]) > len(rows):
+            rows.append(k)
+    offsets = 2 * np.pi * np.array(list(itertools.product((-1, 0, 1), repeat=len(rows))))
+    inv, pinv = np.linalg.inv(w_r[rows]), np.linalg.pinv(-w_i)
+    log_mod, args = np.log(np.abs(eig)), np.angle(eig)
+    tol = 1e-8 * max(1.0, float(np.abs(eig).max()))
+    unit_slots, other_slots = np.flatnonzero(slot_unit), np.flatnonzero(~slot_unit)
     assign = np.empty(nw, dtype=int)
-    for perm_u in itertools.permutations(unit_eigs, len(unit_slots)):
+    for perm_u in itertools.permutations(np.flatnonzero(eig_unit).tolist(), len(unit_slots)):
         assign[unit_slots] = perm_u
-        rest = [k for k in range(nw) if k not in perm_u]
-        for perm_n in itertools.permutations(rest):
-            assign[nonunit_slots] = perm_n
-            if m["imag_axes"]:
-                y = m["pinv_wi"] @ log_mod[assign]
-                if np.abs(w_i @ y + log_mod[assign]).max() > 1e-7:
-                    continue
-            else:
-                if np.abs(log_mod[assign]).max() > 1e-7:
-                    continue
-                y = np.zeros(0)
-            x = None
-            if not m["sub_rows"]:
-                if verify(np.zeros(0), y, assign):
-                    x = np.zeros(0)
-            else:
-                base = args[assign][m["sub_rows"]]
-                for off in m["offsets"]:
-                    cand = m["a_sub_inv"] @ (base + off)
-                    if verify(cand, y, assign):
-                        x = cand
-                        break
-            if x is None:
+        for perm_n in itertools.permutations([k for k in range(nw) if k not in perm_u]):
+            assign[other_slots] = perm_n
+            y = pinv @ log_mod[assign]
+            if np.abs(log_mod[assign] - (-w_i @ y)).max() > 1e-7:
                 continue
-            values = np.zeros(len(dom.signature))
-            for idx, j in enumerate(m["real_axes"]):
-                values[j] = x[idx]
-            for idx, j in enumerate(m["imag_axes"]):
-                values[j] = y[idx]
-            return values
+            xs = (args[assign][rows] + offsets) @ inv.T
+            fits = np.abs(np.exp(1j * (xs @ w_r.T) - w_i @ y) - eig[assign]).max(axis=1) <= tol
+            if fits.any():
+                values = np.zeros(len(signature))
+                values[real_axes], values[imag_axes] = xs[fits.argmax()], y
+                return values
     return None
 
 
-def _assert_same_match(fam, g, rng=None):
-    """``_match_domain`` equals the exhaustive matcher, bit for bit, on every
-    domain ``classify_element`` tries for g: its own and each one before it.
+def _reference_classification(fam, eig):
+    """The first domain in catalogue order that the exhaustive reference
+    matches, with its point made canonical; ``ClassificationError`` if none."""
+    for dom in enumerate_domains(fam):
+        values = _match_by_permutations(_system(fam).weights, dom.signature, eig)
+        if values is not None:
+            return dom, canonical_radial(fam, RadialPoint(tuple(values), dom.signature))
+    raise ClassificationError("no domain")
+
+
+def _assert_same_classification(fam, g, rng=None, may_refuse=False):
+    """``classify_element`` gives the reference's domain and canonical point,
+    to 1e-12 relative.
 
     With ``rng``, each eigenvalue first moves by up to 3e-9 relative in phase
-    and, off the unit circle, in modulus: inside the matcher's tolerances, so
-    a pruning rule stricter than they are shows up as a missed match.
+    and, off the unit circle, in modulus, inside the tolerances: the point
+    then agrees to 1e-7.  Only with ``may_refuse`` may the reference refuse
+    g, and classification must then refuse it with the same type.
     """
-    sys, eig = _system(fam), np.linalg.eigvals(np.asarray(g, dtype=complex))
+    if may_refuse:
+        try:
+            check_defining_relation(fam, g)
+        except NotInGroupError:
+            with pytest.raises(NotInGroupError):
+                classify_element(fam, g)
+            return
+    eig = np.linalg.eigvals(check_defining_relation(fam, g))
     if rng is not None:
         off_unit = np.abs(np.abs(eig) - 1.0) > 1e-6
         eig = eig * np.exp(3e-9 * (1j * rng.uniform(-1, 1, len(eig)) + off_unit * rng.uniform(-1, 1, len(eig))))
-    for dom in enumerate_domains(fam):
-        got, want = _match_domain(dom, _spectrum(eig)), _match_by_permutations(sys, dom, eig)
-        assert (got is None) == (want is None), (fam.name, dom.label)
-        if got is not None:
-            assert got.tobytes() == want.tobytes(), (fam.name, dom.label, got, want)
+    if may_refuse:
+        try:
+            _reference_classification(fam, eig)
+        except ClassificationError:
+            with pytest.raises(ClassificationError):
+                _classify_spectrum(fam, eig)
             return
-    raise AssertionError(f"{fam.name} element matches no domain")
+    want = _reference_classification(fam, eig)
+    dom, point = _classify_spectrum(fam, eig)
+    assert dom == want[0], (fam.name, dom.label, want[0].label)
+    got, ref = np.array(point.values), np.array(want[1].values)
+    bound = (1e-12 if rng is None else 1e-7) * max(1.0, np.abs(ref).max())
+    assert np.abs(got - ref).max() <= bound, (fam.name, dom.label, got, ref)
 
 
-# SU(4), SO(4,2) and USp(2,4) have domains whose phase rows differ from a
-# pivoted QR's
+# The "pruned match" tests keep the names they had when classification was a
+# pruned assignment search; they hold the read-off that replaced it to the
+# exhaustive search.  SU(4), SO(4,2) and USp(2,4) have domains whose phase
+# rows differ from a pivoted QR's.
 @pytest.mark.parametrize("name", ["SU(1,1)"] + CATALOGUE_GROUPS + ["SU(4)", "SO(4,2)", "USp(2,4)"] + A_BEYOND_RANK3)
 def test_pruned_match_equals_permutation_search(name):
+    from scipy.linalg import expm
+
     fam = parse_group(name)
     rng = np.random.default_rng(808)
-    _assert_same_match(fam, np.eye(fam.matrix_dim))
+    _assert_same_classification(fam, np.eye(fam.matrix_dim))
     for dom in enumerate_domains(fam):
         for _ in range(3):
             vals = rng.uniform(0.12, 1.55, fam.rank)
             g = build_element(fam, canonical_radial(fam, RadialPoint(tuple(vals), dom.signature)))
-            _assert_same_match(fam, g)
-            _assert_same_match(fam, g, rng)
+            _assert_same_classification(fam, g)
+            _assert_same_classification(fam, g, rng)
+            if fam.rank <= 3:
+                _assert_same_classification(fam, -g, may_refuse=True)
+    if fam.rank <= 3:
+        for scale in (0.5, 2.0):
+            for _ in range(3):
+                _assert_same_classification(fam, expm(scale * _random_algebra_element(fam, rng)), may_refuse=True)
 
 
 @pytest.mark.parametrize("values", [(0.0, 0.7, 0.0), (0.7, 0.0, 0.7)])
 def test_pruned_match_ties_zero_parameters_as_permutation_search(values):
-    # degenerate eigenvalues: many assignments pass, and the order picks one
+    # degenerate eigenvalues: many assignments pass, and all give one point
     fam = parse_group("SO(3,3)")
     dom = next(d for d in enumerate_domains(fam) if d.label == "D0")
-    _assert_same_match(fam, build_element(fam, canonical_radial(fam, RadialPoint(values, dom.signature))))
+    _assert_same_classification(fam, build_element(fam, canonical_radial(fam, RadialPoint(values, dom.signature))))
 
 
 def test_pruned_match_refuses_the_guard_band_as_permutation_search():
@@ -675,11 +696,37 @@ def test_pruned_match_refuses_the_guard_band_as_permutation_search():
     theta = 2e-8
     c, s = np.cosh(theta / 2), np.sinh(theta / 2)
     eig = np.linalg.eigvals(np.array([[c, s], [s, c]], dtype=complex))
-    dom = enumerate_domains(fam)[0]
     with pytest.raises(ClassificationError, match="guard band"):
-        _match_domain(dom, _spectrum(eig))
+        _classify_spectrum(fam, eig)
     with pytest.raises(ClassificationError, match="guard band"):
-        _match_by_permutations(_system(fam), dom, eig)
+        _reference_classification(fam, eig)
+
+
+def test_readoff_solves_at_most_once_per_domain(monkeypatch):
+    # the assignment search it replaces made 47,000 partial checks per SO(7,6) element
+    calls = []
+    solve = domains._solve
+    monkeypatch.setattr(domains, "_solve", lambda *args: calls.append(1) or solve(*args))
+    for name, label in (("SO(7,6)", "D6"), ("SO(7,6)", "D0"), ("Sp(12,R)", "D6")):
+        fam = parse_group(name)
+        dom = next(d for d in enumerate_domains(fam) if d.label == label)
+        point = RadialPoint(tuple(np.linspace(0.2, 1.4, fam.rank)), dom.signature)
+        g = build_element(fam, canonical_radial(fam, point))
+        calls.clear()
+        assert classify_element(fam, g)[0] == dom
+        assert 1 <= len(calls) <= len(enumerate_domains(fam))
+
+
+@pytest.mark.parametrize("name", ["SL(4,R)", "SU(1,1)"])
+def test_minus_a_split_element_is_refused_for_its_negative_eigenvalues(name):
+    # -g of an SL(4,R) D1 element has two unequal negative real eigenvalues,
+    # and -g of an SU(1,1) D0 element a boost pair of them: no domain has them
+    fam = parse_group(name)
+    dom = next(d for d in enumerate_domains(fam) if d.label == ("D1" if fam.rank == 3 else "D0"))
+    g = build_element(fam, canonical_radial(fam, RadialPoint((0.4, 0.9, 1.3)[: fam.rank], dom.signature)))
+    with pytest.raises(ClassificationError, match="negative real eigenvalues") as info:
+        classify_element(fam, -g)
+    assert len(info.value.eigenvalues) == fam.matrix_dim
 
 
 @pytest.mark.parametrize(
